@@ -175,6 +175,12 @@ _INPUT_FIELDS = ("word_ids", "x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids",
                  "page_ids")
 
 
+def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
+    """Inputs joined back to back along the token axis, in order."""
+    return ModelInput(**{k: np.concatenate([getattr(i, k) for i in inputs],
+                                           axis=-1) for k in _INPUT_FIELDS})
+
+
 def _validate_token(tok: dict, doc_id: str, page_count: int, idx: int) -> TokenRecord:
     def fail(msg):
         raise DataValidationError(f"document {doc_id!r}, token {idx}: {msg}")
@@ -217,8 +223,12 @@ def _clamp_bbox(tok: TokenRecord, page: tuple[float, float]) -> TokenRecord:
 
 
 def parse_documents(data: bytes) -> list[DocumentRecord]:
-    """Parse one JSON document object per line; order is preserved."""
+    """Parse one JSON document object per line; order is preserved.
+
+    Document ids must be unique: folds and rasters are keyed by id.
+    """
     docs = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not raw.strip():
             continue
@@ -229,6 +239,11 @@ def parse_documents(data: bytes) -> list[DocumentRecord]:
         doc_id = obj.get("id")
         if not isinstance(doc_id, str) or not doc_id:
             raise DataValidationError(f"line {lineno}: missing document id")
+        if doc_id in first_line:
+            raise DataValidationError(
+                f"line {lineno}: document id {doc_id!r} already used on line "
+                f"{first_line[doc_id]}")
+        first_line[doc_id] = lineno
         pages = [(float(p["width"]), float(p["height"])) for p in obj.get("pages", [])]
         if not pages or any(w <= 0 or h <= 0 for w, h in pages):
             raise DataValidationError(

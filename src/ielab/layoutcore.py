@@ -5,6 +5,11 @@ Per-token input embeddings are the sum of eight learned tables: word identity,
 height). A single layer norm follows the sum, then a stack of post-norm
 transformer encoder layers with GELU feed-forwards produces the per-token
 hidden states the fusion heads consume.
+
+Several chunks can run as one packed sequence: their rows sit back to back,
+every per-token op (embedding, layer norm, linear, GELU, residual add) runs
+once over all rows, and attention runs once per chunk on that chunk's rows,
+so no score between two chunks is ever computed.
 """
 
 from __future__ import annotations
@@ -113,12 +118,18 @@ def init_parameters(config: EncoderConfig) -> EncoderParameters:
     return EncoderParameters(config, t)
 
 
-def embed_tokens(inp: ModelInput, params: EncoderParameters) -> Tensor:
-    """Eight-table additive embedding; chunking must happen before this."""
+def embed_tokens(inp: ModelInput, params: EncoderParameters,
+                 lengths: list[int] | None = None) -> Tensor:
+    """Eight-table additive embedding; chunking must happen before this.
+
+    `lengths` gives the token counts of the chunks packed back to back in
+    `inp` (default: one chunk); each chunk must fit max_seq_len.
+    """
     cfg = params.config
-    if inp.length > cfg.max_seq_len:
+    longest = inp.length if lengths is None else max(lengths)
+    if longest > cfg.max_seq_len:
         raise ContractError(
-            f"sequence of {inp.length} tokens exceeds max_seq_len "
+            f"sequence of {longest} tokens exceeds max_seq_len "
             f"{cfg.max_seq_len}; chunk the document first")
     tables = [params["word_table"], params["pos1d"]]
     ids = [inp.word_ids, inp.pos1d_ids]
@@ -133,43 +144,33 @@ def embed_tokens(inp: ModelInput, params: EncoderParameters) -> Tensor:
 _MASK_BIAS = -1e9  # drives masked keys' attention weight to exact zero
 
 
-def block_attention_bias(lengths: list[int], masks=None) -> np.ndarray:
-    """(T, T) additive score bias confining attention to same-block tokens.
-
-    Used to run several chunks as one concatenated sequence; optional per-block
-    padding masks additionally silence masked keys.
-    """
-    T = sum(lengths)
-    bias = np.full((T, T), _MASK_BIAS)
-    pos = 0
-    for bi, n in enumerate(lengths):
-        bias[pos:pos + n, pos:pos + n] = 0.0
-        if masks is not None:
-            key_mask = np.asarray(masks[bi], dtype=bool)
-            bias[pos:pos + n, pos:pos + n][:, ~key_mask] = _MASK_BIAS
-        pos += n
-    return bias
-
-
 def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
-                    training: bool = False,
-                    rng: np.random.Generator | None = None,
-                    attn_bias: np.ndarray | None = None) -> Tensor:
+                    lengths: list[int] | None = None) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
 
-    `training`/`rng` are accepted for interface symmetry with the heads; the
-    stack itself is deterministic (the protocol puts dropout in the classifier
-    only). `attn_bias` overrides the mask-derived additive score bias, e.g.
-    with a block-diagonal matrix when batching chunks into one sequence.
+    `hidden_in` holds the rows of the chunks whose token counts `lengths`
+    lists, packed back to back (default: one chunk of all rows). Attention
+    runs per chunk, where each query sees only its own chunk's keys with
+    `mask` True; every other op runs once over all rows.
     """
-    del training, rng
     cfg = params.config
     T = hidden_in.data.shape[0]
     msk = np.asarray(mask, dtype=bool)
     if msk.shape != (T,):
         raise ShapeError(f"mask length {msk.shape} does not match T={T}")
-    bias = np.where(msk, 0.0, _MASK_BIAS)[None, :] if attn_bias is None \
-        else attn_bias
+    bounds = [0, T] if lengths is None else np.cumsum([0, *lengths]).tolist()
+    if bounds[-1] != T:
+        raise ShapeError(f"chunk lengths sum to {bounds[-1]}, not T={T}")
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    biases = [np.where(msk[lo:hi], 0.0, _MASK_BIAS)[None, :] for lo, hi in spans]
+
+    def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        if len(spans) == 1:
+            return ops.attention(q, k, v, biases[0], cfg.heads)
+        return ops.concat_rows([
+            ops.attention(ops.slice_rows(q, lo, hi), ops.slice_rows(k, lo, hi),
+                          ops.slice_rows(v, lo, hi), bias, cfg.heads)
+            for (lo, hi), bias in zip(spans, biases)])
 
     h = ops.layer_norm(hidden_in, params["embed_ln.gain"], params["embed_ln.bias"])
     for i in range(cfg.layers):
@@ -177,8 +178,8 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
         q = ops.linear(h, params[pre + "attn.q"], params[pre + "attn.q_bias"])
         k = ops.linear(h, params[pre + "attn.k"], params[pre + "attn.k_bias"])
         v = ops.linear(h, params[pre + "attn.v"], params[pre + "attn.v_bias"])
-        ctx = ops.attention(q, k, v, bias, cfg.heads)
-        attn_out = ops.linear(ctx, params[pre + "attn.o"], params[pre + "attn.o_bias"])
+        attn_out = ops.linear(attend(q, k, v),
+                              params[pre + "attn.o"], params[pre + "attn.o_bias"])
         h = ops.layer_norm(ops.add(h, attn_out),
                            params[pre + "ln1.gain"], params[pre + "ln1.bias"])
         inner = ops.gelu(ops.linear(h, params[pre + "ff.w1"], params[pre + "ff.b1"]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ielab import layoutcore
-from ielab.docstream import STYLE_FEATURES, ModelInput
+from ielab.docstream import STYLE_FEATURES, ModelInput, pack_inputs
 from ielab.errors import CheckpointMismatchError, ConfigError
 from ielab.layoutcore import EncoderConfig, EncoderParameters
 from ielab.stylefuse.fusion import (
@@ -148,10 +148,25 @@ class TokenTagger:
         out["head.bias"] = self.head.bias
         return out
 
-    def fused_output(self, inp: ModelInput, rasters=None) -> Tensor:
-        """Encoder output enriched per the fusion mode (pre-head)."""
-        e = layoutcore.embed_tokens(inp, self.encoder_params)
-        L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params)
+    def fused_output(self, inputs, rasters=None) -> Tensor:
+        """Encoder output enriched per the fusion mode (pre-head).
+
+        `inputs` is one ModelInput with `rasters` its page list, or a list of
+        chunk inputs with `rasters` one page list per input. A list runs as
+        one packed sequence (see layoutcore): the output holds every input's
+        rows back to back, equal to per-input forwards. For IMAGE, each
+        distinct page list is numbered once, so a page's feature map is
+        computed once per call however many chunks show it.
+        """
+        if isinstance(inputs, ModelInput):
+            inputs, rasters = [inputs], [rasters]
+        elif rasters is None:
+            rasters = [None] * len(inputs)
+        single = len(inputs) == 1
+        inp = inputs[0] if single else pack_inputs(inputs)
+        lengths = None if single else [i.length for i in inputs]
+        e = layoutcore.embed_tokens(inp, self.encoder_params, lengths)
+        L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params, lengths)
         mode = self.spec.fusion
         if mode is FusionMode.BASELINE:
             return L
@@ -159,55 +174,22 @@ class TokenTagger:
             return fuse_style_sum(L, inp.style_ids, self.style)
         if mode is FusionMode.STYLE_CONCAT:
             return fuse_style_concat(L, inp.style_ids, self.style)
-        if rasters is None:
-            raise ConfigError("IMAGE fusion needs page rasters")
+        page_ids, pages = _number_pages(inputs, rasters)
         boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
                          axis=1).astype(np.float64)
-        return image_embed_and_fuse(L, boxes, inp.page_ids, rasters,
+        return image_embed_and_fuse(L, boxes, page_ids, pages,
                                     self.image_params, self.spec.image)
 
-    def forward_logits(self, inp: ModelInput, rasters=None,
-                       training: bool = False,
+    def forward_logits(self, inputs, rasters=None, training: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
-        return head_logits(self.fused_output(inp, rasters), self.head,
+        """Pre-softmax scores, one row per token; inputs as in fused_output."""
+        return head_logits(self.fused_output(inputs, rasters), self.head,
                            training, rng)
 
-    def forward_logits_batch(self, inputs: list[ModelInput],
-                             training: bool = False,
-                             rng: np.random.Generator | None = None) -> Tensor:
-        """One forward over several chunks concatenated into one sequence.
-
-        Equivalent to per-chunk forwards: a block-diagonal attention bias
-        keeps chunks from attending to each other, and every remaining stage
-        is per-token. Not available for IMAGE fusion (per-document rasters).
-        """
-        if self.spec.fusion is FusionMode.IMAGE:
-            raise ConfigError("IMAGE fusion predicts per chunk, not batched")
-        if len(inputs) == 1:
-            return self.forward_logits(inputs[0], None, training, rng)
-        from ielab.tensorcore import ops
-
-        embeds = [layoutcore.embed_tokens(inp, self.encoder_params)
-                  for inp in inputs]
-        x = ops.concat_rows(embeds)
-        bias = layoutcore.block_attention_bias(
-            [inp.length for inp in inputs], [inp.mask for inp in inputs])
-        mask = np.concatenate([inp.mask for inp in inputs])
-        L = layoutcore.encoder_forward(x, mask, self.encoder_params,
-                                       attn_bias=bias)
-        mode = self.spec.fusion
-        if mode is FusionMode.STYLE_SUM or mode is FusionMode.STYLE_CONCAT:
-            style_ids = np.concatenate([inp.style_ids for inp in inputs], axis=1)
-            fuse = fuse_style_sum if mode is FusionMode.STYLE_SUM \
-                else fuse_style_concat
-            e = fuse(L, style_ids, self.style)
-        else:
-            e = L
-        return head_logits(e, self.head, training, rng)
-
-    def predict_probs(self, inp: ModelInput, rasters=None) -> np.ndarray:
-        """Inference-mode class probabilities, (T, label_count)."""
-        return classify(self.fused_output(inp, rasters), self.head).data
+    def predict_probs(self, inputs, rasters=None) -> np.ndarray:
+        """Inference-mode class probabilities, (total tokens, label_count);
+        inputs as in fused_output."""
+        return classify(self.fused_output(inputs, rasters), self.head).data
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}
@@ -238,6 +220,31 @@ class TokenTagger:
         model = cls.build(spec)
         model.restore(arrays)
         return model, config
+
+
+def _number_pages(inputs: list[ModelInput], rasters: list):
+    """Page ids of the packed inputs and the page list they index.
+
+    Each distinct page list (by identity) is appended once, and its inputs'
+    page ids are offset by the number of pages listed before it.
+    """
+    if any(r is None for r in rasters):
+        raise ConfigError("IMAGE fusion needs page rasters")
+    if len(inputs) == 1:
+        return inputs[0].page_ids, rasters[0]
+    first: dict[int, int] = {}
+    pages: list = []
+    page_ids = []
+    for inp, r in zip(inputs, rasters):
+        if inp.page_ids.max() >= len(r):
+            raise ConfigError(
+                f"token references page {int(inp.page_ids.max())} but only "
+                f"{len(r)} rasters were provided")
+        if id(r) not in first:
+            first[id(r)] = len(pages)
+            pages.extend(r)
+        page_ids.append(inp.page_ids + first[id(r)])
+    return np.concatenate(page_ids), pages
 
 
 def with_resolved_sizes(spec: TaggerSpec, word_vocab: int, label_count: int,

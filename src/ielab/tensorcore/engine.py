@@ -192,8 +192,4 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
     return result
 
 
-def as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 GELU_TANH_COEFF = math.sqrt(2.0 / math.pi)  # tanh-form approximation constant

@@ -20,25 +20,10 @@ from ielab.tensorcore.engine import (
 )
 
 
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _scatter_rows(dt, idx, g):
-        for i in range(idx.shape[0]):
-            r = idx[i]
-            for j in range(g.shape[1]):
-                dt[r, j] += g[i, j]
-
-    def _scatter_add(shape, idx, g):
-        dt = np.zeros(shape, dtype=np.float64)
-        _scatter_rows(dt, idx, np.ascontiguousarray(g))
-        return dt
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def _scatter_add(shape, idx, g):
-        dt = np.zeros(shape, dtype=np.float64)
-        np.add.at(dt, idx, g)
-        return dt
+def _scatter_add(shape, idx, g):
+    dt = np.zeros(shape, dtype=np.float64)
+    np.add.at(dt, idx, g)
+    return dt
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -277,7 +262,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     """Fused multi-head scaled dot-product attention (one tape node).
 
     q, k, v are (T, h) with h divisible by `heads`; `bias` is a constant
-    additive (T, T) score matrix (0 to allow, large negative to mask).
+    additive score matrix broadcastable to (T, T), such as a (1, T) key mask
+    (0 to allow, large negative to mask). All heads run as one batched
+    (heads, T, dh) matmul.
     """
     qd, kd, vd = q.data, k.data, v.data
     T, h = qd.shape
@@ -288,34 +275,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
         raise ShapeError(f"width {h} not divisible by {heads} heads")
     dh = h // heads
     inv = 1.0 / np.sqrt(dh)
-    out_data = np.empty_like(qd)
-    attns = []
-    for j in range(heads):
-        lo = j * dh
-        s = (qd[:, lo:lo + dh] @ kd[:, lo:lo + dh].T) * inv + bias
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        attns.append(s)
-        out_data[:, lo:lo + dh] = s @ vd[:, lo:lo + dh]
-    out = Tensor._wrap(out_data)
+
+    def split(x):                                  # (T, h) -> (heads, T, dh)
+        return x.reshape(T, heads, dh).transpose(1, 0, 2)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    a = qh @ kh.transpose(0, 2, 1)                 # (heads, T, T) scores
+    a *= inv
+    a += bias
+    a -= a.max(axis=2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=2, keepdims=True)
+    out = Tensor._wrap((a @ vh).transpose(1, 0, 2).reshape(T, h))
     tape = active_tape()
     if tape is not None:
         pq, pk, pv = (tape.tracked_id(t) for t in (q, k, v))
         if pq >= 0 or pk >= 0 or pv >= 0:
-            def bw(g, qd=qd, kd=kd, vd=vd, attns=attns, dh=dh, inv=inv):
-                dq = np.empty_like(qd)
-                dk = np.empty_like(kd)
-                dv = np.empty_like(vd)
-                for j, a in enumerate(attns):
-                    lo = j * dh
-                    gj = g[:, lo:lo + dh]
-                    dv[:, lo:lo + dh] = a.T @ gj
-                    da = gj @ vd[:, lo:lo + dh].T
-                    ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-                    dq[:, lo:lo + dh] = (ds @ kd[:, lo:lo + dh]) * inv
-                    dk[:, lo:lo + dh] = (ds.T @ qd[:, lo:lo + dh]) * inv
-                return (dq, dk, dv)
+            def bw(g, qh=qh, kh=kh, vh=vh, a=a):
+                gh = split(g)
+                dv = a.transpose(0, 2, 1) @ gh
+                ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
+                ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]
+                ds *= a                            # d(scores)
+                ds *= inv
+                dq = ds @ kh
+                dk = ds.transpose(0, 2, 1) @ qh
+                return tuple(x.transpose(1, 0, 2).reshape(T, h)
+                             for x in (dq, dk, dv))
             tape.push(out, (pq, pk, pv), bw)
     return out
 
@@ -497,6 +483,22 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
                     pos += n
                 return tuple(outs)
             tape.push(out, pids, bw)
+    return out
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of x (first axis)."""
+    out = Tensor(x.data[start:stop])
+    tape = active_tape()
+    if tape is not None:
+        px = tape.tracked_id(x)
+        if px >= 0:
+            shape = x.data.shape
+            def bw(g, shape=shape, start=start, stop=stop):
+                dx = np.zeros(shape, dtype=np.float64)
+                dx[start:stop] = g
+                return (dx,)
+            tape.push(out, (px,), bw)
     return out
 
 

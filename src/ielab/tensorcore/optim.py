@@ -1,9 +1,7 @@
 """Bias-corrected Adam over named parameter tensors.
 
-The update itself is the textbook rule; a numba kernel fuses the per-element
-work into one memory pass because the optimizer dominates step time for
-embedding-table-heavy models. The numpy fallback computes the same float64
-expressions.
+The update is the textbook rule, applied in place with float64 numpy
+expressions over each whole parameter array.
 """
 
 from __future__ import annotations
@@ -14,24 +12,6 @@ from typing import Mapping
 import numpy as np
 
 from ielab.tensorcore.engine import ShapeError, Tensor
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _adam_kernel(p, g, m, v, lr, b1, b2, eps, bc1, bc2):
-        for i in range(p.shape[0]):
-            gi = g[i]
-            mi = b1 * m[i] + (1.0 - b1) * gi
-            vi = b2 * v[i] + (1.0 - b2) * gi * gi
-            m[i] = mi
-            v[i] = vi
-            p[i] -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 
 @dataclass
 class AdamState:
@@ -65,14 +45,9 @@ def adam_step(params: dict[str, Tensor], grads: Mapping[str, np.ndarray],
         m, v = state.m[name], state.v[name]
         if m.shape != p.data.shape:
             raise ShapeError(f"adam_step: stale state for parameter '{name}'")
-        if _HAVE_NUMBA:
-            _adam_kernel(p.data.ravel(), np.ascontiguousarray(g).ravel(),
-                         m.ravel(), v.ravel(), state.lr, state.beta1,
-                         state.beta2, state.eps, bc1, bc2)
-        else:
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params, state

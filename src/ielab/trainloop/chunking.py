@@ -70,12 +70,18 @@ def aggregate_chunk_predictions(chunks: list[Chunk],
 
 def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
                         doc_id: str = "") -> np.ndarray:
-    """Chunked inference for one document; (T, label_count) probabilities."""
+    """Chunked inference for one document; (T, label_count) probabilities.
+
+    All chunks run as one packed forward, sharing the document's page
+    rasters; their rows are then stitched back to one row per token.
+    """
     chunks = chunk_document(inp, cfg, doc_id)
     if len(chunks) == 1 and chunks[0].start == 0 and chunks[0].end == inp.length:
         return model.predict_probs(inp, rasters)
-    probs = [model.predict_probs(c.inputs, rasters) for c in chunks]
-    return aggregate_chunk_predictions(chunks, probs)
+    probs = model.predict_probs([c.inputs for c in chunks],
+                                [rasters] * len(chunks))
+    ends = np.cumsum([c.end - c.start for c in chunks])[:-1]
+    return aggregate_chunk_predictions(chunks, np.split(probs, ends))
 
 
 def predict_tags(model, inp: ModelInput, cfg, label_names: list[str],

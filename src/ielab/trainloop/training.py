@@ -1,8 +1,9 @@
 """Fine-tuning protocol: epochs, augmentation, model selection, k-fold CV.
 
-Each optimizer step consumes one batch of documents (their chunks pooled into
-a token-weighted cross-entropy), runs one tape backward, and applies Adam at
-a constant learning rate. After every epoch the validation split is scored
+Each optimizer step runs one packed forward over all chunks of a batch of
+documents (see TokenTagger.fused_output), takes the cross-entropy over all
+their unmasked tokens, runs one tape backward, and applies Adam at a
+constant learning rate. After every epoch the validation split is scored
 with entity-level weighted F1 (no augmentation, no dropout) and the best
 epoch's parameters are kept, earlier epochs winning ties.
 """
@@ -147,41 +148,27 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
     trace: list[float] = []
     loss_trace: list[float] = []
     best_f1, best_epoch, best_snapshot = -1.0, -1, None
-    batched = spec.fusion.value != "IMAGE"  # image path needs per-doc rasters
     n = len(enc_train)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for bstart in range(0, n, cfg.batch_size):
-            pieces = []
+            inputs, input_rasters = [], []
             for di in order[bstart:bstart + cfg.batch_size]:
                 x = augment_tokens(enc_train[di], cfg.token_replace_rate,
                                    aug_rng, vocabs.word.size)
                 x = augment_bboxes(x, cfg, aug_rng)
                 for ch in chunk_document(x, cfg, train_docs[di].id):
-                    pieces.append((ch, train_rasters[di]))
+                    inputs.append(ch.inputs)
+                    input_rasters.append(train_rasters[di])
             tape = Tape()
             with tape:
                 tape.watch(*params.values())
-                if batched:
-                    inputs = [ch.inputs for ch, _ in pieces]
-                    logits = model.forward_logits_batch(inputs, training=True,
-                                                        rng=drop_rng)
-                    loss = ops.cross_entropy_masked(
-                        logits,
-                        np.concatenate([i.label_ids for i in inputs]),
-                        np.concatenate([i.mask for i in inputs]))
-                else:
-                    total = sum(int(ch.inputs.mask.sum()) for ch, _ in pieces)
-                    loss = None
-                    for ch, rast in pieces:
-                        logits = model.forward_logits(ch.inputs, rast,
-                                                      training=True,
-                                                      rng=drop_rng)
-                        ce = ops.cross_entropy_masked(
-                            logits, ch.inputs.label_ids, ch.inputs.mask)
-                        term = ops.scale(ce, int(ch.inputs.mask.sum()) / total)
-                        loss = term if loss is None else ops.add(loss, term)
+                logits = model.forward_logits(inputs, input_rasters,
+                                              training=True, rng=drop_rng)
+                loss = ops.cross_entropy_masked(
+                    logits, np.concatenate([i.label_ids for i in inputs]),
+                    np.concatenate([i.mask for i in inputs]))
             epoch_losses.append(loss.item())
             grads = backward(loss, tape)
             adam_step(params,
@@ -200,6 +187,11 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
                       val_f1_trace=trace,
                       val_doc_ids=[d.id for d in val_docs],
                       train_loss_trace=loss_trace)
+
+
+def fold_seed_for(seed: int, fold: int) -> int:
+    """Distinct training seed for every (seed, fold) pair (Cantor pairing)."""
+    return (seed + fold) * (seed + fold + 1) // 2 + fold
 
 
 @dataclass
@@ -235,7 +227,8 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         val = [by_id[i] for i in fold["val"]]
         test = [by_id[i] for i in fold["test"]]
         res = train_fold(train, val, spec_template, cfg, bucket_cfg,
-                         fold_seed=cfg.seed ^ f, rasters=rasters)
+                         fold_seed=fold_seed_for(cfg.seed, f),
+                         rasters=rasters)
         enc_test = [encode_document(d, res.vocabs, bucket_cfg,
                                     strict_labels=False) for d in test]
         preds = [predict_tags(res.model, e, cfg, res.vocabs.label_names(),

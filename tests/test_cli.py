@@ -164,3 +164,12 @@ def test_eval_on_all_o_corpus_reports_zero(tmp_path):
                      "--corpus", str(allo)]) == 0
     report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
     assert report["report"]["weighted_f1"] == 0.0
+
+
+def test_train_duplicate_document_id_exits_3(tmp_path):
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    corpus = tmp_path / "out" / "corpus.jsonl"
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines + lines[:1]) + "\n")
+    assert cli.main(["train", "--spec", str(spec)]) == 3

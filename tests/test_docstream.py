@@ -268,3 +268,10 @@ def test_bbox_clamped_to_page():
     line = make_doc_line(tokens=[make_token(bbox=[-5.0, 10.0, 2000.0, 20.0])])
     doc = ds.parse_documents(line.encode())[0]
     assert doc.tokens[0].bbox == (0.0, 10.0, 1000.0, 20.0)
+
+
+def test_parse_rejects_duplicate_ids_naming_both_lines():
+    data = "\n".join([make_doc_line("a"), make_doc_line("b"),
+                      make_doc_line("a")]).encode()
+    with pytest.raises(DataValidationError, match="line 3.*'a'.*line 1"):
+        ds.parse_documents(data)

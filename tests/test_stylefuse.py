@@ -6,7 +6,15 @@ from ielab import stylefuse as sf
 from ielab.docstream import ModelInput
 from ielab.errors import ConfigError
 from ielab.layoutcore import EncoderConfig
-from ielab.tensorcore import Tape, Tensor, backward, cross_entropy_masked, parameter
+from ielab.tensorcore import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    cross_entropy_masked,
+    parameter,
+    scale,
+)
 from test_layoutcore import tiny_input
 
 
@@ -365,3 +373,92 @@ def test_model_gradients_all_modes():
         named = model.parameters()
         probe = {k: named[k] for k in list(named)[:3] + ["head.weight"]}
         gradcheck(loss, probe, tol=1e-4, max_samples=4)
+
+
+def _chunk(T, seed, page_ids=None, masked_keys=0):
+    inp = tiny_input(T=T, seed=seed)
+    inp.label_ids = np.asarray(inp.label_ids) % 3
+    if masked_keys:
+        inp.mask[-masked_keys:] = False
+    if page_ids is not None:
+        inp.page_ids = np.asarray(page_ids, dtype=np.int64)
+    return inp
+
+
+def _logits_and_grads(model, forward):
+    """forward() -> (logits, loss) under a tape; grads keyed by name."""
+    params = model.parameters()
+    tape = Tape()
+    with tape:
+        tape.watch(*params.values())
+        logits, loss = forward()
+    g = backward(loss, tape)
+    return logits.data, {n: g[t.node_id].data for n, t in params.items()}
+
+
+@pytest.mark.parametrize("mode", list(sf.FusionMode))
+def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
+    spec = small_spec(mode, encoder=EncoderConfig(
+        word_vocab=8, label_count=3, hidden=8, layers=2, heads=2,
+        max_seq_len=16, seed=11))
+    model = sf.TokenTagger.build(spec)
+    rng = np.random.default_rng(40)
+    # two documents; IMAGE chunks of one document share its page list
+    doc_a = [rng.uniform(size=(1, 16, 16)) for _ in range(2)]
+    doc_b = [rng.uniform(size=(1, 16, 16)) for _ in range(3)]
+    inputs = [_chunk(5, 1, [0, 0, 1, 1, 1]),
+              _chunk(7, 2, [1] * 7, masked_keys=2),
+              _chunk(16, 3, [0] * 8 + [2] * 8),
+              _chunk(3, 4, [2, 2, 2])]
+    rasters = [doc_a, doc_a, doc_b, doc_b]
+    if mode is not sf.FusionMode.IMAGE:
+        rasters = None
+    labels = np.concatenate([i.label_ids for i in inputs])
+    mask = np.concatenate([i.mask for i in inputs])
+    total = int(mask.sum())
+
+    seen = []
+    original = sf.image.backbone_forward
+
+    def counting_backbone(raster, params, config):
+        seen.append(raster.data.tobytes())
+        return original(raster, params, config)
+
+    monkeypatch.setattr(sf.image, "backbone_forward", counting_backbone)
+
+    def packed():
+        logits = model.forward_logits(inputs, rasters, True,
+                                      np.random.default_rng(5))
+        return logits, cross_entropy_masked(logits, labels, mask)
+
+    def per_chunk():      # the oracle: one forward per chunk
+        drop = np.random.default_rng(5)
+        parts, loss = [], None
+        for i, inp in enumerate(inputs):
+            logits = model.forward_logits(inp, rasters and rasters[i], True,
+                                          drop)
+            term = scale(cross_entropy_masked(logits, inp.label_ids, inp.mask),
+                         int(inp.mask.sum()) / total)
+            parts.append(logits.data)
+            loss = term if loss is None else add(loss, term)
+        return Tensor(np.concatenate(parts)), loss
+
+    logits, grads = _logits_and_grads(model, packed)
+    packed_pages = list(seen)
+    ref_logits, ref_grads = _logits_and_grads(model, per_chunk)
+
+    assert np.allclose(logits, ref_logits, rtol=1e-12, atol=0)
+    for name, ref in ref_grads.items():
+        err = np.abs(grads[name] - ref).max()
+        if name.endswith("attn.k_bias"):       # zero in theory
+            assert err <= 1e-12, name
+        else:
+            assert err <= 1e-12 * np.abs(ref).max(), name
+    probs = model.predict_probs(inputs, rasters)
+    ref_probs = np.concatenate([model.predict_probs(inp, rasters and rasters[i])
+                                for i, inp in enumerate(inputs)])
+    assert np.allclose(probs, ref_probs, rtol=1e-12, atol=0)
+    if mode is sf.FusionMode.IMAGE:
+        # once per distinct (document, page): pages 0,1 of a and 0,2 of b
+        assert sorted(packed_pages) == sorted(
+            p.tobytes() for p in (doc_a[0], doc_a[1], doc_b[0], doc_b[2]))

@@ -332,3 +332,60 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     from ielab.errors import CheckpointMismatchError
     with pytest.raises(CheckpointMismatchError):
         tc.load_checkpoint(path)
+
+
+def _attention_oracle(q, k, v, bias, heads):
+    """Per-head loop: softmax(q_j k_j^T / sqrt(dh) + bias) v_j."""
+    T, h = q.shape
+    dh = h // heads
+    out = np.empty((T, h))
+    for j in range(heads):
+        cols = slice(j * dh, (j + 1) * dh)
+        s = q[:, cols] @ k[:, cols].T / math.sqrt(dh) + bias
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        out[:, cols] = p @ v[:, cols]
+    return out
+
+
+def _attention_biases(rng, T):
+    key_mask = np.where(np.arange(T) < T - 2, 0.0, -1e9)[None, :]  # (1, T)
+    return {"key mask": key_mask,
+            "full": rng.normal(size=(T, T)) + key_mask}            # (T, T)
+
+
+def test_attention_matches_per_head_loop_oracle():
+    rng = np.random.default_rng(31)
+    for T, h, heads in ((5, 6, 3), (7, 8, 2), (4, 4, 1)):
+        q, k, v = (tc.Tensor(rng.normal(size=(T, h))) for _ in range(3))
+        for name, bias in _attention_biases(rng, T).items():
+            out = tc.ops.attention(q, k, v, bias, heads).data
+            expected = _attention_oracle(q.data, k.data, v.data, bias, heads)
+            assert np.allclose(out, expected, rtol=0, atol=1e-12), (T, name)
+
+
+def test_attention_gradient():
+    rng = np.random.default_rng(32)
+    T, h, heads = 5, 6, 3
+    q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
+    w = rng.normal(size=(T, h))
+    for bias in _attention_biases(rng, T).values():
+        gradcheck(lambda: tc.sum_all(tc.mul(
+                      tc.ops.attention(q, k, v, bias, heads), tc.Tensor(w))),
+                  {"q": q, "k": k, "v": v}, tol=1e-6)
+
+
+def test_concat_rows_and_slice_rows_gradients():
+    rng = np.random.default_rng(33)
+    x = tc.parameter(rng.normal(size=(5, 3)))
+    y = tc.parameter(rng.normal(size=(2, 3)))
+    assert np.array_equal(tc.ops.slice_rows(x, 1, 4).data, x.data[1:4])
+    assert np.array_equal(tc.ops.concat_rows([x, y]).data,
+                          np.vstack([x.data, y.data]))
+
+    def loss():
+        parts = [tc.ops.slice_rows(x, 3, 5), y, tc.ops.slice_rows(x, 0, 4)]
+        joined = tc.ops.concat_rows(parts)
+        return tc.sum_all(tc.mul(joined, joined))
+
+    gradcheck(loss, {"x": x, "y": y}, tol=1e-6)

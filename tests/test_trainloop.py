@@ -287,3 +287,11 @@ def test_paired_t_test_matches_integration_oracle():
 def test_paired_t_test_length_mismatch():
     with pytest.raises(ConfigError):
         paired_t_test([1, 2, 3], [1, 2])
+
+
+def test_fold_seeds_distinct_over_seed_fold_grid():
+    from ielab.trainloop.training import fold_seed_for
+
+    seeds = [fold_seed_for(s, f) for s in range(12) for f in range(10)]
+    assert len(set(seeds)) == len(seeds)
+    assert fold_seed_for(0, 1) != fold_seed_for(1, 0)
