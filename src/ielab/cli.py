@@ -44,6 +44,7 @@ from ielab.evalsuite import (
     style_sum_fullscale_delta,
     table1_consistency,
 )
+from ielab.jsonconfig import decode
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
 from ielab.trainloop import TrainConfig, cross_validate, predict_tags
@@ -85,7 +86,7 @@ def load_spec(path: str | Path, out_override: str | None = None) -> ExperimentSp
         paths["output"] = out_override
 
     m = dict(obj.get("model", {}))
-    fusion = FusionMode(m.pop("fusion", "BASELINE"))
+    fusion = decode(FusionMode, m.pop("fusion", "BASELINE"))
     image = ImagePathConfig.from_json(m.pop("image")) if m.get("image") \
         else (ImagePathConfig() if fusion is FusionMode.IMAGE else None)
     m.pop("image", None)
@@ -105,8 +106,7 @@ def load_spec(path: str | Path, out_override: str | None = None) -> ExperimentSp
     train_obj = dict(obj.get("train", {}))
     train_obj.setdefault("seed", seed)
     train = TrainConfig.from_json(train_obj)
-    bucketing = BucketingConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in obj.get("bucketing", {}).items()})
+    bucketing = BucketingConfig.from_json(obj.get("bucketing", {}))
     gen = None
     if obj.get("generator") is not None:
         gen_obj = dict(obj["generator"])

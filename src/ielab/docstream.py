@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ielab.errors import ConfigError, DataValidationError
+from ielab.jsonconfig import JsonConfig
 
 LABEL_RE = re.compile(r"^(O|[BI]-[A-Z0-9_]+)$")
 
@@ -49,7 +50,7 @@ class DocumentRecord:
 
 
 @dataclass(frozen=True)
-class BucketingConfig:
+class BucketingConfig(JsonConfig):
     """Hand-crafted clustering of raw style attributes.
 
     color: BLACK when every RGB channel is below `black_max_channel`.

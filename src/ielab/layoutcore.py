@@ -21,6 +21,7 @@ import numpy as np
 
 from ielab.docstream import COORD_VOCAB, ModelInput
 from ielab.errors import ConfigError, ContractError
+from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import engine, ops
 from ielab.tensorcore.engine import ShapeError, Tensor
 
@@ -28,7 +29,7 @@ COORD_TABLES = ("x1", "y1", "x2", "y2", "w", "h")
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(JsonConfig):
     word_vocab: int
     label_count: int
     hidden: int = 64
@@ -51,17 +52,6 @@ class EncoderConfig:
     @property
     def ff(self) -> int:
         return self.ff_dim if self.ff_dim is not None else 4 * self.hidden
-
-    def to_json(self) -> dict:
-        return {"word_vocab": self.word_vocab, "label_count": self.label_count,
-                "hidden": self.hidden, "layers": self.layers,
-                "heads": self.heads, "ff_dim": self.ff_dim,
-                "max_seq_len": self.max_seq_len, "init_std": self.init_std,
-                "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EncoderConfig":
-        return cls(**obj)
 
 
 class EncoderParameters:

@@ -2,9 +2,11 @@
 
 A page raster (grayscale grid over the page) runs through three strided
 conv+GELU stages to build a feature map; each token's quantized box is pooled
-from that map with RoIAlign (r x r bins, 2x2 averaged bilinear samples per
-bin, zero padding outside the map) and projected to the encoder width, then
-element-wise summed with the token's encoder output.
+from its page's map with RoIAlign (r x r bins, 2x2 averaged bilinear samples
+per bin, zero padding outside the map) and projected to the encoder width,
+then element-wise summed with the token's encoder output. RoIAlign is linear
+in the maps, so one sparse interpolation matrix (a row per token bin, holding
+its corner weights on its own page) pools every token of a forward at once.
 """
 
 from __future__ import annotations
@@ -12,14 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ielab.errors import ConfigError
+from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import ops
 from ielab.tensorcore.engine import ShapeError, Tensor, active_tape
 
 
 @dataclass(frozen=True)
-class ImagePathConfig:
+class ImagePathConfig(JsonConfig):
     raster_channels: int = 1
     raster_size: int = 128                    # square H == W pages
     backbone_channels: tuple = (8, 16, 32)    # one strided stage per entry
@@ -48,19 +52,6 @@ class ImagePathConfig:
     def roi_width(self) -> int:
         return self.feature_channels * self.roi_bins * self.roi_bins
 
-    def to_json(self) -> dict:
-        return {"raster_channels": self.raster_channels,
-                "raster_size": self.raster_size,
-                "backbone_channels": list(self.backbone_channels),
-                "kernel_size": self.kernel_size, "stride": self.stride,
-                "roi_bins": self.roi_bins}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ImagePathConfig":
-        obj = dict(obj)
-        obj["backbone_channels"] = tuple(obj["backbone_channels"])
-        return cls(**obj)
-
 
 def backbone_forward(raster: Tensor, params: dict, config: ImagePathConfig) -> Tensor:
     """Strided conv+GELU stages from the raster to the page feature map."""
@@ -81,30 +72,34 @@ def backbone_forward(raster: Tensor, params: dict, config: ImagePathConfig) -> T
 
 
 def _bilinear_weights(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
-    """Corner indices and weights for zero-padded bilinear sampling.
+    """Corner cells r * W + c and weights of zero-padded bilinear sampling.
 
-    Cell (r, c) has its center at (r + 0.5, c + 0.5). Returns four
-    (row, col, weight) triples of arrays matching ys/xs.
+    Cell (r, c) has its center at (r + 0.5, c + 0.5). Samples every (y, x)
+    of the last axes of ys (..., m) and xs (..., n), which broadcast
+    otherwise; returns (..., 4 * m * n) arrays. Corners off the map weigh 0.
     """
-    u = ys - 0.5
-    v = xs - 0.5
-    r0 = np.floor(u).astype(np.intp)
-    c0 = np.floor(v).astype(np.intp)
-    du = u - r0
-    dv = v - c0
-    corners = []
-    for rr, wy in ((r0, 1.0 - du), (r0 + 1, du)):
-        for cc, wx in ((c0, 1.0 - dv), (c0 + 1, dv)):
-            valid = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
-            w = wy * wx * valid
-            corners.append((np.clip(rr, 0, H - 1), np.clip(cc, 0, W - 1), w))
-    return corners
+    def neighbours(coord, n):                  # two cells along one axis
+        u = coord - 0.5
+        lo = np.floor(u)
+        d = u - lo
+        idx = lo.astype(np.intp)[..., None] + np.arange(2)
+        w = np.stack([1.0 - d, d], axis=-1) * ((idx >= 0) & (idx < n))
+        flat = coord.shape[:-1] + (-1,)
+        return np.clip(idx, 0, n - 1).reshape(flat), w.reshape(flat)
+
+    rr, wy = neighbours(ys, H)
+    cc, wx = neighbours(xs, W)
+    cells = rr[..., :, None] * W + cc[..., None, :]
+    weights = wy[..., :, None] * wx[..., None, :]
+    flat = cells.shape[:-2] + (-1,)
+    return cells.reshape(flat), weights.reshape(flat)
 
 
 def _roi_sample_coords(boxes: np.ndarray, r: int, fh: int, fw: int):
-    """(T, r, 2, r, 2) sample coordinates for boxes in [0,1000] space.
+    """Sample coordinates for boxes in [0,1000] space, in feature cells.
 
-    Index order per box is (bin_row, sample_row, bin_col, sample_col).
+    Returns ys (T, r, 1, 2) and xs (T, 1, r, 2): for box t and bin (i, j),
+    the bin's two sample rows ys[t, i, 0] and two sample columns xs[t, 0, j].
     """
     b = np.asarray(boxes, dtype=np.float64)
     fx1, fx2 = b[:, 0] * fw / 1000.0, b[:, 2] * fw / 1000.0
@@ -115,47 +110,51 @@ def _roi_sample_coords(boxes: np.ndarray, r: int, fh: int, fw: int):
     steps = np.arange(r)[:, None] + offs[None, :]          # (r, 2)
     ys = fy1[:, None, None] + steps[None] * bh[:, None, None]   # (T, r, 2)
     xs = fx1[:, None, None] + steps[None] * bw[:, None, None]
-    T = b.shape[0]
-    grid_y = np.broadcast_to(ys[:, :, :, None, None], (T, r, 2, r, 2))
-    grid_x = np.broadcast_to(xs[:, None, None, :, :], (T, r, 2, r, 2))
-    return grid_y, grid_x
+    return ys[:, :, None, :], xs[:, None, :, :]
 
 
-def roi_align_batch(fmap: Tensor, boxes: np.ndarray, r: int) -> Tensor:
-    """Pool each box into flattened (C*r*r) features; one tape node total.
+def roi_align_batch(fmaps, boxes: np.ndarray, r: int, pages=None) -> Tensor:
+    """Pool each box into flattened (C*r*r) channel-major features.
 
-    Boxes are (T, 4) arrays of (x1, y1, x2, y2) in [0, 1000] page coordinates;
-    degenerate boxes reduce to point evaluation.
+    `fmaps` is one (C, H, W) feature map, or a list of equal-shape maps with
+    `pages` giving each box's index into that list. Boxes are (T, 4) arrays
+    of (x1, y1, x2, y2) in [0, 1000] page coordinates; degenerate boxes
+    reduce to point evaluation. The pooling is one sparse (T*r*r, P*H*W)
+    interpolation matrix S applied to the stacked maps: forward S @ F,
+    backward S^T @ g, one tape node for all maps.
     """
-    fd = fmap.data
-    C, H, W = fd.shape
+    if isinstance(fmaps, Tensor):
+        fmaps = [fmaps]
+    C, H, W = fmaps[0].data.shape
+    if any(m.data.shape != (C, H, W) for m in fmaps):
+        raise ShapeError("roi_align_batch needs feature maps of one shape")
     T = boxes.shape[0]
-    grid_y, grid_x = _roi_sample_coords(boxes, r, H, W)
-    corners = _bilinear_weights(grid_y.ravel(), grid_x.ravel(), H, W)
-    flat = fd.reshape(C, H * W)
-    vals = np.zeros((C, T * r * r * 4))
-    for rr, cc, w in corners:
-        vals += w * flat[:, rr * W + cc]
-    # average the 2x2 samples inside each bin, then flatten channel-major
-    pooled = vals.reshape(C, T, r, 2, r, 2).mean(axis=(3, 5))   # (C, T, r, r)
-    out_data = pooled.transpose(1, 0, 2, 3).reshape(T, C * r * r)
-    out = Tensor(out_data)
+    page = np.zeros(T, np.intp) if pages is None else np.asarray(pages, np.intp)
+    if page.shape != (T,) or not 0 <= page.min() <= page.max() < len(fmaps):
+        raise ShapeError(f"need one page index in [0, {len(fmaps)}) per box")
+    ys, xs = _roi_sample_coords(boxes, r, H, W)
+    cells, weights = _bilinear_weights(ys, xs, H, W)
+    cells += (page * (H * W))[:, None, None, None]
+    weights /= 4.0                      # the mean of a bin's 2x2 samples
+    # one matrix row per (t, bin_row, bin_col): its 2x2 samples' 4 corners
+    S = sparse.csr_array(
+        (weights.ravel(), cells.ravel(), np.arange(0, weights.size + 1, 16)),
+        shape=(T * r * r, len(fmaps) * H * W))
+    F = np.concatenate([m.data.reshape(C, H * W).T for m in fmaps])
+    pooled = (S @ F).reshape(T, r * r, C)
+    out = Tensor._wrap(
+        np.ascontiguousarray(pooled.transpose(0, 2, 1)).reshape(T, C * r * r))
     tape = active_tape()
     if tape is not None:
-        pf = tape.tracked_id(fmap)
-        if pf >= 0:
-            def bw(g, corners=corners, C=C, H=H, W=W, T=T, r=r):
-                # undo the bin average: each of the 4 samples carries g/4
-                gsamp = np.repeat(np.repeat(
-                    g.reshape(T, C, r, r).transpose(1, 0, 2, 3), 2, axis=2),
-                    2, axis=3) / 4.0
-                gflat = gsamp.reshape(C, T * r * r * 4)
-                dmap = np.zeros((C, H * W))
-                rows = np.arange(C)[:, None]
-                for rr, cc, w in corners:
-                    np.add.at(dmap, (rows, (rr * W + cc)[None, :]), w * gflat)
-                return (dmap.reshape(C, H, W),)
-            tape.push(out, (pf,), bw)
+        pids = tuple(tape.tracked_id(m) for m in fmaps)
+        if any(p >= 0 for p in pids):
+            def bw(g, S=S, pids=pids):
+                gbins = g.reshape(T, C, r * r).transpose(0, 2, 1)
+                dF = S.T @ gbins.reshape(T * r * r, C)      # (P*H*W, C)
+                return tuple(np.ascontiguousarray(dF[p * H * W:(p + 1) * H * W].T)
+                             .reshape(C, H, W) if pid >= 0 else None
+                             for p, pid in enumerate(pids))
+            tape.push(out, pids, bw)
     return out
 
 
@@ -174,26 +173,14 @@ def image_embed_and_fuse(L: Tensor, boxes: np.ndarray, page_ids: np.ndarray,
     `rasters` holds one (C, H, W) grid per page; backbone, projection, and the
     upstream encoder all train jointly through this path.
     """
-    pages = np.asarray(page_ids)
-    needed = np.unique(pages)
+    needed, page_of_token = np.unique(np.asarray(page_ids), return_inverse=True)
     if len(needed) and needed.max() >= len(rasters):
         raise ConfigError(
             f"token references page {int(needed.max())} but only "
             f"{len(rasters)} rasters were provided")
-    r = config.roi_bins
-    if len(needed) == 1:
-        fmap = backbone_forward(_as_tensor(rasters[int(needed[0])]), params, config)
-        rows = roi_align_batch(fmap, boxes, r)
-    else:
-        order = np.argsort(pages, kind="stable")
-        chunks = []
-        for p in needed:
-            fmap = backbone_forward(_as_tensor(rasters[int(p)]), params, config)
-            chunks.append(roi_align_batch(fmap, boxes[pages == p], r))
-        stacked = ops.concat_rows(chunks)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
-        rows = ops.embedding_lookup(stacked, inv)  # row gather back to token order
+    fmaps = [backbone_forward(_as_tensor(rasters[int(p)]), params, config)
+             for p in needed]
+    rows = roi_align_batch(fmaps, boxes, config.roi_bins, page_of_token)
     v = ops.linear(rows, params["image.proj.weight"], params["image.proj.bias"])
     return ops.add(L, v)
 

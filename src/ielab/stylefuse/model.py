@@ -15,6 +15,7 @@ import numpy as np
 from ielab import layoutcore
 from ielab.docstream import STYLE_FEATURES, ModelInput, pack_inputs
 from ielab.errors import CheckpointMismatchError, ConfigError
+from ielab.jsonconfig import JsonConfig
 from ielab.layoutcore import EncoderConfig, EncoderParameters
 from ielab.stylefuse.fusion import (
     ClassifierHead,
@@ -32,7 +33,7 @@ from ielab.tensorcore.engine import Tensor
 
 
 @dataclass(frozen=True)
-class TaggerSpec:
+class TaggerSpec(JsonConfig):
     """Everything needed to construct a model, JSON-serializable."""
 
     encoder: EncoderConfig
@@ -61,26 +62,6 @@ class TaggerSpec:
         if self.fusion is FusionMode.STYLE_CONCAT:
             return self.encoder.hidden + len(self.style_features) * self.style_dim
         return self.encoder.hidden
-
-    def to_json(self) -> dict:
-        return {"encoder": self.encoder.to_json(), "fusion": self.fusion.value,
-                "style_vocab_sizes": list(self.style_vocab_sizes),
-                "style_dim": self.style_dim,
-                "style_features": list(self.style_features),
-                "image": self.image.to_json() if self.image else None,
-                "dropout_rate": self.dropout_rate}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TaggerSpec":
-        return cls(
-            encoder=EncoderConfig.from_json(obj["encoder"]),
-            fusion=FusionMode(obj["fusion"]),
-            style_vocab_sizes=tuple(obj["style_vocab_sizes"]),
-            style_dim=obj["style_dim"],
-            style_features=tuple(obj["style_features"]),
-            image=ImagePathConfig.from_json(obj["image"]) if obj.get("image")
-            else None,
-            dropout_rate=obj.get("dropout_rate", 0.3))
 
 
 @dataclass

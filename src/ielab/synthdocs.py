@@ -21,6 +21,7 @@ import numpy as np
 
 from ielab.docstream import DocumentRecord, TokenRecord
 from ielab.errors import ConfigError
+from ielab.jsonconfig import JsonConfig
 
 PAGE = 1000.0  # fixed logical page; normalize_bbox then maps 1:1 onto [0,1000]
 
@@ -130,7 +131,7 @@ HUGE_FONT_SIZE = 25.0    # ratio 2.5 -> top size bucket
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     template: str = "TRADECONF"
     n_docs: int = 100
     tokens_per_doc: tuple[int, int] = (24, 44)
@@ -169,26 +170,6 @@ class GeneratorConfig:
                        p_table_amount=self.noise_rate,
                        p_largefont_name=self.noise_rate,
                        p_color_total=self.noise_rate)
-
-    def to_json(self) -> dict:
-        return {"template": self.template, "n_docs": self.n_docs,
-                "tokens_per_doc": list(self.tokens_per_doc),
-                "p_bold_entity": self.p_bold_entity,
-                "p_table_amount": self.p_table_amount,
-                "p_largefont_name": self.p_largefont_name,
-                "p_color_total": self.p_color_total,
-                "noise_rate": self.noise_rate,
-                "keyword_rate": self.keyword_rate,
-                "field_rate": self.field_rate,
-                "distractor_rate": self.distractor_rate,
-                "filler_vocab": self.filler_vocab, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GeneratorConfig":
-        obj = dict(obj)
-        if "tokens_per_doc" in obj:
-            obj["tokens_per_doc"] = tuple(obj["tokens_per_doc"])
-        return cls(**obj)
 
 
 @dataclass

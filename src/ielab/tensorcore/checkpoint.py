@@ -7,7 +7,8 @@ Layout (documented contract, stable across releases):
        "config": <caller-supplied JSON object>,
        "manifest": [{"name": str, "shape": [int, ...], "offset": int}, ...]}
     The manifest is sorted by name; offsets are byte positions into the
-    payload that starts immediately after the newline.
+    payload that starts immediately after the newline. A loaded manifest's
+    entries must tile the payload exactly, in manifest order.
   * payload: each parameter's elements as little-endian float64, row-major,
     concatenated in manifest order.
 """
@@ -15,6 +16,7 @@ Layout (documented contract, stable across releases):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,21 +63,33 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{path}: not an {FORMAT_NAME} file")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointMismatchError(
             f"{path}: unsupported format_version {header.get('format_version')}")
+    manifest = header.get("manifest")
+    if not isinstance(manifest, list) or not isinstance(header.get("config"), dict):
+        raise CheckpointMismatchError(
+            f"{path}: header needs a manifest list and a config object")
     payload = blob[nl + 1:]
-    params = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        stop = start + count * 8
-        if stop > len(payload):
+    params, pos = {}, 0
+    for entry in manifest:      # parameters lie back to back in manifest order
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+            stop = start + 8 * math.prod(shape)
+            valid = name not in params and start == pos \
+                and min(shape, default=0) >= 0 and stop <= len(payload)
+        except (TypeError, KeyError):
+            valid = False
+        if not valid:
             raise CheckpointMismatchError(
-                f"{path}: truncated payload for parameter '{entry['name']}'")
+                f"{path}: manifest entry {entry!r} must name a new parameter "
+                f"at payload offset {pos} within {len(payload)} payload bytes")
         arr = np.frombuffer(payload[start:stop], dtype="<f8").astype(np.float64)
-        params[entry["name"]] = arr.reshape(shape)
+        params[name] = arr.reshape(shape)
+        pos = stop
+    if pos != len(payload):
+        raise CheckpointMismatchError(
+            f"{path}: {len(payload) - pos} payload bytes follow the last parameter")
     return header["config"], params

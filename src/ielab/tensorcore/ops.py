@@ -9,6 +9,7 @@ it (bias-style adds); everything else is shape-strict.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ielab.errors import ConfigError, ContractError
 from ielab.tensorcore.engine import (
@@ -21,9 +22,11 @@ from ielab.tensorcore.engine import (
 
 
 def _scatter_add(shape, idx, g):
-    dt = np.zeros(shape, dtype=np.float64)
-    np.add.at(dt, idx, g)
-    return dt
+    """Rows of g summed into a zero table at rows idx: onehot(idx)^T @ g."""
+    T = idx.size
+    onehot = sparse.csr_array((np.ones(T), idx.ravel(), np.arange(T + 1)),
+                              shape=(T, shape[0]))
+    return (onehot.T @ g.reshape(T, -1)).reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

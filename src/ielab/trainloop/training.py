@@ -26,6 +26,7 @@ from ielab.docstream import (
 from ielab.errors import ConfigError
 from ielab.evalsuite.accounting import count_parameters
 from ielab.evalsuite.scoring import ClassReport, entity_scores
+from ielab.jsonconfig import JsonConfig
 from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
 from ielab.tensorcore import AdamState, Tape, adam_step, backward, ops
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
@@ -33,7 +34,7 @@ from ielab.trainloop.chunking import chunk_document, predict_tags
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     lr: float = 2e-5
     batch_size: int = 2
     epochs: int = 20
@@ -57,24 +58,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0,1), got {v}")
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ConfigError("batch_size/epochs must be >= 1 and folds >= 2")
-
-    def to_json(self) -> dict:
-        return {"lr": self.lr, "batch_size": self.batch_size,
-                "epochs": self.epochs,
-                "token_replace_rate": self.token_replace_rate,
-                "bbox_shift_max": self.bbox_shift_max,
-                "bbox_scale_range": list(self.bbox_scale_range),
-                "max_seq_len": self.max_seq_len,
-                "chunk_overlap": self.chunk_overlap,
-                "val_fraction": self.val_fraction, "seed": self.seed,
-                "folds": self.folds}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        obj = dict(obj)
-        if "bbox_scale_range" in obj:
-            obj["bbox_scale_range"] = tuple(obj["bbox_scale_range"])
-        return cls(**obj)
 
 
 @dataclass

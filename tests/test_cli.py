@@ -56,6 +56,23 @@ def test_malformed_spec_exits_3(tmp_path):
     assert cli.main(["train", "--spec", str(bad)]) == 3
 
 
+def test_unknown_fusion_mode_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path, model={"fusion": "BOGUS"})
+    assert cli.main(["train", "--spec", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "'BOGUS'" in err and "STYLE_CONCAT" in err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("train", {"bogus_key": 1}), ("bucketing", {"bogus_key": 1}),
+    ("generator", {"bogus_key": 1}), ("model", {"image": {"bogus_key": 1}})])
+def test_unknown_config_key_exits_3(tmp_path, capsys, section, value):
+    spec = write_spec(tmp_path, **{section: value})
+    assert cli.main(["train", "--spec", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "bogus_key" in err and "allowed" in err
+
+
 def test_train_metrics_shape_and_determinism(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

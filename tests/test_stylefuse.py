@@ -7,6 +7,7 @@ from ielab.docstream import ModelInput
 from ielab.errors import ConfigError
 from ielab.layoutcore import EncoderConfig
 from ielab.tensorcore import (
+    ShapeError,
     Tape,
     Tensor,
     add,
@@ -14,6 +15,7 @@ from ielab.tensorcore import (
     cross_entropy_masked,
     parameter,
     scale,
+    sum_all,
 )
 from test_layoutcore import tiny_input
 
@@ -220,6 +222,82 @@ def test_roi_align_gradient():
         return sum_all(mul(sf.roi_align(fmap, (120, 80, 640, 910), 3), w))
 
     gradcheck(loss, {"fmap": fmap}, tol=1e-6, max_samples=36)
+
+
+def _roi_oracle(fmap, box, r):
+    """(C, r, r) RoIAlign of one box by brute-force point sampling."""
+    C, H, W = fmap.shape
+    x1, y1, x2, y2 = box
+    fx1, fy1 = x1 * W / 1000, y1 * H / 1000
+    bw, bh = (x2 - x1) * W / 1000 / r, (y2 - y1) * H / 1000 / r
+    out = np.zeros((C, r, r))
+    for i in range(r):
+        for j in range(r):
+            for a in (0.25, 0.75):
+                for b in (0.25, 0.75):
+                    out[:, i, j] += bilinear_point_oracle(
+                        fmap, fy1 + (i + a) * bh, fx1 + (j + b) * bw) / 4.0
+    return out
+
+
+def _multi_page_case(seed):
+    """Three (2, 5, 6) page maps and 12 boxes interleaved over them: some
+    reach past the page edges, some have zero area."""
+    rng = np.random.default_rng(seed)
+    maps = [rng.normal(size=(2, 5, 6)) for _ in range(3)]
+    pages = np.array([2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1])
+    corner = rng.uniform(0, 800, size=(12, 2))
+    boxes = np.concatenate([corner, corner + rng.uniform(5, 300, (12, 2))], 1)
+    boxes[1] = (-150, 700, 300, 1250)                  # partly outside
+    boxes[4] = (850, -90, 1100, 200)
+    boxes[5] = (430, 620, 430, 620)                    # zero area
+    boxes[9] = (999, 0, 999, 0)
+    return maps, pages, boxes
+
+
+def test_roi_align_batch_pages_match_oracle():
+    maps, pages, boxes = _multi_page_case(15)
+    r = 3
+    out = sf.roi_align_batch([Tensor(m) for m in maps], boxes, r, pages).data
+    for t in range(len(boxes)):
+        want = _roi_oracle(maps[pages[t]], boxes[t], r).reshape(-1)
+        assert np.allclose(out[t], want, rtol=0, atol=1e-12), f"token {t}"
+    with pytest.raises(ShapeError):
+        sf.roi_align_batch([Tensor(m) for m in maps], boxes, r, pages + 1)
+    with pytest.raises(ShapeError):
+        sf.roi_align_batch([Tensor(maps[0]), Tensor(np.zeros((2, 5, 5)))],
+                           boxes, r, pages % 2)
+
+
+def test_roi_align_batch_pages_gradient():
+    maps, pages, boxes = _multi_page_case(16)
+    named = {f"page{p}": parameter(m) for p, m in enumerate(maps)}
+    w = Tensor(np.random.default_rng(17).normal(size=(12, 2 * 2 * 2)))
+
+    def loss():
+        from ielab.tensorcore import mul
+        return sum_all(mul(sf.roi_align_batch(list(named.values()), boxes, 2,
+                                              pages), w))
+
+    gradcheck(loss, named, tol=1e-6, max_samples=60)
+
+
+def test_roi_align_batch_unreferenced_and_untracked_pages():
+    maps, pages, boxes = _multi_page_case(18)
+    tracked, constant, unused = parameter(maps[0]), Tensor(maps[1]), \
+        parameter(maps[2])
+    keep = pages != 2                              # no box reads page 2
+    tape = Tape()
+    with tape:
+        out = sf.roi_align_batch([tracked, constant, unused], boxes[keep], 2,
+                                 pages[keep])
+        loss = sum_all(out)
+    node_grads = tape.nodes[out.node_id].backward_fn(np.ones_like(out.data))
+    assert node_grads[1] is None
+    grads = backward(loss, tape)
+    assert np.array_equal(grads[unused.node_id].data, np.zeros((2, 5, 6)))
+    assert constant.node_id is None
+    assert np.abs(grads[tracked.node_id].data).sum() > 0
 
 
 def test_image_fuse_zero_path_is_identity():

@@ -6,6 +6,7 @@ from conftest import gradcheck
 
 from ielab import tensorcore as tc
 from ielab.errors import ConfigError, ContractError
+from ielab.tensorcore.ops import embedding_sum
 
 
 def test_matmul_identity():
@@ -103,6 +104,45 @@ def test_embedding_lookup_gradient():
     w = tc.Tensor(rng.normal(size=(5, 4)))
     gradcheck(lambda: tc.sum_all(tc.mul(tc.embedding_lookup(table, [1, 3, 1, 0, 5]), w)),
               {"table": table}, tol=1e-6)
+
+
+def test_embedding_sum_matches_per_table_lookups():
+    rng = np.random.default_rng(13)
+    tables = [tc.parameter(rng.normal(size=(v, 3))) for v in (5, 2, 7)]
+    ids = [[4, 0, 4, 4, 1, 0], [1, 1, 0, 1, 1, 1], [6, 2, 2, 0, 6, 3]]
+    w = tc.Tensor(rng.normal(size=(6, 3)))
+
+    def run(forward):
+        tape = tc.Tape()
+        with tape:
+            tape.watch(*tables)
+            out = forward()
+            loss = tc.sum_all(tc.mul(out, w))
+        grads = tc.backward(loss, tape)
+        return out.data, [grads[t.node_id].data for t in tables]
+
+    fused, fused_grads = run(lambda: embedding_sum(tables, ids))
+    oracle, oracle_grads = run(lambda: tc.add(tc.add(
+        tc.embedding_lookup(tables[0], ids[0]),
+        tc.embedding_lookup(tables[1], ids[1])),
+        tc.embedding_lookup(tables[2], ids[2])))
+    assert np.allclose(fused, oracle, rtol=0, atol=1e-12)
+    for got, want in zip(fused_grads, oracle_grads):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # a row no id selects gets no gradient; a repeated id gets the sum
+    assert np.array_equal(fused_grads[0][2], np.zeros(3))
+    assert np.allclose(fused_grads[0][4], w.data[[0, 2, 3]].sum(axis=0),
+                       rtol=0, atol=1e-12)
+
+
+def test_embedding_sum_gradient():
+    rng = np.random.default_rng(14)
+    tables = {f"t{i}": tc.parameter(rng.normal(size=(v, 4)))
+              for i, v in enumerate((6, 3))}
+    ids = [[5, 1, 5, 0], [2, 2, 0, 2]]
+    w = tc.Tensor(rng.normal(size=(4, 4)))
+    gradcheck(lambda: tc.sum_all(tc.mul(
+        embedding_sum(list(tables.values()), ids), w)), tables, tol=1e-6)
 
 
 def test_embedding_lookup_out_of_range():
@@ -330,6 +370,45 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b'{"format": "something-else"}\n')
     from ielab.errors import CheckpointMismatchError
+    with pytest.raises(CheckpointMismatchError):
+        tc.load_checkpoint(path)
+
+
+def _corrupt_manifest(header, payload):
+    del header["manifest"]
+    return header, payload
+
+
+def _negative_offset(header, payload):
+    header["manifest"][0]["offset"] = -8
+    return header, payload
+
+
+def _overlapping_offsets(header, payload):
+    header["manifest"][1]["offset"] = 8      # inside the first parameter
+    return header, payload
+
+
+def _trailing_bytes(header, payload):
+    return header, payload + bytes(8)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_manifest, _negative_offset,
+                                     _overlapping_offsets, _trailing_bytes],
+                         ids=["no-manifest", "negative-offset",
+                              "overlapping-offsets", "trailing-bytes"])
+def test_checkpoint_rejects_bad_manifest(tmp_path, corrupt):
+    import json
+    from ielab.errors import CheckpointMismatchError
+    rng = np.random.default_rng(4)
+    path = tmp_path / "model.ckpt"
+    tc.save_checkpoint(path, {"hidden": 2},
+                       {"a": tc.Tensor(rng.normal(size=(2, 2))),
+                        "b": tc.Tensor(rng.normal(size=3))})
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    header, payload = corrupt(json.loads(blob[:nl]), blob[nl + 1:])
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointMismatchError):
         tc.load_checkpoint(path)
 
