@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,44 +71,58 @@ class ExperimentSpec:
         return Path(self.paths.get("output", "."))
 
 
+def _section(obj: dict, key: str) -> dict:
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise DataValidationError(
+            f"spec section {key!r} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+_ENCODER_KEYS = ("hidden", "layers", "heads", "ff_dim", "max_seq_len",
+                 "init_std")
+
+
 def load_spec(path: str | Path, out_override: str | None = None) -> ExperimentSpec:
     raw = Path(path).read_bytes()
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataValidationError(f"{path}: spec is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataValidationError(f"{path}: spec must be a JSON object")
     if "seed" not in obj:
         raise DataValidationError(f"{path}: spec must set a seed")
-    seed = int(obj["seed"])
-    paths = dict(obj.get("paths", {}))
+    try:
+        seed = decode(int, obj["seed"])
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: seed: {exc}") from None
+    paths = _section(obj, "paths")
+    if not all(isinstance(v, str) for v in paths.values()):
+        raise DataValidationError(f"{path}: spec paths must be strings")
     if out_override:
         paths["output"] = out_override
 
-    m = dict(obj.get("model", {}))
-    fusion = decode(FusionMode, m.pop("fusion", "BASELINE"))
-    image = ImagePathConfig.from_json(m.pop("image")) if m.get("image") \
-        else (ImagePathConfig() if fusion is FusionMode.IMAGE else None)
-    m.pop("image", None)
-    style_dim = m.pop("style_dim", 64)
-    style_features = tuple(m.pop("style_features", STYLE_FEATURES))
-    encoder = EncoderConfig(word_vocab=2, label_count=1, seed=seed,
-                            **{k: m[k] for k in
-                               ("hidden", "layers", "heads", "ff_dim",
-                                "max_seq_len", "init_std") if k in m})
-    unknown = set(m) - {"hidden", "layers", "heads", "ff_dim", "max_seq_len",
-                        "init_std"}
+    m = _section(obj, "model")
+    unknown = set(m) - {"fusion", "image", "style_dim", "style_features",
+                        *_ENCODER_KEYS}
     if unknown:
         raise DataValidationError(f"unknown model keys: {sorted(unknown)}")
-    model = TaggerSpec(encoder=encoder, fusion=fusion, style_dim=style_dim,
-                       style_features=style_features, image=image)
+    fusion = decode(FusionMode, m.pop("fusion", "BASELINE"))
+    image = m.pop("image", None) or \
+        ({} if fusion is FusionMode.IMAGE else None)
+    encoder = {"word_vocab": 2, "label_count": 1, "seed": seed,
+               **{k: m.pop(k) for k in _ENCODER_KEYS if k in m}}
+    model = TaggerSpec.from_json({"encoder": encoder, "fusion": fusion.value,
+                                  "image": image, **m})
 
-    train_obj = dict(obj.get("train", {}))
+    train_obj = _section(obj, "train")
     train_obj.setdefault("seed", seed)
     train = TrainConfig.from_json(train_obj)
     bucketing = BucketingConfig.from_json(obj.get("bucketing", {}))
     gen = None
     if obj.get("generator") is not None:
-        gen_obj = dict(obj["generator"])
+        gen_obj = _section(obj, "generator")
         gen_obj.setdefault("seed", seed)
         gen = synthdocs.GeneratorConfig.from_json(gen_obj)
     return ExperimentSpec(seed=seed, paths=paths, model=model, train=train,
@@ -174,10 +187,8 @@ def cmd_train(spec: ExperimentSpec) -> int:
     rasters = _load_rasters(spec, docs)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    max_workers = int(os.environ.get("IELAB_THREADS", "1"))
     result = cross_validate(docs, spec.model, spec.train, spec.bucketing,
-                            k=spec.train.folds, rasters=rasters,
-                            max_workers=max_workers)
+                            k=spec.train.folds, rasters=rasters)
     metrics = result.to_metrics_json()
     metrics["manifest"] = _manifest(spec)
     _write_json(out / "metrics.json", metrics)

@@ -82,7 +82,7 @@ def permutation_importance(model, encoded_docs: list[ModelInput],
 
 
 def feature_subset_run(docs, subset, spec_template, train_cfg, bucket_cfg,
-                       k: int = 5, max_workers: int | None = None):
+                       k: int = 5):
     """Cross-validate a style model restricted to `subset` features."""
     from ielab.trainloop.training import cross_validate  # local to avoid a cycle
 
@@ -94,5 +94,4 @@ def feature_subset_run(docs, subset, spec_template, train_cfg, bucket_cfg,
     if unknown:
         raise ConfigError(f"unknown style features {sorted(unknown)}")
     spec = replace(spec_template, style_features=features)
-    return cross_validate(docs, spec, train_cfg, bucket_cfg, k=k,
-                          max_workers=max_workers)
+    return cross_validate(docs, spec, train_cfg, bucket_cfg, k=k)

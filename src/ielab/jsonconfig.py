@@ -1,6 +1,9 @@
 """One JSON form for the frozen config dataclasses: tuples as lists, enums as
 their values, nested configs as objects. Decoding fills missing keys from the
-field defaults and rejects unknown keys or enum values, naming allowed ones."""
+field defaults and rejects unknown keys or enum values, naming allowed ones,
+and values whose JSON type does not fit the field's annotation (an int field
+takes no bool or float, a float field takes an int, a tuple field a list of
+fitting items)."""
 
 from __future__ import annotations
 
@@ -22,22 +25,43 @@ def _plain(value):
     return value
 
 
+_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
 def decode(kind, value):
     """The value of type `kind` (a field annotation) that JSON `value` encodes."""
     union = isinstance(kind, types.UnionType)
     options = typing.get_args(kind) if union else (kind,)
     if value is None and type(None) in options:
         return None
-    for option in options:
-        if isinstance(option, type) and issubclass(option, JsonConfig):
-            return option.from_json(value)
-        if isinstance(option, type) and issubclass(option, enum.Enum):
-            allowed = [m.value for m in option]
-            if value not in allowed:
-                raise DataValidationError(
-                    f"unknown {option.__name__} {value!r}; allowed: {allowed}")
-            return option(value)
-    return tuple(value) if isinstance(value, list) else value
+    option = next(o for o in options if o is not type(None))
+    if isinstance(option, type) and issubclass(option, JsonConfig):
+        return option.from_json(value)
+    if isinstance(option, type) and issubclass(option, enum.Enum):
+        allowed = [m.value for m in option]
+        if value not in allowed:
+            raise DataValidationError(
+                f"unknown {option.__name__} {value!r}; allowed: {allowed}")
+        return option(value)
+    if option in _SCALARS:
+        if not isinstance(value, _SCALARS[option]) \
+                or isinstance(value, bool) != (option is bool):
+            raise DataValidationError(
+                f"expected {option.__name__}, got {value!r}")
+        return value
+    if option is tuple or typing.get_origin(option) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DataValidationError(f"expected a list, got {value!r}")
+        items = typing.get_args(option)
+        if not items:
+            return tuple(value)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(items) != len(value):
+            raise DataValidationError(
+                f"expected a list of {len(items)} items, got {value!r}")
+        return tuple(decode(k, v) for k, v in zip(items, value))
+    return value
 
 
 class JsonConfig:
@@ -57,4 +81,11 @@ class JsonConfig:
             raise DataValidationError(
                 f"unknown {cls.__name__} keys: {unknown}; allowed: {allowed}")
         kinds = typing.get_type_hints(cls)
-        return cls(**{k: decode(kinds[k], v) for k, v in obj.items()})
+        values = {}
+        for key, value in obj.items():
+            try:
+                values[key] = decode(kinds[key], value)
+            except DataValidationError as exc:
+                raise DataValidationError(f"{cls.__name__}.{key}: {exc}") \
+                    from None
+        return cls(**values)

@@ -26,7 +26,7 @@ from ielab.tensorcore.engine import ShapeError, Tensor, active_tape
 class ImagePathConfig(JsonConfig):
     raster_channels: int = 1
     raster_size: int = 128                    # square H == W pages
-    backbone_channels: tuple = (8, 16, 32)    # one strided stage per entry
+    backbone_channels: tuple[int, ...] = (8, 16, 32)  # a strided stage each
     kernel_size: int = 3
     stride: int = 2
     roi_bins: int = 3                         # r x r output bins

@@ -4,6 +4,10 @@ The tape records one node per executed operation, in execution order, so a
 single reverse sweep visits parents after children. Activating a tape (as a
 context manager) makes every op executed inside record itself; with no active
 tape the same ops run as plain numpy forward computations.
+
+Tapes are thread-local, and each tape keeps its own map from requires_grad
+leaves to node ids, so two threads may record on the same parameters at once
+and look their gradients up with `tape.tracked_id(param)`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ class Tensor:
     """Dense n-dimensional float64 value, optionally tracked on a tape.
 
     `data` is always a C-contiguous (row-major) float64 array. `node_id` is
-    the tensor's index on the tape it was last registered on, if any.
+    the tensor's index on the tape it was last registered on, if any; for a
+    requires_grad leaf shared between threads only `Tape.tracked_id` is
+    reliable.
     """
 
     __slots__ = ("data", "requires_grad", "node_id", "_tape")
@@ -102,11 +108,12 @@ class Tape:
     supports exactly one backward sweep per recording.
     """
 
-    __slots__ = ("nodes", "leaves", "consumed")
+    __slots__ = ("nodes", "leaves", "leaf_ids", "consumed")
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.leaves: dict[int, Tensor] = {}
+        self.leaves: dict[int, Tensor] = {}    # node id -> leaf
+        self.leaf_ids: dict[int, int] = {}     # id(leaf) -> node id
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -128,16 +135,21 @@ class Tape:
         """Node id of `t` on this tape; registers requires_grad leaves lazily.
 
         Returns -1 for constants that do not participate in differentiation.
+        Leaves are found through this tape's own map, never through fields of
+        the (possibly shared) leaf; `t.node_id` is still set for callers that
+        record on one thread.
         """
+        if t.requires_grad:
+            nid = self.leaf_ids.get(id(t))
+            if nid is None:
+                nid = len(self.nodes)
+                self.nodes.append(_Node((), None))
+                self.leaves[nid] = t    # keeps id(t) unique while recorded
+                self.leaf_ids[id(t)] = nid
+                t.node_id = nid
+            return nid
         if t._tape is self and t.node_id is not None:
             return t.node_id
-        if t.requires_grad:
-            nid = len(self.nodes)
-            self.nodes.append(_Node((), None))
-            self.leaves[nid] = t
-            t._tape = self
-            t.node_id = nid
-            return nid
         return -1
 
     def push(self, out: Tensor, parent_ids: tuple, backward_fn: Callable) -> None:

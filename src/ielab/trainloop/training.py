@@ -1,17 +1,44 @@
-"""Fine-tuning protocol: epochs, augmentation, model selection, k-fold CV.
+"""Fine-tuning protocol: epochs, augmentation, sharded steps, model
+selection, k-fold CV.
 
-Each optimizer step runs one packed forward over all chunks of a batch of
-documents (see TokenTagger.fused_output), takes the cross-entropy over all
-their unmasked tokens, runs one tape backward, and applies Adam at a
-constant learning rate. After every epoch the validation split is scored
-with entity-level weighted F1 (no augmentation, no dropout) and the best
-epoch's parameters are kept, earlier epochs winning ties.
+Each optimizer step trains on one batch of documents. Augmentation and
+chunking run on the calling thread, in document order. A batch whose chunks
+hold more rows than one chunk (`max_seq_len`) and that has at least two
+documents splits into two shards: contiguous groups of its documents, cut at
+the document boundary that best balances their row counts (the earlier cut
+on a tie). Every other batch is one shard. Each shard runs one packed
+forward over its chunks (see TokenTagger.fused_output) on its own tape,
+takes the cross-entropy over its unmasked tokens and runs its own backward.
+Its loss and gradients are weighted by its share of the batch's unmasked
+tokens and summed in shard order, so the step follows the mean loss over the
+whole batch; Adam then applies one update at a constant learning rate.
+
+Shard 0 runs on the calling thread and draws dropout from the fold's
+dropout stream (fold_seed, 12), so a batch of one chunk's rows trains
+exactly as an unsharded step. Shard 1 runs on a worker thread that lives for
+one `train_fold` call and draws dropout from (fold_seed, 12, epoch, batch
+start). While a batch of more than one chunk's rows trains, numpy's OpenBLAS
+is pinned to one thread, and its old thread count is restored afterwards,
+also on an exception. The two shards then use two CPUs without a BLAS pool
+oversubscribing them, and their bits do not depend on the process's BLAS
+thread count, which changes the low bits of large products. Where OpenBLAS
+cannot be pinned or only one CPU is usable, the shards run one after the
+other with the same bits. The partition depends only on the batch, never on
+the machine.
+
+After every epoch the validation split is scored with entity-level weighted
+F1 (no augmentation, no dropout) and the best epoch's parameters are kept,
+earlier epochs winning ties.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +59,13 @@ from ielab.tensorcore import AdamState, Tape, adam_step, backward, ops
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
 from ielab.trainloop.chunking import chunk_document, predict_tags
 
+# (get, set) thread-count symbols of numpy's bundled OpenBLAS builds
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
@@ -40,7 +74,7 @@ class TrainConfig(JsonConfig):
     epochs: int = 20
     token_replace_rate: float = 0.10
     bbox_shift_max: int = 10
-    bbox_scale_range: tuple = (0.95, 1.05)
+    bbox_scale_range: tuple[float, float] = (0.95, 1.05)
     max_seq_len: int = 512
     chunk_overlap: int = 100
     val_fraction: float = 0.1
@@ -101,6 +135,114 @@ def _doc_rasters(rasters, doc: DocumentRecord):
     return rasters.get(doc.id) if rasters else None
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread, restoring the old count on exit; yields
+    whether it could be pinned."""
+    fns = _openblas_threads()
+    if fns is None:
+        yield False
+        return
+    get, set_ = fns
+    old = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(old)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _shards(batch: list, max_rows: int) -> list[list]:
+    """The batch's (doc index, chunk inputs) entries as one shard, or as two
+    contiguous shards cut where their row counts balance best."""
+    rows = np.cumsum([sum(c.length for c in chunks) for _, chunks in batch])
+    if len(batch) < 2 or rows[-1] <= max_rows:
+        return [batch]
+    cut = int(np.argmin(np.abs(2 * rows[:-1] - rows[-1]))) + 1
+    return [batch[:cut], batch[cut:]]
+
+
+def _shard_grads(model: TokenTagger, params: dict, inputs: list,
+                 rasters: list, rng: np.random.Generator, weight: float):
+    """One shard's loss and parameter gradients, both scaled by `weight`."""
+    tape = Tape()
+    with tape:
+        tape.watch(*params.values())
+        logits = model.forward_logits(inputs, rasters, training=True, rng=rng)
+        loss = ops.cross_entropy_masked(
+            logits, np.concatenate([i.label_ids for i in inputs]),
+            np.concatenate([i.mask for i in inputs]))
+    grads = backward(loss, tape)
+    out = {name: grads[tape.tracked_id(t)].data for name, t in params.items()}
+    if weight != 1.0:               # a batch's only shard keeps its bits
+        for g in out.values():
+            g *= weight
+    return loss.item() * weight, out
+
+
+def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
+                 drop_rng: np.random.Generator, second_seed: list,
+                 max_rows: int, worker: ThreadPoolExecutor):
+    """Loss and parameter gradients of a batch of (doc index, chunk inputs).
+
+    A batch with more rows than `max_rows` runs with OpenBLAS pinned to one
+    thread. If it splits into two shards, the second draws dropout from
+    `second_seed` and runs on `worker` while this thread runs the first,
+    when OpenBLAS is pinned and two CPUs are usable.
+    """
+    shards = _shards(batch, max_rows)
+    inputs = [[c for _, chunks in sh for c in chunks] for sh in shards]
+    tokens = [sum(int(i.mask.sum()) for i in inp) for inp in inputs]
+    rngs = [drop_rng] if len(shards) == 1 else \
+        [drop_rng, np.random.default_rng(second_seed)]
+    jobs = [(model, params, inp,
+             [rasters[di] for di, chunks in sh for _ in chunks], rng,
+             t / sum(tokens))
+            for sh, inp, rng, t in zip(shards, inputs, rngs, tokens)]
+    rows = sum(i.length for inp in inputs for i in inp)
+    with _one_blas_thread() if rows > max_rows \
+            else contextlib.nullcontext(False) as pinned:
+        if pinned and len(jobs) == 2 and _usable_cpus() >= 2:
+            second = worker.submit(_shard_grads, *jobs[1])
+            try:
+                first = _shard_grads(*jobs[0])
+            finally:
+                wait([second])      # shard 1 ends before BLAS is unpinned
+            results = [first, second.result()]
+        else:
+            results = [_shard_grads(*job) for job in jobs]
+    loss, grads = results[0]
+    for shard_loss, shard_grads in results[1:]:
+        loss += shard_loss
+        for name, g in grads.items():
+            g += shard_grads[name]
+    return loss, grads
+
+
 def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
                spec_template: TaggerSpec, cfg: TrainConfig,
                bucket_cfg: BucketingConfig, fold_seed: int,
@@ -132,38 +274,30 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
     loss_trace: list[float] = []
     best_f1, best_epoch, best_snapshot = -1.0, -1, None
     n = len(enc_train)
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for bstart in range(0, n, cfg.batch_size):
-            inputs, input_rasters = [], []
-            for di in order[bstart:bstart + cfg.batch_size]:
-                x = augment_tokens(enc_train[di], cfg.token_replace_rate,
-                                   aug_rng, vocabs.word.size)
-                x = augment_bboxes(x, cfg, aug_rng)
-                for ch in chunk_document(x, cfg, train_docs[di].id):
-                    inputs.append(ch.inputs)
-                    input_rasters.append(train_rasters[di])
-            tape = Tape()
-            with tape:
-                tape.watch(*params.values())
-                logits = model.forward_logits(inputs, input_rasters,
-                                              training=True, rng=drop_rng)
-                loss = ops.cross_entropy_masked(
-                    logits, np.concatenate([i.label_ids for i in inputs]),
-                    np.concatenate([i.mask for i in inputs]))
-            epoch_losses.append(loss.item())
-            grads = backward(loss, tape)
-            adam_step(params,
-                      {name: grads[t.node_id].data for name, t in params.items()},
-                      state)
-        loss_trace.append(float(np.mean(epoch_losses)))
-        preds = [predict_tags(model, enc, cfg, label_names, rast)
-                 for enc, rast in zip(enc_val, val_rasters)]
-        f1 = entity_scores(preds, gold_val).weighted_f1
-        trace.append(f1)
-        if f1 > best_f1:
-            best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
+    with ThreadPoolExecutor(1) as worker:
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            epoch_losses = []
+            for bstart in range(0, n, cfg.batch_size):
+                batch = []
+                for di in order[bstart:bstart + cfg.batch_size]:
+                    x = augment_tokens(enc_train[di], cfg.token_replace_rate,
+                                       aug_rng, vocabs.word.size)
+                    x = augment_bboxes(x, cfg, aug_rng)
+                    batch.append((di, [ch.inputs for ch in chunk_document(
+                        x, cfg, train_docs[di].id)]))
+                loss, grads = _batch_grads(
+                    model, params, batch, train_rasters, drop_rng,
+                    [fold_seed, 12, epoch, bstart], cfg.max_seq_len, worker)
+                epoch_losses.append(loss)
+                adam_step(params, grads, state)
+            loss_trace.append(float(np.mean(epoch_losses)))
+            preds = [predict_tags(model, enc, cfg, label_names, rast)
+                     for enc, rast in zip(enc_val, val_rasters)]
+            f1 = entity_scores(preds, gold_val).weighted_f1
+            trace.append(f1)
+            if f1 > best_f1:
+                best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
     model.restore(best_snapshot)
     return FoldResult(model=model, vocabs=vocabs, spec=spec,
                       best_epoch=best_epoch, best_val_f1=best_f1,
@@ -197,8 +331,7 @@ class CVResult:
 
 def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
                    cfg: TrainConfig, bucket_cfg: BucketingConfig,
-                   k: int = 5, rasters: dict | None = None,
-                   max_workers: int | None = None) -> CVResult:
+                   k: int = 5, rasters: dict | None = None) -> CVResult:
     if len(docs) < k:
         raise ConfigError(f"corpus of {len(docs)} documents is smaller than k={k}")
     by_id = {d.id: d for d in docs}
@@ -221,13 +354,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         return {"result": res, "preds": preds, "gold": gold,
                 "f1": entity_scores(preds, gold).weighted_f1}
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("IELAB_THREADS", "1"))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_fold, range(k)))
-    else:
-        outcomes = [run_fold(f) for f in range(k)]
+    outcomes = [run_fold(f) for f in range(k)]
 
     per_fold = [o["f1"] for o in outcomes]
     pooled_preds = [p for o in outcomes for p in o["preds"]]

@@ -73,6 +73,28 @@ def test_unknown_config_key_exits_3(tmp_path, capsys, section, value):
     assert "bogus_key" in err and "allowed" in err
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"seed": "abc"}, "seed: expected int"),
+    ({"seed": True}, "seed: expected int"),
+    ({"model": 5}, "'model' must be a JSON object"),
+    ({"train": 5}, "'train' must be a JSON object"),
+    ({"generator": [1]}, "'generator' must be a JSON object"),
+    ({"paths": {"output": 5}}, "paths must be strings"),
+    ({"model": {"hidden": "x"}}, "EncoderConfig.hidden: expected int"),
+    ({"model": {"style_features": "bold"}}, "style_features: expected a list"),
+    ({"train": {"lr": "x"}}, "TrainConfig.lr: expected float"),
+    ({"train": {"epochs": True}}, "TrainConfig.epochs: expected int"),
+    ({"train": {"bbox_scale_range": [0.9]}}, "expected a list of 2 items"),
+    ({"generator": {"tokens_per_doc": [14, "20"]}}, "expected int, got '20'"),
+], ids=["seed-str", "seed-bool", "model-int", "train-int", "generator-list",
+        "paths-int", "hidden-str", "features-str", "lr-str", "epochs-bool",
+        "short-tuple", "tuple-item-str"])
+def test_mistyped_spec_field_exits_3(tmp_path, capsys, override, message):
+    spec = write_spec(tmp_path, **override)
+    assert cli.main(["params", "--spec", str(spec)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_train_metrics_shape_and_determinism(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

@@ -51,3 +51,18 @@ def test_from_json_rejects_unknown_key_and_enum_value():
     spec = TaggerSpec.from_json({"encoder": encoder, "fusion": "BASELINE",
                                  "image": None})
     assert spec.image is None
+
+
+def test_from_json_checks_field_types():
+    assert TrainConfig.from_json({"lr": 1}).lr == 1      # an int is a float
+    assert TrainConfig.from_json({"bbox_scale_range": [1, 1.5]}) \
+        .bbox_scale_range == (1, 1.5)
+    for bad in ({"lr": True}, {"lr": "0.1"}, {"epochs": 2.0},
+                {"epochs": None}, {"bbox_scale_range": 1.0},
+                {"bbox_scale_range": [1.0, 1.1, 1.2]}):
+        with pytest.raises(DataValidationError, match="TrainConfig"):
+            TrainConfig.from_json(bad)
+    with pytest.raises(DataValidationError, match=r"ImagePathConfig\.backbone"):
+        ImagePathConfig.from_json({"backbone_channels": [8, "16"]})
+    with pytest.raises(DataValidationError, match=r"template: expected str"):
+        GeneratorConfig.from_json({"template": 3})

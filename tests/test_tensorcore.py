@@ -293,6 +293,53 @@ def test_tape_determinism():
     assert np.array_equal(g1, g2)
 
 
+def test_tapes_on_two_threads_share_parameters():
+    """Two threads recording on the same leaves get their serial gradients."""
+    import sys
+    import threading
+
+    rng = np.random.default_rng(41)
+    params = [tc.parameter(rng.normal(0.0, 0.1, size=shape))
+              for _ in range(30) for shape in ((64, 64), (64,))]
+    inputs = [tc.Tensor(rng.normal(size=(128, 64))) for _ in range(2)]
+
+    def record(x):
+        tape = tc.Tape()
+        with tape:
+            h = x
+            for w, b in zip(params[::2], params[1::2]):
+                h = tc.gelu(tc.linear(h, w, b))
+            loss = tc.sum_all(tc.mul(h, h))
+        grads = tc.backward(loss, tape)
+        return len(tape.leaves), [grads[tape.tracked_id(p)].data for p in params]
+
+    serial = [record(x) for x in inputs]
+    assert serial[0][0] == len(params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often, mid-recording
+    try:
+        for _ in range(20):
+            start = threading.Barrier(2, timeout=10)
+            out: list = [None, None]
+
+            def run(i):
+                start.wait()
+                out[i] = record(inputs[i])
+
+            threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for (n, grads), (n_ref, ref) in zip(out, serial):
+                assert n == n_ref
+                assert all(np.array_equal(g, r) for g, r in zip(grads, ref))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_plumbing_op_gradients():
     rng = np.random.default_rng(17)
     x = tc.parameter(rng.normal(size=(3, 4)))

@@ -1,14 +1,17 @@
 import math
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import t_two_sided_p_oracle
 
-from ielab import synthdocs
+from ielab import pgm, synthdocs
 from ielab.docstream import BucketingConfig
 from ielab.errors import ConfigError, ContractError
 from ielab.layoutcore import EncoderConfig
-from ielab.stylefuse import FusionMode, TaggerSpec
+from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
 from ielab.trainloop import (
     TrainConfig,
     aggregate_chunk_predictions,
@@ -21,6 +24,7 @@ from ielab.trainloop import (
     predict_token_probs,
     train_fold,
 )
+from ielab.trainloop import training
 from ielab.trainloop.chunking import Chunk
 from test_layoutcore import tiny_input
 
@@ -156,7 +160,9 @@ def corpus(n=14, seed=5, template="TRADECONF"):
 def spec_template(fusion=FusionMode.STYLE_CONCAT, hidden=16):
     enc = EncoderConfig(word_vocab=2, label_count=1, hidden=hidden, layers=1,
                         heads=2, seed=0)
-    return TaggerSpec(encoder=enc, fusion=fusion, style_dim=4)
+    image = ImagePathConfig(raster_size=32, backbone_channels=(4, 8),
+                            roi_bins=2) if fusion is FusionMode.IMAGE else None
+    return TaggerSpec(encoder=enc, fusion=fusion, style_dim=4, image=image)
 
 
 def test_make_fold_plan_partitions():
@@ -225,14 +231,159 @@ def test_cross_validate_deterministic_and_partition():
         cross_validate(docs[:3], spec_template(), cfg, BucketingConfig(), k=5)
 
 
-def test_cross_validate_threaded_matches_sequential():
+def test_cross_validate_same_on_one_or_two_workers(monkeypatch):
     docs = corpus(8)
-    cfg = TrainConfig(lr=1e-3, epochs=1, seed=4)
-    seq = cross_validate(docs, spec_template(), cfg, BucketingConfig(), k=4,
-                         max_workers=1)
-    par = cross_validate(docs, spec_template(), cfg, BucketingConfig(), k=4,
-                         max_workers=3)
-    assert seq.per_fold_f1 == par.per_fold_f1
+    # 24-row chunks: every two-document batch splits into two shards
+    cfg = TrainConfig(lr=1e-3, epochs=1, seed=4, max_seq_len=24,
+                      chunk_overlap=6)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        runs.append(cross_validate(docs, spec_template(), cfg,
+                                   BucketingConfig(), k=4))
+    assert runs[0].per_fold_f1 == runs[1].per_fold_f1
+    for a, b in zip(runs[0].fold_results, runs[1].fold_results):
+        assert a.train_loss_trace == b.train_loss_trace
+        assert_same_arrays(a.model.snapshot(), b.model.snapshot())
+
+
+# Multi-chunk documents whose products are large enough for OpenBLAS to
+# thread them: with an unpinned BLAS, 1 and 2 threads give different bits.
+SHARD_CFG = TrainConfig(lr=1e-2, epochs=2, batch_size=2, max_seq_len=256,
+                        chunk_overlap=64)
+
+
+def sharded_run(fusion):
+    docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
+        template="TRADECONF", n_docs=7, tokens_per_doc=(300, 600), seed=13))
+    rasters = {d.id: [pgm.raster_to_input(p.grid)
+                      for p in synthdocs.render_pages(d, size=32)]
+               for d in docs} if fusion is FusionMode.IMAGE else None
+    # batches of 2, 2 and 1 documents: two two-shard steps, one one-shard step
+    res = train_fold(docs[:5], docs[5:], spec_template(fusion, hidden=64),
+                     SHARD_CFG, BucketingConfig(), fold_seed=7, rasters=rasters)
+    return res.train_loss_trace, res.val_f1_trace, res.model.snapshot()
+
+
+def assert_same_arrays(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def assert_same_runs(a, b):
+    assert np.array(a[0]).tobytes() == np.array(b[0]).tobytes()
+    assert a[1] == b[1]
+    assert_same_arrays(a[2], b[2])
+
+
+def blas_threads():
+    fns = training._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    return fns
+
+
+def test_shards_cut_at_the_balanced_document_boundary():
+    def batch(*lengths):
+        return [(i, [tiny_input(T=n)]) for i, n in enumerate(lengths)]
+
+    def cut(shards):
+        return [[i for i, _ in shard] for shard in shards]
+
+    assert cut(training._shards(batch(300, 200), 512)) == [[0, 1]]
+    assert cut(training._shards(batch(600), 512)) == [[0]]
+    assert cut(training._shards(batch(400, 300), 512)) == [[0], [1]]
+    assert cut(training._shards(batch(100, 200, 300), 512)) == [[0, 1], [2]]
+    assert cut(training._shards(batch(300, 200, 100), 512)) == [[0], [1, 2]]
+    assert cut(training._shards(batch(200, 200, 200, 200), 512)) \
+        == [[0, 1], [2, 3]]
+    assert cut(training._shards(batch(300, 300), 512)) == [[0], [1]]
+    # 100 | 300 and 300 | 100 balance equally: the earlier cut wins
+    assert cut(training._shards(batch(100, 200, 100), 300)) == [[0], [1, 2]]
+
+
+def test_sharded_steps_follow_the_whole_batch_loss(monkeypatch):
+    # no dropout and no augmentation: a step's two shards, weighted by their
+    # unmasked tokens, give the whole batch's mean loss and gradient
+    docs = corpus(8)
+    cfg = TrainConfig(lr=1e-3, epochs=2, max_seq_len=24, chunk_overlap=6,
+                      token_replace_rate=0.0, bbox_shift_max=0,
+                      bbox_scale_range=(1.0, 1.0))
+    spec = replace(spec_template(), dropout_rate=0.0)
+    cut, shard_counts = training._shards, []
+
+    def counted(batch, max_rows):
+        shards = cut(batch, max_rows)
+        shard_counts.append(len(shards))
+        return shards
+
+    runs = []
+    for split in (counted, lambda batch, max_rows: [batch]):
+        monkeypatch.setattr(training, "_shards", split)
+        res = train_fold(docs[:6], docs[6:], spec, cfg, BucketingConfig(),
+                         fold_seed=2)
+        runs.append((res.train_loss_trace, res.model.snapshot()))
+    (sharded_loss, sharded), (whole_loss, whole) = runs
+    assert 2 in shard_counts
+    assert np.allclose(sharded_loss, whole_loss, rtol=1e-12, atol=0)
+    for name in whole:
+        assert np.allclose(sharded[name], whole[name], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("fusion", [FusionMode.STYLE_CONCAT, FusionMode.IMAGE],
+                         ids=lambda f: f.value)
+def test_train_fold_same_on_one_or_two_workers(monkeypatch, fusion):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        runs.append(sharded_run(fusion))
+    assert_same_runs(*runs)
+
+
+@pytest.mark.parametrize("fusion", [FusionMode.STYLE_CONCAT, FusionMode.IMAGE],
+                         ids=lambda f: f.value)
+def test_train_fold_same_for_any_process_blas_threads(fusion):
+    get, set_ = blas_threads()
+    old = get()
+    runs = []
+    try:
+        for n in (1, 2):
+            set_(n)
+            runs.append(sharded_run(fusion))
+    finally:
+        set_(old)
+    assert_same_runs(*runs)
+
+
+def test_train_fold_restores_blas_threads(monkeypatch):
+    get, set_ = blas_threads()
+    old = get()
+    docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
+        template="TRADECONF", n_docs=5, tokens_per_doc=(40, 60), seed=13))
+    # 32-row chunks: the first batch splits into two shards
+    cfg = TrainConfig(lr=1e-3, epochs=1, max_seq_len=32, chunk_overlap=8)
+    shard_grads, worker_saw = training._shard_grads, []
+
+    def failing_shard(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("shard failed")
+        time.sleep(0.2)             # still running after shard 0 failed
+        worker_saw.append(get())
+        return shard_grads(*args)
+
+    try:
+        set_(2)
+        train_fold(docs[:4], docs[4:], spec_template(), cfg,
+                   BucketingConfig(), fold_seed=0)
+        assert get() == 2
+        monkeypatch.setattr(training, "_shard_grads", failing_shard)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            train_fold(docs[:4], docs[4:], spec_template(), cfg,
+                       BucketingConfig(), fold_seed=0)
+        assert worker_saw == [1]    # pinned until shard 1 ended, ...
+        assert get() == 2           # ... then restored
+    finally:
+        set_(old)
 
 
 def test_chunking_identity_through_model():
