@@ -201,7 +201,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
                           "best_val_f1": fold_res.best_val_f1,
                           "val_doc_ids": fold_res.val_doc_ids,
                           "train": spec.train.to_json(),
-                          "bucketing_font_top_k": spec.bucketing.font_top_k,
+                          "bucketing": spec.bucketing.to_json(),
                           "manifest": _manifest(spec)})
         _write_json(out / f"fold{f}.vocab.json", fold_res.vocabs.to_json())
     print(f"mean weighted F1 {result.mean:.4f} +/- {result.std:.4f} over "
@@ -209,8 +209,17 @@ def cmd_train(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[TokenTagger, dict, Vocabularies]:
+def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[
+        TokenTagger, Vocabularies, BucketingConfig, TrainConfig]:
+    """The model with the vocabularies, bucketing and chunking (`train`) it
+    was trained with; eval encodes with these, not with the spec's."""
     model, config = TokenTagger.load(path)
+    missing = [k for k in ("vocabularies", "bucketing", "train")
+               if k not in config]
+    if missing:
+        raise CheckpointMismatchError(
+            f"{path}: checkpoint config lacks {missing}; retrain to store the "
+            "encoding it was trained with")
     if model.spec.fusion is not spec.model.fusion:
         raise CheckpointMismatchError(
             f"checkpoint fusion {model.spec.fusion.value} does not match "
@@ -219,13 +228,18 @@ def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[TokenTagger, dic
             or model.spec.encoder.layers != spec.model.encoder.layers:
         raise CheckpointMismatchError(
             "checkpoint encoder dimensions do not match the spec")
-    vocabs = Vocabularies.from_json(config["vocabularies"])
-    return model, config, vocabs
+    try:
+        return (model, Vocabularies.from_json(config["vocabularies"]),
+                BucketingConfig.from_json(config["bucketing"]),
+                TrainConfig.from_json(config["train"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatchError(
+            f"{path}: unreadable checkpoint config: {exc}") from exc
 
 
 def cmd_eval(spec: ExperimentSpec, checkpoint: str,
              corpus_path: str | None) -> int:
-    model, config, vocabs = _load_checkpoint_model(spec, checkpoint)
+    model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
     corpus_bytes = Path(corpus_path or spec.paths["corpus"]).read_bytes()
     docs = parse_documents(corpus_bytes)
     rasters = _load_rasters(spec, docs)
@@ -234,10 +248,9 @@ def cmd_eval(spec: ExperimentSpec, checkpoint: str,
     label_names = vocabs.label_names()
     preds = []
     for doc in docs:
-        enc = encode_document(doc, vocabs, spec.bucketing, strict_labels=False)
+        enc = encode_document(doc, vocabs, bucketing, strict_labels=False)
         doc_rasters = rasters.get(doc.id) if rasters else None
-        preds.append(predict_tags(model, enc, spec.train, label_names,
-                                  doc_rasters))
+        preds.append(predict_tags(model, enc, train, label_names, doc_rasters))
     gold = [[t.label for t in d.tokens] for d in docs]
     report = entity_scores(preds, gold)
     lines = []
@@ -260,13 +273,13 @@ def cmd_eval(spec: ExperimentSpec, checkpoint: str,
 
 def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
                repeats: int = 5) -> int:
-    model, config, vocabs = _load_checkpoint_model(spec, checkpoint)
+    model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
     if model.spec.fusion not in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
         raise ContractError(
             f"checkpoint is a {model.spec.fusion.value} model; permutation "
             "importance needs a style fusion mode")
     docs = _load_corpus(spec)
-    enc_docs = [encode_document(d, vocabs, spec.bucketing, strict_labels=False)
+    enc_docs = [encode_document(d, vocabs, bucketing, strict_labels=False)
                 for d in docs]
     gold = [[t.label for t in d.tokens] for d in docs]
     label_names = vocabs.label_names()
@@ -276,8 +289,7 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
     results = []
     for feature in features:
         res = permutation_importance(model, enc_docs, gold, label_names,
-                                     feature, spec.train, repeats=repeats,
-                                     rng=rng)
+                                     feature, train, repeats=repeats, rng=rng)
         results.append(res.to_json())
         print(f"{feature:10s} delta F1 {res.delta_mean:+.4f} "
               f"+/- {res.delta_std:.4f}")

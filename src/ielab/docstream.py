@@ -10,6 +10,7 @@ encodes documents into the integer-id form the models consume.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -182,37 +183,52 @@ def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
                                            axis=-1) for k in _INPUT_FIELDS})
 
 
-def _validate_token(tok: dict, doc_id: str, page_count: int, idx: int) -> TokenRecord:
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+def _validate_token(tok, doc_id: str, page_count: int, idx: int) -> TokenRecord:
     def fail(msg):
         raise DataValidationError(f"document {doc_id!r}, token {idx}: {msg}")
 
+    if not isinstance(tok, dict):
+        fail(f"expected a JSON object, got {tok!r}")
     for key in ("text", "page", "bbox", "bold", "font", "font_size",
                 "in_table", "color", "label"):
         if key not in tok:
             fail(f"missing field {key!r}")
     page = tok["page"]
-    if not isinstance(page, int) or not 0 <= page < page_count:
+    if not isinstance(page, int) or isinstance(page, bool) \
+            or not 0 <= page < page_count:
         fail(f"field 'page' = {page!r} outside 0..{page_count - 1}")
     bbox = tok["bbox"]
-    if len(bbox) != 4:
-        fail("field 'bbox' must have 4 entries")
+    if not isinstance(bbox, list) or len(bbox) != 4 \
+            or not all(_finite(v) for v in bbox):
+        fail(f"field 'bbox' must be 4 finite numbers, got {bbox!r}")
     x1, y1, x2, y2 = (float(v) for v in bbox)
     if x1 > x2 or y1 > y2:
         fail(f"field 'bbox' is inverted: {bbox}")
-    fs = float(tok["font_size"])
-    if fs <= 0:
-        fail(f"field 'font_size' must be > 0, got {fs}")
+    fs = tok["font_size"]
+    if not _finite(fs) or fs <= 0:
+        fail(f"field 'font_size' must be a finite number > 0, got {fs!r}")
     color = tok["color"]
-    if len(color) != 3 or any(not 0 <= int(c) <= 255 for c in color):
-        fail(f"field 'color' must be three 0..255 ints, got {color}")
+    if not isinstance(color, list) or len(color) != 3 or any(
+            not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= 255
+            for c in color):
+        fail(f"field 'color' must be three 0..255 ints, got {color!r}")
     label = tok["label"]
-    if not isinstance(label, str) or not LABEL_RE.match(label):
+    if not isinstance(label, str) or not LABEL_RE.fullmatch(label):
         fail(f"field 'label' = {label!r} is not valid IOB")
     return TokenRecord(
         text=str(tok["text"]), page=page, bbox=(x1, y1, x2, y2),
-        bold=bool(tok["bold"]), font=str(tok["font"]), font_size=fs,
-        in_table=bool(tok["in_table"]),
-        color=tuple(int(c) for c in color), label=label)
+        bold=bool(tok["bold"]), font=str(tok["font"]), font_size=float(fs),
+        in_table=bool(tok["in_table"]), color=tuple(color), label=label)
 
 
 def _clamp_bbox(tok: TokenRecord, page: tuple[float, float]) -> TokenRecord:
@@ -228,15 +244,21 @@ def parse_documents(data: bytes) -> list[DocumentRecord]:
 
     Document ids must be unique: folds and rasters are keyed by id.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"corpus is not UTF-8: {exc}") from None
     docs = []
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"line {lineno}: malformed JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise DataValidationError(f"line {lineno}: malformed JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataValidationError(f"line {lineno}: expected a JSON object")
         doc_id = obj.get("id")
         if not isinstance(doc_id, str) or not doc_id:
             raise DataValidationError(f"line {lineno}: missing document id")
@@ -245,12 +267,16 @@ def parse_documents(data: bytes) -> list[DocumentRecord]:
                 f"line {lineno}: document id {doc_id!r} already used on line "
                 f"{first_line[doc_id]}")
         first_line[doc_id] = lineno
-        pages = [(float(p["width"]), float(p["height"])) for p in obj.get("pages", [])]
-        if not pages or any(w <= 0 or h <= 0 for w, h in pages):
+        pages = obj.get("pages")
+        if not isinstance(pages, list) or not pages or not all(
+                isinstance(p, dict) and _finite(p.get("width"))
+                and _finite(p.get("height")) and p["width"] > 0
+                and p["height"] > 0 for p in pages):
             raise DataValidationError(
                 f"line {lineno}: document {doc_id!r} needs positive page sizes")
-        raw_tokens = obj.get("tokens", [])
-        if not raw_tokens:
+        pages = [(float(p["width"]), float(p["height"])) for p in pages]
+        raw_tokens = obj.get("tokens")
+        if not isinstance(raw_tokens, list) or not raw_tokens:
             raise DataValidationError(
                 f"line {lineno}: document {doc_id!r} has no tokens")
         tokens = []
@@ -278,18 +304,22 @@ def serialize_documents(docs: list[DocumentRecord]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def normalize_bbox(bbox, page_size) -> tuple[int, int, int, int, int, int]:
-    """Quantize a page-unit box to the [0, 1000] grid as (X1,Y1,X2,Y2,W,H)."""
-    pw, ph = page_size
-    if pw <= 0 or ph <= 0:
-        raise ConfigError(f"page size must be positive, got {page_size}")
-    x1, y1, x2, y2 = bbox
+def normalize_bbox(bbox, page_size):
+    """Quantize page-unit boxes to the [0, 1000] grid as (X1,Y1,X2,Y2,W,H).
 
-    def q(value, extent):
-        return min(max(int(round(1000.0 * value / extent)), 0), 1000)
-
-    qx1, qy1, qx2, qy2 = q(x1, pw), q(y1, ph), q(x2, pw), q(y2, ph)
-    return qx1, qy1, qx2, qy2, qx2 - qx1, qy2 - qy1
+    One box (x1, y1, x2, y2) on a (width, height) page gives a tuple of six
+    ints. A (4, T) array of boxes with a (2, T) array of their page sizes
+    gives a (6, T) int64 array. Coordinates round half to even.
+    """
+    box = np.asarray(bbox, dtype=np.float64)
+    extent = np.asarray(page_size, dtype=np.float64)
+    if not (extent > 0).all():
+        raise ConfigError(
+            f"page sizes must be positive, got a side of {extent.min()}")
+    q = np.clip(np.rint(1000.0 * box / np.concatenate([extent, extent])),
+                0, 1000).astype(np.int64)
+    out = np.concatenate([q, q[2:] - q[:2]])
+    return tuple(out.tolist()) if out.ndim == 1 else out
 
 
 @dataclass
@@ -309,30 +339,34 @@ def document_style_stats(doc: DocumentRecord) -> StyleStats:
 BLACK, NOT_BLACK = 0, 1
 
 
-def bucket_styles(token: TokenRecord, stats: StyleStats, cfg: BucketingConfig,
-                  font_index: dict[str, int] | None = None,
-                  ) -> tuple[int, int, int, int, int]:
+def bucket_styles(tokens, stats: StyleStats, cfg: BucketingConfig,
+                  font_index: dict[str, int] | None = None):
     """Map raw style attributes to the 5 bucket indices, STYLE_FEATURES order.
 
-    `font_index` is the corpus vocabulary's font map; when omitted, fonts are
-    ranked by frequency within the document's own stats (same tie rule).
+    `tokens` is one TokenRecord, giving a tuple of five ints, or a sequence
+    of a document's tokens, giving a (5, T) int64 array. `font_index` is the
+    corpus vocabulary's font map; when omitted, fonts are ranked by frequency
+    within the document's own stats (same tie rule).
     """
+    one = isinstance(tokens, TokenRecord)
+    toks = [tokens] if one else tokens
     b0, b1 = cfg.fontsize_cluster_bounds
-    ratio = token.font_size / stats.median_font_size
-    if ratio < b0:
-        size_bucket = 0
-    elif ratio <= b1:
-        size_bucket = 1
-    else:
-        size_bucket = 2
-    color_bucket = BLACK if max(token.color) < cfg.black_max_channel else NOT_BLACK
+    ratio = np.array([t.font_size for t in toks], dtype=np.float64) \
+        / stats.median_font_size
+    size_bucket = np.where(ratio < b0, 0, np.where(ratio <= b1, 1, 2))
+    color = np.array([max(t.color) for t in toks])
+    color_bucket = np.where(color < cfg.black_max_channel, BLACK, NOT_BLACK)
     if font_index is None:
         ranked = [f for f, _ in sorted(stats.font_counts.items(),
                                        key=lambda kv: (-kv[1], kv[0]))]
         font_index = {f: i for i, f in enumerate(ranked[:cfg.font_top_k])}
-    font_bucket = font_index.get(token.font, len(font_index))  # last id = OTHER
-    return (int(token.bold), font_bucket, size_bucket,
-            int(token.in_table), color_bucket)
+    other = len(font_index)                     # last id = OTHER
+    out = np.array([[t.bold for t in toks],
+                    [font_index.get(t.font, other) for t in toks],
+                    size_bucket,
+                    [t.in_table for t in toks],
+                    color_bucket], dtype=np.int64).reshape(5, len(toks))
+    return tuple(out[:, 0].tolist()) if one else out
 
 
 def build_vocabularies(training_docs: list[DocumentRecord],
@@ -372,30 +406,29 @@ def encode_document(doc: DocumentRecord, vocabs: Vocabularies,
     With strict_labels=False, labels outside the vocabulary encode as O; use
     this for prediction-time encoding where gold tags are scored separately.
     """
-    stats = document_style_stats(doc)
-    T = len(doc.tokens)
-    word_ids = np.empty(T, dtype=np.int64)
-    coords = np.empty((6, T), dtype=np.int64)
-    style = np.empty((5, T), dtype=np.int64)
-    label_ids = np.empty(T, dtype=np.int64)
-    pages = np.empty(T, dtype=np.int64)
-    for i, tok in enumerate(doc.tokens):
-        word_ids[i] = vocabs.word.id_of(tok.text)
-        coords[:, i] = normalize_bbox(tok.bbox, doc.pages[tok.page])
-        style[:, i] = bucket_styles(tok, stats, cfg,
-                                    font_index=vocabs.style.font_index)
-        if tok.label in vocabs.labels:
-            label_ids[i] = vocabs.labels[tok.label]
-        elif strict_labels:
-            raise DataValidationError(
-                f"document {doc.id!r}: label {tok.label!r} not in vocabulary")
-        else:
-            label_ids[i] = vocabs.labels["O"]
-        pages[i] = tok.page
+    toks = doc.tokens
+    pages = np.array([t.page for t in toks], dtype=np.int64)
+    extents = np.array(doc.pages, dtype=np.float64)[pages].T       # (2, T)
+    boxes = np.array([t.bbox for t in toks], dtype=np.float64).reshape(-1, 4)
+    coords = normalize_bbox(boxes.T, extents)
+    style = bucket_styles(toks, document_style_stats(doc), cfg,
+                          font_index=vocabs.style.font_index)
+    label_ids = []
+    for tok in toks:
+        label = vocabs.labels.get(tok.label)
+        if label is None:
+            if strict_labels:
+                raise DataValidationError(
+                    f"document {doc.id!r}: label {tok.label!r} not in "
+                    "vocabulary")
+            label = vocabs.labels["O"]
+        label_ids.append(label)
+    T = len(toks)
     return ModelInput(
-        word_ids=word_ids,
+        word_ids=np.array([vocabs.word.id_of(t.text) for t in toks],
+                          dtype=np.int64),
         x1_ids=coords[0], y1_ids=coords[1], x2_ids=coords[2], y2_ids=coords[3],
         w_ids=coords[4], h_ids=coords[5],
         pos1d_ids=np.arange(T, dtype=np.int64),
-        style_ids=style, label_ids=label_ids,
+        style_ids=style, label_ids=np.array(label_ids, dtype=np.int64),
         mask=np.ones(T, dtype=bool), page_ids=pages)

@@ -41,6 +41,12 @@ class EncoderConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden", "heads", "layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.ff_dim is not None and self.ff_dim < 1:
+            raise ConfigError(f"ff_dim must be >= 1 or null, got {self.ff_dim}")
         if self.hidden % self.heads != 0:
             raise ConfigError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")

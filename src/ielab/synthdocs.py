@@ -9,11 +9,15 @@ bold, amount-like fields live in a table band, names can take larger fonts,
 and totals can be colored. Setting every correlation probability equal to the
 noise rate makes all style features label-independent.
 
-Everything is a pure function of (config, seed): same seed, same bytes.
+Everything is a pure function of (config, seed): same seed, same bytes. The
+order of the random draws is frozen: every recorded seed, F1 floor and
+benchmark baseline depends on it, and hash tests pin the corpus bytes, the
+page rasters and the document encodings of fixed configurations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -24,6 +28,7 @@ from ielab.errors import ConfigError
 from ielab.jsonconfig import JsonConfig
 
 PAGE = 1000.0  # fixed logical page; normalize_bbox then maps 1:1 onto [0,1000]
+ROW_HEIGHT = 28.0
 
 FILLER_WORDS = (
     "the of to and in for on with as by at from this that are is was were be "
@@ -180,9 +185,14 @@ class _Seg:
     cls: FieldClass | None = None
 
 
-def _zipf_weights(n: int) -> np.ndarray:
-    w = 1.0 / np.power(np.arange(1, n + 1), 1.1)
-    return w / w.sum()
+def _cdf(weights) -> list[float]:
+    """Normalised cumulative weights, built exactly as `Generator.choice`
+    builds them from `p`, so `bisect_right(cdf, rng.random())` is the draw
+    `rng.choice(len(weights), p=weights)` would make from the same stream."""
+    p = np.asarray(weights, dtype=np.float64)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _pool(cfg: GeneratorConfig, name: str):
@@ -213,121 +223,117 @@ def _distractor_segment(cfg, rng) -> _Seg:
     return _Seg("distractor", texts, ["O"] * n)
 
 
-def _filler_segment(cfg, rng, zipf) -> _Seg:
+def _filler_segment(cfg, rng, zipf_cdf) -> _Seg:
     fillers = _pool(cfg, "fillers")
     n = int(rng.integers(2, 6))
-    texts = [fillers[int(rng.choice(len(fillers), p=zipf))] for _ in range(n)]
+    texts = [fillers[bisect_right(zipf_cdf, rng.random())] for _ in range(n)]
     return _Seg("filler", texts, ["O"] * n)
 
 
-def _generate_document(cfg: GeneratorConfig, index: int) -> DocumentRecord:
+def _new_row(indent: float, y: float, pages: int):
+    """(x, y, pages) at the start of the next row."""
+    y += ROW_HEIGHT
+    if y > PAGE - 50:
+        return indent, 40.0, pages + 1
+    return indent, y, pages
+
+
+def _generate_document(cfg: GeneratorConfig, index: int, class_cdf: list,
+                       zipf_cdf: list) -> DocumentRecord:
     rng = np.random.default_rng([cfg.seed, 17, index])
-    template = TEMPLATES[cfg.template]
-    weights = np.array([fc.weight for fc in template.classes])
-    weights = weights / weights.sum()
-    zipf = _zipf_weights(len(_pool(cfg, "fillers")))
-    target = int(rng.integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
+    rand, integers = rng.random, rng.integers
+    classes = TEMPLATES[cfg.template].classes
+    target = int(integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
 
     flow: list[_Seg] = []
     table: list[_Seg] = []
     count = 0
     while count < target:
-        if rng.random() < cfg.field_rate:
-            fc = template.classes[int(rng.choice(len(template.classes), p=weights))]
+        if rand() < cfg.field_rate:
+            fc = classes[bisect_right(class_cdf, rand())]
             seg = _field_segment(cfg, fc, rng)
             (table if fc.in_table else flow).append(seg)
-        elif rng.random() < cfg.distractor_rate:
+        elif rand() < cfg.distractor_rate:
             seg = _distractor_segment(cfg, rng)
             flow.append(seg)
         else:
-            seg = _filler_segment(cfg, rng, zipf)
+            seg = _filler_segment(cfg, rng, zipf_cdf)
             flow.append(seg)
         count += len(seg.texts)
 
     if table:
-        header = _filler_segment(cfg, rng, zipf)
+        header = _filler_segment(cfg, rng, zipf_cdf)
         header.kind = "header"
         header.texts = header.texts[:2]
         header.labels = header.labels[:2]
         table.insert(0, header)
-        insert_at = int(rng.integers(0, len(flow) + 1))
+        insert_at = int(integers(0, len(flow) + 1))
     else:
         insert_at = 0
 
-    doc_font = FONT_POOL[int(rng.integers(len(FONT_POOL)))]
-    alt_font = FONT_POOL[int(rng.integers(len(FONT_POOL)))]
+    doc_font = FONT_POOL[int(integers(len(FONT_POOL)))]
+    alt_font = FONT_POOL[int(integers(len(FONT_POOL)))]
 
+    noise = cfg.noise_rate
+    huge_rate = noise / 2
     tokens: list[TokenRecord] = []
     pages = 0
     y = 40.0
     x = 30.0
-    row_h = 28.0
-
-    def new_row(indent):
-        nonlocal x, y, pages
-        x = indent
-        y += row_h
-        if y > PAGE - 50:
-            y = 40.0
-            pages += 1
-
-    def emit(seg: _Seg, in_table_seg: bool):
-        nonlocal x
-        for text, label in zip(seg.texts, seg.labels):
-            entity_initial = label.startswith("B-")
-            in_entity = label != "O"
-            fc = seg.cls
-            bold = rng.random() < (cfg.p_bold_entity if entity_initial
-                                   else cfg.noise_rate)
-            in_tab = rng.random() < (cfg.p_table_amount if in_table_seg
-                                     else cfg.noise_rate)
-            if fc is not None and fc.large_font and in_entity:
-                large = rng.random() < cfg.p_largefont_name
-            else:
-                large = rng.random() < cfg.noise_rate
-            if large:
-                size = LARGE_FONT_SIZE
-            elif rng.random() < cfg.noise_rate / 2:
-                size = HUGE_FONT_SIZE
-            else:
-                size = BASE_FONT_SIZE
-            if fc is not None and fc.colored and in_entity:
-                colored = rng.random() < cfg.p_color_total
-            else:
-                colored = rng.random() < cfg.noise_rate
-            color = COLOR_PALETTE[int(rng.integers(len(COLOR_PALETTE)))] \
-                if colored else BLACKISH[int(rng.integers(len(BLACKISH)))]
-            font = alt_font if rng.random() < 0.1 else doc_font
-            w = min(10.0 + 7.0 * len(text), 180.0)
-            if x + w > PAGE - 40:
-                new_row(60.0 if in_table_seg else 30.0)
-            height = min(size * 1.6, 24.0)
-            tokens.append(TokenRecord(
-                text=text, page=pages, bbox=(x, y, x + w, y + height),
-                bold=bool(bold), font=font, font_size=float(size),
-                in_table=bool(in_tab), color=color, label=label))
-            x += w + 8.0
-
     ordered: list[tuple[_Seg, bool]] = [(s, False) for s in flow[:insert_at]]
     ordered += [(s, True) for s in table]
     ordered += [(s, False) for s in flow[insert_at:]]
     table_started = False
     for seg, is_table in ordered:
         if is_table and not table_started:
-            new_row(60.0)       # table band starts on its own row
+            x, y, pages = _new_row(60.0, y, pages)  # table band: its own row
             table_started = True
         if is_table:
-            new_row(60.0)       # one table row per segment
-        emit(seg, is_table)
-        if is_table is False and seg.kind == "field" and rng.random() < 0.3:
-            new_row(30.0)
+            x, y, pages = _new_row(60.0, y, pages)  # one table row per segment
+        fc = seg.cls
+        # this segment's style rates; large font and colour apply them to
+        # entity tokens only, the other tokens draw at the noise rate
+        table_rate = cfg.p_table_amount if is_table else noise
+        large_rate = cfg.p_largefont_name \
+            if fc is not None and fc.large_font else noise
+        color_rate = cfg.p_color_total if fc is not None and fc.colored \
+            else noise
+        indent = 60.0 if is_table else 30.0
+        for text, label in zip(seg.texts, seg.labels):
+            in_entity = label != "O"
+            bold = rand() < (cfg.p_bold_entity if label[0] == "B" else noise)
+            in_tab = rand() < table_rate
+            if rand() < (large_rate if in_entity else noise):
+                size = LARGE_FONT_SIZE
+            elif rand() < huge_rate:
+                size = HUGE_FONT_SIZE
+            else:
+                size = BASE_FONT_SIZE
+            if rand() < (color_rate if in_entity else noise):
+                color = COLOR_PALETTE[int(integers(len(COLOR_PALETTE)))]
+            else:
+                color = BLACKISH[int(integers(len(BLACKISH)))]
+            font = alt_font if rand() < 0.1 else doc_font
+            w = min(10.0 + 7.0 * len(text), 180.0)
+            if x + w > PAGE - 40:
+                x, y, pages = _new_row(indent, y, pages)
+            tokens.append(TokenRecord(
+                text, pages, (x, y, x + w, y + min(size * 1.6, 24.0)), bold,
+                font, size, in_tab, color, label))
+            x += w + 8.0
+        if not is_table and seg.kind == "field" and rand() < 0.3:
+            x, y, pages = _new_row(30.0, y, pages)
     return DocumentRecord(id=f"{cfg.template.lower()}-{cfg.seed}-{index:05d}",
                           pages=[(PAGE, PAGE)] * (pages + 1), tokens=tokens)
 
 
 def generate_corpus(cfg: GeneratorConfig) -> list[DocumentRecord]:
     """Deterministic labeled corpus; same config -> byte-identical output."""
-    return [_generate_document(cfg, i) for i in range(cfg.n_docs)]
+    class_cdf = _cdf([fc.weight for fc in TEMPLATES[cfg.template].classes])
+    ranks = np.arange(1, len(_pool(cfg, "fillers")) + 1)
+    zipf_cdf = _cdf(1.0 / np.power(ranks, 1.1))
+    return [_generate_document(cfg, i, class_cdf, zipf_cdf)
+            for i in range(cfg.n_docs)]
 
 
 @dataclass
@@ -342,27 +348,35 @@ TABLE_BORDER = 0
 
 
 def render_pages(doc: DocumentRecord, size: int = 128) -> list[PageRaster]:
-    """Deterministic rasterization: darker fill for bold, borders for tables."""
+    """Deterministic rasterization: darker fill for bold, borders for tables.
+
+    Every token's pixel box is computed at once; the boxes are then painted
+    in token order, so a later box overwrites an earlier one where they meet.
+    """
     grids = [np.full((size, size), 255, dtype=np.uint8) for _ in doc.pages]
-    for tok in doc.tokens:
-        g = grids[tok.page]
-        pw, ph = doc.pages[tok.page]
-        x1 = int(np.clip(tok.bbox[0] / pw * size, 0, size - 1))
-        y1 = int(np.clip(tok.bbox[1] / ph * size, 0, size - 1))
-        x2 = int(np.clip(np.ceil(tok.bbox[2] / pw * size), x1 + 1, size))
-        y2 = int(np.clip(np.ceil(tok.bbox[3] / ph * size), y1 + 1, size))
+    toks = doc.tokens
+    page = np.array([t.page for t in toks], dtype=np.intp)
+    extent = np.array(doc.pages, dtype=np.float64)[page]          # (T, 2)
+    box = np.array([t.bbox for t in toks], dtype=np.float64).reshape(-1, 4)
+    scaled = box / np.tile(extent, 2) * size
+    x1 = np.clip(scaled[:, 0], 0, size - 1).astype(np.intp)
+    y1 = np.clip(scaled[:, 1], 0, size - 1).astype(np.intp)
+    x2 = np.clip(np.ceil(scaled[:, 2]), x1 + 1, size).astype(np.intp)
+    y2 = np.clip(np.ceil(scaled[:, 3]), y1 + 1, size).astype(np.intp)
+    for p, a, b, c, d, tok in zip(page.tolist(), x1.tolist(), y1.tolist(),
+                                  x2.tolist(), y2.tolist(), toks):
+        g = grids[p]
         if tok.bold:
-            fill = BOLD_FILL
+            g[b:d, a:c] = BOLD_FILL
         elif max(tok.color) >= 64:
-            fill = COLOR_FILL
+            g[b:d, a:c] = COLOR_FILL
         else:
-            fill = PLAIN_FILL
-        g[y1:y2, x1:x2] = fill
+            g[b:d, a:c] = PLAIN_FILL
         if tok.in_table:
-            g[y1, x1:x2] = TABLE_BORDER
-            g[y2 - 1, x1:x2] = TABLE_BORDER
-            g[y1:y2, x1] = TABLE_BORDER
-            g[y1:y2, x2 - 1] = TABLE_BORDER
+            g[b, a:c] = TABLE_BORDER
+            g[d - 1, a:c] = TABLE_BORDER
+            g[b:d, a] = TABLE_BORDER
+            g[b:d, c - 1] = TABLE_BORDER
     return [PageRaster(grid=g) for g in grids]
 
 

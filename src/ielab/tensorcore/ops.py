@@ -156,9 +156,13 @@ def sum_all(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    u = GELU_TANH_COEFF * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(u)
-    out = Tensor._wrap(0.5 * xd * (1.0 + t))
+    t = xd * xd                     # in place, with the same rounding as
+    t *= xd                         # c*(x + 0.044715*(x*x*x)) evaluated
+    t *= 0.044715                   # left to right
+    t += xd
+    t *= GELU_TANH_COEFF
+    np.tanh(t, out=t)
+    out = Tensor._wrap((0.5 * xd) * (t + 1.0))
     tape = active_tape()
     if tape is not None:
         px = tape.tracked_id(x)

@@ -26,6 +26,9 @@ cannot be pinned or only one CPU is usable, the shards run one after the
 other with the same bits. The partition depends only on the batch, never on
 the machine.
 
+Training stops with a ConfigError at the first batch whose loss is not
+finite, naming the fold seed, epoch and batch start.
+
 After every epoch the validation split is scored with entity-level weighted
 F1 (no augmentation, no dropout) and the best epoch's parameters are kept,
 earlier epochs winning ties.
@@ -37,6 +40,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
@@ -289,6 +293,11 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
                 loss, grads = _batch_grads(
                     model, params, batch, train_rasters, drop_rng,
                     [fold_seed, 12, epoch, bstart], cfg.max_seq_len, worker)
+                if not math.isfinite(loss):
+                    raise ConfigError(
+                        f"fold seed {fold_seed}, epoch {epoch}, batch start "
+                        f"{bstart}: training loss is {loss}; lower the "
+                        "learning rate")
                 epoch_losses.append(loss)
                 adam_step(params, grads, state)
             loss_trace.append(float(np.mean(epoch_losses)))

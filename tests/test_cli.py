@@ -95,6 +95,20 @@ def test_mistyped_spec_field_exits_3(tmp_path, capsys, override, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"heads": 0}, "heads must be >= 1"),
+    ({"hidden": 0}, "hidden must be >= 1"),
+    ({"layers": 0}, "layers must be >= 1"),
+    ({"ff_dim": 0}, "ff_dim must be >= 1"),
+    ({"hidden": 16, "heads": 3}, "must be divisible by heads"),
+], ids=["heads-0", "hidden-0", "layers-0", "ff_dim-0", "indivisible"])
+def test_encoder_sizes_checked_before_use_exit_4(tmp_path, capsys, model,
+                                                  message):
+    spec = write_spec(tmp_path, model=model)
+    assert cli.main(["params", "--spec", str(spec)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_train_metrics_shape_and_determinism(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])
@@ -141,6 +155,52 @@ def test_eval_reproduces_stored_val_f1(tmp_path):
     preds = (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()
     assert len(preds) == len(val_docs)
     assert all("pred_label" in json.loads(line)["tokens"][0] for line in preds)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_non_finite_loss_exits_4(tmp_path, capsys):
+    spec = write_spec(tmp_path, train={"lr": 1e100})
+    cli.main(["generate", "--spec", str(spec)])
+    assert cli.main(["train", "--spec", str(spec)]) == 4
+    assert "training loss is nan" in capsys.readouterr().err
+
+
+def test_eval_encodes_with_the_checkpoint_not_the_spec(tmp_path):
+    """Editing the spec's bucketing and chunking after training leaves the
+    predictions unchanged: eval encodes as the checkpoint was trained."""
+    trained = {"lr": 0.02, "epochs": 10}     # enough to tag some entities
+    spec = write_spec(tmp_path, train=trained, generator={"n_docs": 15})
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    out = tmp_path / "out"
+    ckpt = str(out / "fold0.ckpt")
+    assert cli.main(["eval", "--spec", str(spec), "--checkpoint", ckpt]) == 0
+    want = (out / "predictions.jsonl").read_bytes()
+    assert b'"pred_label":"B-' in want
+    edited = write_spec(
+        tmp_path, train={**trained, "max_seq_len": 6, "chunk_overlap": 2},
+        bucketing={"font_top_k": 1, "black_max_channel": 1,
+                   "fontsize_cluster_bounds": [0.5, 0.9]},
+        generator={"n_docs": 15})
+    (out / "predictions.jsonl").unlink()
+    assert cli.main(["eval", "--spec", str(edited), "--checkpoint", ckpt]) == 0
+    assert (out / "predictions.jsonl").read_bytes() == want
+
+
+def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    path = tmp_path / "out" / "fold0.ckpt"
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    del header["config"]["bucketing"]
+    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    for command in ("eval", "ablate"):
+        assert cli.main([command, "--spec", str(spec),
+                         "--checkpoint", str(path)]) == 4
+        assert "bucketing" in capsys.readouterr().err
 
 
 def test_eval_config_mismatch_exits_4(tmp_path):
@@ -203,6 +263,15 @@ def test_eval_on_all_o_corpus_reports_zero(tmp_path):
                      "--corpus", str(allo)]) == 0
     report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
     assert report["report"]["weighted_f1"] == 0.0
+
+
+def test_train_non_utf8_corpus_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    corpus = tmp_path / "out" / "corpus.jsonl"
+    corpus.write_bytes(b"\x80" + corpus.read_bytes())
+    assert cli.main(["train", "--spec", str(spec)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_train_duplicate_document_id_exits_3(tmp_path):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ielab import docstream as ds
 from ielab.errors import ConfigError, DataValidationError
@@ -76,6 +78,27 @@ def test_normalize_bbox_letter_page():
 def test_normalize_bbox_full_page():
     assert ds.normalize_bbox((0, 0, 612, 792), (612, 792)) == \
         (0, 0, 1000, 1000, 1000, 1000)
+
+
+def test_normalize_bbox_arrays_round_like_python_round():
+    """The array form agrees with Python's round() on every coordinate,
+    exact halves (round half to even) and off-page values included."""
+    rng = np.random.default_rng(4)
+    halves = np.array([0.5, 1.5, 100.5, 101.5, 999.5, -0.5, 1000.5])
+    boxes = np.concatenate([rng.uniform(-50, 1100, size=(60, 4)),
+                            np.tile(halves[:, None], (1, 4))])
+    pages = np.concatenate([rng.uniform(100, 1500, size=(60, 2)),
+                            np.full((len(halves), 2), 1000.0)])
+    got = ds.normalize_bbox(boxes.T, pages.T)
+
+    def q(value, extent):
+        return min(max(int(round(1000.0 * value / extent)), 0), 1000)
+
+    for i, ((x1, y1, x2, y2), (w, h)) in enumerate(zip(boxes, pages)):
+        want = (q(x1, w), q(y1, h), q(x2, w), q(y2, h))
+        want += (want[2] - want[0], want[3] - want[1])
+        assert tuple(got[:, i].tolist()) == want
+        assert ds.normalize_bbox((x1, y1, x2, y2), (w, h)) == want
 
 
 def test_normalize_bbox_zero_page_dimension():
@@ -275,3 +298,73 @@ def test_parse_rejects_duplicate_ids_naming_both_lines():
                       make_doc_line("a")]).encode()
     with pytest.raises(DataValidationError, match="line 3.*'a'.*line 1"):
         ds.parse_documents(data)
+
+
+def _paths(obj, prefix=()):
+    """Every (path to a container, key) inside a parsed JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_VALID_DOC = json.loads(make_doc_line(tokens=[
+    make_token(), make_token("x", "O", bold=True, in_table=True,
+                             color=[200, 10, 10])]))
+_VALID_PATHS = list(_paths(_VALID_DOC))
+_DELETE = object()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+def _parses_or_rejects(data: bytes) -> None:
+    try:
+        docs = ds.parse_documents(data)
+    except DataValidationError:
+        return
+    for doc in docs:                     # what parses also encodes
+        vocabs = ds.build_vocabularies([doc], ds.BucketingConfig())
+        ds.encode_document(doc, vocabs, ds.BucketingConfig())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_parse_arbitrary_bytes_returns_or_rejects(data):
+    _parses_or_rejects(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_VALID_PATHS), _JSON_VALUES | st.just(_DELETE),
+       st.booleans())
+def test_parse_mutated_document_returns_or_rejects(where, value, twice):
+    doc = json.loads(json.dumps(_VALID_DOC))
+    prefix, key = where
+    container = doc
+    for step in prefix:
+        container = container[step]
+    if value is _DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    line = json.dumps(doc)
+    _parses_or_rejects((line + "\n" + (line if twice else "")).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.binary(min_size=1, max_size=3),
+       st.sampled_from(["replace", "insert", "delete"]))
+def test_parse_byte_mutated_line_returns_or_rejects(pos, chunk, how):
+    line = json.dumps(_VALID_DOC).encode()
+    pos %= len(line)
+    if how == "replace":
+        line = line[:pos] + chunk + line[pos + len(chunk):]
+    elif how == "insert":
+        line = line[:pos] + chunk + line[pos:]
+    else:
+        line = line[:pos] + line[pos + len(chunk):]
+    _parses_or_rejects(line)

@@ -357,6 +357,32 @@ def test_plumbing_op_gradients():
               {"x": x}, tol=1e-5)
 
 
+def test_gelu_bits_match_the_tanh_formula():
+    """The in-place forward keeps the bits of 0.5*x*(1 + tanh(c*(x +
+    0.044715*x^3))), and so does the gradient built on its saved tanh, also
+    where x^3 overflows."""
+    rng = np.random.default_rng(23)
+    xd = np.concatenate([rng.normal(scale=3.0, size=500), [
+        0.0, -0.0, 1e-300, -1e-300, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3,
+        1e8, -1e8, 1e120, -1e120, 1e300, -1e300]]).reshape(-1, 4)
+    upstream = rng.normal(size=xd.shape)
+    c = math.sqrt(2.0 / math.pi)
+    x = tc.parameter(xd.copy())
+    tape = tc.Tape()
+    with np.errstate(over="ignore", invalid="ignore"), tape:
+        t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+        want_out = 0.5 * xd * (1.0 + t)
+        du = c * (1.0 + 3 * 0.044715 * (xd * xd))
+        want_grad = upstream * (0.5 * (1.0 + t)
+                                + 0.5 * xd * (1.0 - t * t) * du)
+        tape.watch(x)
+        out = tc.gelu(x)
+        loss = tc.sum_all(tc.mul(out, tc.Tensor(upstream)))
+        grads = tc.backward(loss, tape)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert grads[x.node_id].data.tobytes() == want_grad.tobytes()
+
+
 def test_adam_first_step_analytic():
     p = {"w": tc.parameter(np.array([1.0]))}
     st = tc.AdamState(lr=0.01)

@@ -217,6 +217,18 @@ def test_train_fold_rejects_empty_split():
                    BucketingConfig(), fold_seed=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_fold_stops_on_a_non_finite_loss():
+    """An lr that overflows the parameters after one step makes the next
+    batch's loss NaN; training stops there instead of recording it."""
+    docs = corpus(6)
+    cfg = TrainConfig(lr=1e100, epochs=3, seed=0)
+    with pytest.raises(ConfigError, match=r"fold seed 5, epoch 0, batch "
+                       r"start 2: training loss is nan"):
+        train_fold(docs[:4], docs[4:], spec_template(), cfg,
+                   BucketingConfig(), fold_seed=5)
+
+
 def test_cross_validate_deterministic_and_partition():
     docs = corpus(10)
     cfg = TrainConfig(lr=1e-3, epochs=1, seed=4)
