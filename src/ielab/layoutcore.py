@@ -147,7 +147,9 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     `hidden_in` holds the rows of the chunks whose token counts `lengths`
     lists, packed back to back (default: one chunk of all rows). Attention
     runs per chunk, where each query sees only its own chunk's keys with
-    `mask` True; every other op runs once over all rows.
+    `mask` True; every other op runs once over all rows. A chunk with a
+    masked key adds a -1e9 bias to that key's scores; a chunk with none
+    (every chunk that `encode_document` and packing produce) adds no bias.
     """
     cfg = params.config
     T = hidden_in.data.shape[0]
@@ -158,7 +160,9 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     if bounds[-1] != T:
         raise ShapeError(f"chunk lengths sum to {bounds[-1]}, not T={T}")
     spans = list(zip(bounds[:-1], bounds[1:]))
-    biases = [np.where(msk[lo:hi], 0.0, _MASK_BIAS)[None, :] for lo, hi in spans]
+    biases = [None if msk[lo:hi].all()
+              else np.where(msk[lo:hi], 0.0, _MASK_BIAS)[None, :]
+              for lo, hi in spans]
 
     def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         if len(spans) == 1:

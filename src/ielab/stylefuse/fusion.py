@@ -59,11 +59,12 @@ def fuse_style_sum(L: Tensor, style_ids: np.ndarray, tables: StyleTables) -> Ten
     if tables.dim != hidden:
         raise ConfigError(
             f"sum fusion needs style dim == hidden ({hidden}), got {tables.dim}")
-    e = L
-    for f in tables.features:
-        e = ops.add(e, ops.embedding_lookup(tables.tables[f],
-                                            _feature_rows(style_ids, f)))
-    return e
+    # one node: L gathered in row order, then the style rows added in
+    # feature order, with the bits of the chain L + row_bold + row_font + ...
+    return ops.embedding_sum(
+        [L, *(tables.tables[f] for f in tables.features)],
+        [np.arange(L.data.shape[0]),
+         *(_feature_rows(style_ids, f) for f in tables.features)])
 
 
 def fuse_style_concat(L: Tensor, style_ids: np.ndarray, tables: StyleTables) -> Tensor:

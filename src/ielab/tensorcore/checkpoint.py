@@ -10,7 +10,7 @@ Layout (documented contract, stable across releases):
     payload that starts immediately after the newline. A loaded manifest's
     entries must tile the payload exactly, in manifest order.
   * payload: each parameter's elements as little-endian float64, row-major,
-    concatenated in manifest order.
+    concatenated in manifest order. A loaded parameter must be finite.
 """
 
 from __future__ import annotations
@@ -75,20 +75,27 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     payload = blob[nl + 1:]
     params, pos = {}, 0
     for entry in manifest:      # parameters lie back to back in manifest order
-        try:
-            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-            stop = start + 8 * math.prod(shape)
-            valid = name not in params and start == pos \
-                and min(shape, default=0) >= 0 and stop <= len(payload)
-        except (TypeError, KeyError):
-            valid = False
+        fields = entry if isinstance(entry, dict) else {}
+        name, shape, start = (fields.get(k) for k in ("name", "shape", "offset"))
+        valid = isinstance(name, str) and name not in params \
+            and type(start) is int and start == pos and isinstance(shape, list) \
+            and all(type(d) is int and d >= 0 for d in shape) \
+            and start + 8 * math.prod(shape) <= len(payload)
         if not valid:
             raise CheckpointMismatchError(
-                f"{path}: manifest entry {entry!r} must name a new parameter "
-                f"at payload offset {pos} within {len(payload)} payload bytes")
-        arr = np.frombuffer(payload[start:stop], dtype="<f8").astype(np.float64)
-        params[name] = arr.reshape(shape)
-        pos = stop
+                f"{path}: manifest entry {entry!r} must name a new parameter, "
+                f"give its shape as a list of non-negative ints and start at "
+                f"payload offset {pos} within {len(payload)} payload bytes")
+        pos = start + 8 * math.prod(shape)
+        arr = np.frombuffer(payload[start:pos], dtype="<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointMismatchError(
+                f"{path}: parameter {name!r} holds non-finite values")
+        try:
+            params[name] = arr.reshape(shape)
+        except ValueError as exc:   # over 64 dimensions, or beyond numpy's sizes
+            raise CheckpointMismatchError(
+                f"{path}: parameter {name!r} has shape {shape}: {exc}") from exc
     if pos != len(payload):
         raise CheckpointMismatchError(
             f"{path}: {len(payload) - pos} payload bytes follow the last parameter")

@@ -89,7 +89,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out_data = ad + bd
     except ValueError as exc:
         raise ShapeError(f"add shapes {ad.shape} + {bd.shape}") from exc
-    out = Tensor(out_data)
+    out = Tensor._wrap(out_data)
     tape = active_tape()
     if tape is not None:
         pa, pb = tape.tracked_id(a), tape.tracked_id(b)
@@ -168,8 +168,23 @@ def gelu(x: Tensor) -> Tensor:
         px = tape.tracked_id(x)
         if px >= 0:
             def bw(g, xd=xd, t=t):
-                du = GELU_TANH_COEFF * (1.0 + 3 * 0.044715 * (xd * xd))
-                return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+                # g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*du) with
+                # du = c*(1 + 3*0.044715*(x*x)), in place, with the same
+                # rounding as that expression
+                du = xd * xd
+                du *= 3 * 0.044715
+                du += 1.0
+                du *= GELU_TANH_COEFF
+                d = 0.5 * xd
+                tt = t * t
+                np.subtract(1.0, tt, out=tt)
+                d *= tt
+                d *= du
+                np.add(t, 1.0, out=tt)
+                tt *= 0.5
+                d += tt
+                d *= g
+                return (d,)
             tape.push(out, (px,), bw)
     return out
 
@@ -181,10 +196,10 @@ def softmax_rows(x: Tensor) -> Tensor:
         raise ShapeError("softmax_rows needs a last dimension >= 1")
     if not np.isfinite(xd).all():
         raise NumericError("softmax_rows input contains non-finite values")
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    y = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor._wrap(y)
     tape = active_tape()
     if tape is not None:
         px = tape.tracked_id(x)
@@ -202,12 +217,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     h = xd.shape[-1]
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
         raise ShapeError(f"layer_norm affine must have shape ({h},)")
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.data + beta.data)
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / h     # np.mean's bits
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor._wrap(y)
     tape = active_tape()
     if tape is not None:
         px = tape.tracked_id(x)
@@ -215,15 +231,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         pb = tape.tracked_id(beta)
         if px >= 0 or pg >= 0 or pb >= 0:
             gd = gamma.data
-            def bw(g, xhat=xhat, inv=inv, gd=gd,
+            def bw(g, xhat=xhat, inv=inv, gd=gd, h=h,
                    nx=px >= 0, ng=pg >= 0, nb=pb >= 0):
                 lead = tuple(range(g.ndim - 1))
                 dx = None
-                if nx:
-                    dxhat = g * gd
-                    dx = inv * (dxhat
-                                - dxhat.mean(axis=-1, keepdims=True)
-                                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                if nx:      # inv*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
+                    dx = g * gd
+                    p = dx * xhat
+                    mp = p.sum(axis=-1, keepdims=True) / h
+                    dx -= dx.sum(axis=-1, keepdims=True) / h
+                    np.multiply(xhat, mp, out=p)
+                    dx -= p
+                    dx *= inv
                 return (dx,
                         (g * xhat).sum(axis=lead) if ng else None,
                         g.sum(axis=lead) if nb else None)
@@ -264,14 +283,15 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
               heads: int) -> Tensor:
     """Fused multi-head scaled dot-product attention (one tape node).
 
     q, k, v are (T, h) with h divisible by `heads`; `bias` is a constant
     additive score matrix broadcastable to (T, T), such as a (1, T) key mask
-    (0 to allow, large negative to mask). All heads run as one batched
-    (heads, T, dh) matmul.
+    (0 to allow, large negative to mask), or None when every key is allowed,
+    which gives the same bits as an all-zero bias without adding it. All
+    heads run as one batched (heads, T, dh) matmul.
     """
     qd, kd, vd = q.data, k.data, v.data
     T, h = qd.shape
@@ -289,7 +309,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     qh, kh, vh = split(qd), split(kd), split(vd)
     a = qh @ kh.transpose(0, 2, 1)                 # (heads, T, T) scores
     a *= inv
-    a += bias
+    if bias is not None:
+        a += bias
     a -= a.max(axis=2, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=2, keepdims=True)
@@ -320,7 +341,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= V):
         bad = idx[(idx < 0) | (idx >= V)][0]
         raise IndexError(f"embedding id {int(bad)} out of range for table of {V} rows")
-    out = Tensor(table.data[idx])
+    out = Tensor._wrap(table.data[idx])
     tape = active_tape()
     if tape is not None:
         pt = tape.tracked_id(table)

@@ -75,9 +75,9 @@ def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
     All chunks run as one packed forward, sharing the document's page
     rasters; their rows are then stitched back to one row per token.
     """
-    chunks = chunk_document(inp, cfg, doc_id)
-    if len(chunks) == 1 and chunks[0].start == 0 and chunks[0].end == inp.length:
+    if inp.length <= cfg.max_seq_len:       # one chunk: the document itself
         return model.predict_probs(inp, rasters)
+    chunks = chunk_document(inp, cfg, doc_id)
     probs = model.predict_probs([c.inputs for c in chunks],
                                 [rasters] * len(chunks))
     ends = np.cumsum([c.end - c.start for c in chunks])[:-1]

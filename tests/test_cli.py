@@ -203,6 +203,21 @@ def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
         assert "bucketing" in capsys.readouterr().err
 
 
+def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    path = tmp_path / "out" / "fold0.ckpt"
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    path.write_bytes(blob[:nl + 1]
+                     + np.full((len(blob) - nl - 1) // 8, np.nan).tobytes())
+    for command in ("eval", "ablate"):
+        assert cli.main([command, "--spec", str(spec),
+                         "--checkpoint", str(path)]) == 4
+        assert "non-finite values" in capsys.readouterr().err
+
+
 def test_eval_config_mismatch_exits_4(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

@@ -13,6 +13,8 @@ from ielab.tensorcore import (
     add,
     backward,
     cross_entropy_masked,
+    embedding_lookup,
+    mul,
     parameter,
     scale,
     sum_all,
@@ -77,6 +79,34 @@ def test_fuse_sum_matches_direct_sum_oracle():
         for m, f in enumerate(tables.features):
             expected += tables.tables[f].data[ids[m, i]]
         assert np.allclose(out[i], expected, atol=1e-12)
+
+
+def test_fuse_sum_bits_match_an_add_chain():
+    """The one-node sum gives the bits of L + row_bold + row_font + ...,
+    added left to right, and the same gradients for L and every table."""
+    rng = np.random.default_rng(5)
+    L = parameter(rng.normal(size=(7, 8)))
+    tables = style_tables(8, seed=6)
+    ids = np.vstack([rng.integers(0, v, 7) for v in (2, 9, 3, 2, 2)])
+    w = Tensor(rng.normal(size=(7, 8)))
+    leaves = [L, *tables.tables.values()]
+
+    def chain():
+        e = L
+        for m, f in enumerate(tables.features):
+            e = add(e, embedding_lookup(tables.tables[f], ids[m]))
+        return e
+
+    runs = []
+    for fuse in (lambda: sf.fuse_style_sum(L, ids, tables), chain):
+        tape = Tape()
+        with tape:
+            e = fuse()
+            loss = sum_all(mul(e, w))
+        grads = backward(loss, tape)
+        runs.append([e.data.tobytes()] + [
+            grads[tape.tracked_id(t)].data.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
 
 
 def test_fuse_sum_dim_mismatch():

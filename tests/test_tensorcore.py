@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import gradcheck
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ielab import tensorcore as tc
 from ielab.errors import ConfigError, ContractError
@@ -466,12 +469,34 @@ def _trailing_bytes(header, payload):
     return header, payload + bytes(8)
 
 
+def _float_offset(header, payload):
+    header["manifest"][0]["offset"] = 0.0
+    return header, payload
+
+
+def _float_dimension(header, payload):
+    header["manifest"][1]["shape"] = [3.0]
+    return header, payload
+
+
+def _oversized_empty_shape(header, payload):
+    header["manifest"][1]["shape"] = [0, 2 ** 70]
+    return header, payload[:32]
+
+
+def _nan_payload(header, payload):
+    return header, payload[:32] + np.full(3, np.nan).tobytes()
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_manifest, _negative_offset,
-                                     _overlapping_offsets, _trailing_bytes],
+                                     _overlapping_offsets, _trailing_bytes,
+                                     _float_offset, _float_dimension,
+                                     _oversized_empty_shape, _nan_payload],
                          ids=["no-manifest", "negative-offset",
-                              "overlapping-offsets", "trailing-bytes"])
+                              "overlapping-offsets", "trailing-bytes",
+                              "float-offset", "float-dimension",
+                              "oversized-empty-shape", "nan-payload"])
 def test_checkpoint_rejects_bad_manifest(tmp_path, corrupt):
-    import json
     from ielab.errors import CheckpointMismatchError
     rng = np.random.default_rng(4)
     path = tmp_path / "model.ckpt"
@@ -484,6 +509,59 @@ def test_checkpoint_rejects_bad_manifest(tmp_path, corrupt):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointMismatchError):
         tc.load_checkpoint(path)
+
+
+def _checkpoint_loads_or_rejects(directory, blob):
+    """Load a (possibly damaged) checkpoint: it gives finite float64 arrays
+    that match its manifest, or a CheckpointMismatchError."""
+    from ielab.errors import CheckpointMismatchError
+    path = directory / f"{len(list(directory.iterdir()))}.ckpt"
+    path.write_bytes(blob)      # a new file: some filesystems truncate slowly
+    try:
+        config, params = tc.load_checkpoint(path)
+    except CheckpointMismatchError:
+        return
+    assert isinstance(config, dict)
+    manifest = json.loads(blob[:blob.index(b"\n")])["manifest"]
+    assert list(params) == [e["name"] for e in manifest]
+    for entry in manifest:
+        arr = params[entry["name"]]
+        assert arr.dtype == np.float64 and list(arr.shape) == entry["shape"]
+        assert np.isfinite(arr).all()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    rng = np.random.default_rng(5)
+    tc.save_checkpoint(path, {"hidden": 2},
+                       {"a": tc.Tensor(rng.normal(size=(2, 2))),
+                        "b": tc.Tensor(rng.normal(size=3)),
+                        "c": tc.Tensor(rng.normal(size=()))})
+    return path.parent, path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pos=st.integers(0, 10_000), chunk=st.binary(min_size=1, max_size=3),
+       how=st.sampled_from(["replace", "insert", "delete"]))
+def test_byte_mutated_checkpoint_loads_or_rejects(checkpoint_blob, pos, chunk,
+                                                  how):
+    directory, blob = checkpoint_blob
+    pos %= len(blob)
+    if how == "replace":
+        blob = blob[:pos] + chunk + blob[pos + len(chunk):]
+    elif how == "insert":
+        blob = blob[:pos] + chunk + blob[pos:]
+    else:
+        blob = blob[:pos] + blob[pos + len(chunk):]
+    _checkpoint_loads_or_rejects(directory, blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_truncated_checkpoint_loads_or_rejects(checkpoint_blob, cut):
+    directory, blob = checkpoint_blob
+    _checkpoint_loads_or_rejects(directory, blob[:cut % len(blob)])
 
 
 def _attention_oracle(q, k, v, bias, heads):
@@ -525,6 +603,23 @@ def test_attention_gradient():
         gradcheck(lambda: tc.sum_all(tc.mul(
                       tc.ops.attention(q, k, v, bias, heads), tc.Tensor(w))),
                   {"q": q, "k": k, "v": v}, tol=1e-6)
+
+
+def test_attention_without_a_bias_is_a_zero_bias_bit_for_bit():
+    rng = np.random.default_rng(34)
+    T, h, heads = 9, 8, 2
+    q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
+    w = tc.Tensor(rng.normal(size=(T, h)))
+    runs = []
+    for bias in (None, np.zeros((1, T))):
+        tape = tc.Tape()
+        with tape:
+            out = tc.ops.attention(q, k, v, bias, heads)
+            loss = tc.sum_all(tc.mul(out, w))
+        grads = tc.backward(loss, tape)
+        runs.append([out.data.tobytes()] + [
+            grads[tape.tracked_id(t)].data.tobytes() for t in (q, k, v)])
+    assert runs[0] == runs[1]
 
 
 def test_concat_rows_and_slice_rows_gradients():

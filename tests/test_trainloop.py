@@ -415,6 +415,27 @@ def test_chunking_identity_through_model():
     assert np.array_equal(direct, chunked)
 
 
+@pytest.mark.parametrize("T", [CFG.max_seq_len, CFG.max_seq_len + 1])
+def test_predict_token_probs_at_the_chunk_boundary(T):
+    """A document of max_seq_len tokens runs as itself; one more token
+    makes two chunks, packed and stitched."""
+    from ielab.stylefuse import TokenTagger
+    from ielab.stylefuse.model import with_resolved_sizes
+
+    model = TokenTagger.build(
+        with_resolved_sizes(spec_template(), 8, 3, (2, 2, 2, 2, 2)))
+    inp = tiny_input(T=T)
+    if T <= CFG.max_seq_len:
+        want = model.predict_probs(inp)
+    else:
+        chunks = chunk_document(inp, CFG)
+        probs = model.predict_probs([c.inputs for c in chunks])
+        want = aggregate_chunk_predictions(
+            chunks, np.split(probs, [chunks[0].end - chunks[0].start]))
+        assert len(chunks) == 2
+    assert predict_token_probs(model, inp, CFG).tobytes() == want.tobytes()
+
+
 def test_paired_t_test_exact_case():
     t, p = paired_t_test([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
     assert t == pytest.approx(4.242640687, abs=1e-6)
