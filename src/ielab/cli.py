@@ -46,6 +46,7 @@ from ielab.evalsuite import (
 from ielab.jsonconfig import decode
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
+from ielab.tensorcore import NumericError
 from ielab.trainloop import TrainConfig, cross_validate, predict_tags
 from ielab.docstream import Vocabularies, STYLE_FEATURES
 
@@ -84,7 +85,13 @@ _ENCODER_KEYS = ("hidden", "layers", "heads", "ff_dim", "max_seq_len",
 
 
 def load_spec(path: str | Path, out_override: str | None = None) -> ExperimentSpec:
-    raw = Path(path).read_bytes()
+    return parse_spec(Path(path).read_bytes(), path, out_override)
+
+
+def parse_spec(raw: bytes, path: str | Path = "spec",
+               out_override: str | None = None) -> ExperimentSpec:
+    """The experiment spec that the JSON bytes `raw` (read from `path`)
+    encode; DataValidationError or ConfigError if they encode none."""
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -380,6 +387,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (CheckpointMismatchError, ConfigError) as exc:
         print(f"ielab: configuration mismatch: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericError as exc:
+        print(f"ielab: a non-finite value reached the model: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except ContractError as exc:
         print(f"ielab: {exc}", file=sys.stderr)

@@ -54,6 +54,11 @@ class EncoderConfig(JsonConfig):
             raise ConfigError("max_seq_len must be >= 1")
         if self.word_vocab < 2 or self.label_count < 1:
             raise ConfigError("word_vocab needs PAD/UNK and label_count >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.init_std < float("inf"):
+            raise ConfigError(
+                f"init_std must be finite and >= 0, got {self.init_std}")
 
     @property
     def ff(self) -> int:

@@ -32,10 +32,17 @@ class ImagePathConfig(JsonConfig):
     roi_bins: int = 3                         # r x r output bins
 
     def __post_init__(self):
+        for name in ("raster_channels", "raster_size", "kernel_size", "stride",
+                     "roi_bins"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kernel_size % 2 == 0:
             raise ConfigError("backbone kernel size must be odd")
-        if self.roi_bins < 1:
-            raise ConfigError("roi_bins must be >= 1")
+        if not self.backbone_channels \
+                or min(self.backbone_channels) < 1:
+            raise ConfigError("backbone_channels must be a non-empty list of "
+                              f"widths >= 1, got {list(self.backbone_channels)}")
 
     @property
     def feature_channels(self) -> int:

@@ -51,6 +51,11 @@ class TaggerSpec(JsonConfig):
             raise ConfigError("style modes need at least one active feature")
         if self.fusion is FusionMode.IMAGE and self.image is None:
             raise ConfigError("IMAGE fusion needs an ImagePathConfig")
+        if self.style_dim < 1:
+            raise ConfigError(f"style_dim must be >= 1, got {self.style_dim}")
+        unknown = sorted(set(self.style_features) - set(STYLE_FEATURES))
+        if unknown:
+            raise ConfigError(f"unknown style features {unknown}")
 
     @property
     def style_width(self) -> int:

@@ -12,7 +12,11 @@ noise rate makes all style features label-independent.
 Everything is a pure function of (config, seed): same seed, same bytes. The
 order of the random draws is frozen: every recorded seed, F1 floor and
 benchmark baseline depends on it, and hash tests pin the corpus bytes, the
-page rasters and the document encodings of fixed configurations.
+page rasters and the document encodings of fixed configurations. Each
+document draws from its own PCG64 stream, read in raw 64-bit blocks by
+`_Draws`, whose `random` and `integers` return exactly what
+`Generator.random` and `Generator.integers` return from the same stream, in
+the same order, without a call into numpy per draw.
 """
 
 from __future__ import annotations
@@ -157,6 +161,11 @@ class GeneratorConfig(JsonConfig):
                               f"choose from {sorted(TEMPLATES)}")
         if self.n_docs < 1:
             raise ConfigError("n_docs must be >= 1")
+        if self.filler_vocab < 1:
+            raise ConfigError(
+                f"filler_vocab must be >= 1, got {self.filler_vocab}")
+        if self.seed < 0:
+            raise ConfigError(f"generator seed must be >= 0, got {self.seed}")
         lo, hi = self.tokens_per_doc
         if lo < 8 or hi < lo:
             raise ConfigError(
@@ -187,12 +196,74 @@ class _Seg:
 
 def _cdf(weights) -> list[float]:
     """Normalised cumulative weights, built exactly as `Generator.choice`
-    builds them from `p`, so `bisect_right(cdf, rng.random())` is the draw
+    builds them from `p`, so `bisect_right(cdf, draws.random())` is the draw
     `rng.choice(len(weights), p=weights)` would make from the same stream."""
     p = np.asarray(weights, dtype=np.float64)
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
+
+
+# raw PCG64 outputs fetched per refill; what a document leaves unread is
+# harmless, since every document has its own generator
+_BLOCK = 1024
+
+
+class _Draws:
+    """`Generator.random` and `Generator.integers` (ranges of at most 2**32
+    values) of `np.random.default_rng(seed)`, read from raw PCG64 blocks.
+
+    As numpy's C code computes them: `random()` is `pcg64_next_double`, one
+    raw value each; `integers(lo, hi)` is Lemire's multiply-shift rejection
+    (`buffered_bounded_lemire_uint32`) on 32-bit values from `pcg64_next32`,
+    which splits one raw value into its low half, returned first, and its
+    high half, kept for the next 32-bit draw. `random()` leaves that kept
+    half alone. The stream owns its generator, so no other draw interleaves.
+    """
+
+    def __init__(self, seed):
+        bitgen = np.random.default_rng(seed).bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"the draw stream reproduces PCG64 only, and "
+                            f"default_rng built a {type(bitgen).__name__}")
+        self._random_raw = bitgen.random_raw
+        self._half = None
+        self._refill()
+
+    def _refill(self):
+        raw = self._random_raw(_BLOCK)
+        self._raws = raw.tolist()
+        self._doubles = ((raw >> 11) * 2.0 ** -53).tolist()
+        self._pos = 0
+
+    def random(self) -> float:
+        if self._pos == _BLOCK:
+            self._refill()
+        pos = self._pos
+        self._pos = pos + 1
+        return self._doubles[pos]
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if n == 1:
+            return lo
+        if not 1 < n <= 0x100000000:
+            raise ValueError(f"integers needs 1 <= hi - lo <= 2**32, got {n}")
+        while True:
+            u = self._half
+            if u is None:
+                if self._pos == _BLOCK:
+                    self._refill()
+                raw = self._raws[self._pos]
+                self._pos += 1
+                self._half = raw >> 32
+                u = raw & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = u * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return lo + (m >> 32)
 
 
 def _pool(cfg: GeneratorConfig, name: str):
@@ -203,30 +274,30 @@ def _pool(cfg: GeneratorConfig, name: str):
     return POOLS[name]
 
 
-def _field_segment(cfg, fc: FieldClass, rng) -> _Seg:
+def _field_segment(cfg, fc: FieldClass, draws: _Draws) -> _Seg:
     texts, labels = [], []
-    if fc.keywords and rng.random() < cfg.keyword_rate:
-        texts.append(fc.keywords[int(rng.integers(len(fc.keywords)))])
+    if fc.keywords and draws.random() < cfg.keyword_rate:
+        texts.append(fc.keywords[draws.integers(0, len(fc.keywords))])
         labels.append("O")
     pool = _pool(cfg, fc.pool)
-    n = int(rng.integers(fc.span[0], fc.span[1] + 1))
+    n = draws.integers(fc.span[0], fc.span[1] + 1)
     for j in range(n):
-        texts.append(pool[int(rng.integers(len(pool)))])
+        texts.append(pool[draws.integers(0, len(pool))])
         labels.append(f"B-{fc.name}" if j == 0 else f"I-{fc.name}")
     return _Seg("field", texts, labels, fc)
 
 
-def _distractor_segment(cfg, rng) -> _Seg:
-    pool = _pool(cfg, DISTRACTOR_POOLS[int(rng.integers(len(DISTRACTOR_POOLS)))])
-    n = int(rng.integers(1, 4))
-    texts = [pool[int(rng.integers(len(pool)))] for _ in range(n)]
+def _distractor_segment(cfg, draws: _Draws) -> _Seg:
+    pool = _pool(cfg, DISTRACTOR_POOLS[draws.integers(0, len(DISTRACTOR_POOLS))])
+    n = draws.integers(1, 4)
+    texts = [pool[draws.integers(0, len(pool))] for _ in range(n)]
     return _Seg("distractor", texts, ["O"] * n)
 
 
-def _filler_segment(cfg, rng, zipf_cdf) -> _Seg:
+def _filler_segment(cfg, draws: _Draws, zipf_cdf) -> _Seg:
     fillers = _pool(cfg, "fillers")
-    n = int(rng.integers(2, 6))
-    texts = [fillers[bisect_right(zipf_cdf, rng.random())] for _ in range(n)]
+    n = draws.integers(2, 6)
+    texts = [fillers[bisect_right(zipf_cdf, draws.random())] for _ in range(n)]
     return _Seg("filler", texts, ["O"] * n)
 
 
@@ -240,10 +311,10 @@ def _new_row(indent: float, y: float, pages: int):
 
 def _generate_document(cfg: GeneratorConfig, index: int, class_cdf: list,
                        zipf_cdf: list) -> DocumentRecord:
-    rng = np.random.default_rng([cfg.seed, 17, index])
-    rand, integers = rng.random, rng.integers
+    draws = _Draws([cfg.seed, 17, index])
+    rand, integers = draws.random, draws.integers
     classes = TEMPLATES[cfg.template].classes
-    target = int(integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
+    target = integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1)
 
     flow: list[_Seg] = []
     table: list[_Seg] = []
@@ -251,28 +322,28 @@ def _generate_document(cfg: GeneratorConfig, index: int, class_cdf: list,
     while count < target:
         if rand() < cfg.field_rate:
             fc = classes[bisect_right(class_cdf, rand())]
-            seg = _field_segment(cfg, fc, rng)
+            seg = _field_segment(cfg, fc, draws)
             (table if fc.in_table else flow).append(seg)
         elif rand() < cfg.distractor_rate:
-            seg = _distractor_segment(cfg, rng)
+            seg = _distractor_segment(cfg, draws)
             flow.append(seg)
         else:
-            seg = _filler_segment(cfg, rng, zipf_cdf)
+            seg = _filler_segment(cfg, draws, zipf_cdf)
             flow.append(seg)
         count += len(seg.texts)
 
     if table:
-        header = _filler_segment(cfg, rng, zipf_cdf)
+        header = _filler_segment(cfg, draws, zipf_cdf)
         header.kind = "header"
         header.texts = header.texts[:2]
         header.labels = header.labels[:2]
         table.insert(0, header)
-        insert_at = int(integers(0, len(flow) + 1))
+        insert_at = integers(0, len(flow) + 1)
     else:
         insert_at = 0
 
-    doc_font = FONT_POOL[int(integers(len(FONT_POOL)))]
-    alt_font = FONT_POOL[int(integers(len(FONT_POOL)))]
+    doc_font = FONT_POOL[integers(0, len(FONT_POOL))]
+    alt_font = FONT_POOL[integers(0, len(FONT_POOL))]
 
     noise = cfg.noise_rate
     huge_rate = noise / 2
@@ -310,9 +381,9 @@ def _generate_document(cfg: GeneratorConfig, index: int, class_cdf: list,
             else:
                 size = BASE_FONT_SIZE
             if rand() < (color_rate if in_entity else noise):
-                color = COLOR_PALETTE[int(integers(len(COLOR_PALETTE)))]
+                color = COLOR_PALETTE[integers(0, len(COLOR_PALETTE))]
             else:
-                color = BLACKISH[int(integers(len(BLACKISH)))]
+                color = BLACKISH[integers(0, len(BLACKISH))]
             font = alt_font if rand() < 0.1 else doc_font
             w = min(10.0 + 7.0 * len(text), 180.0)
             if x + w > PAGE - 40:

@@ -96,6 +96,8 @@ class TrainConfig(JsonConfig):
                 raise ConfigError(f"{name} must be in [0,1), got {v}")
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ConfigError("batch_size/epochs must be >= 1 and folds >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,11 +1,22 @@
+import contextlib
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ielab import cli
-from ielab.docstream import parse_documents, serialize_documents
+from ielab.docstream import BucketingConfig, parse_documents, serialize_documents
+from ielab.errors import ConfigError, DataValidationError
+from ielab.layoutcore import init_parameters
+from ielab.stylefuse import ImagePathConfig
+from ielab.synthdocs import GeneratorConfig, generate_corpus
+from ielab.tensorcore import NumericError
+from ielab.trainloop import TrainConfig, make_fold_plan
 
 
 def write_spec(tmp_path, **over):
@@ -296,3 +307,129 @@ def test_train_duplicate_document_id_exits_3(tmp_path):
     lines = corpus.read_text().splitlines()
     corpus.write_text("\n".join(lines + lines[:1]) + "\n")
     assert cli.main(["train", "--spec", str(spec)]) == 3
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"seed": -5}, "seed must be >= 0"),
+    ({"generator": {"seed": -1}}, "generator seed must be >= 0"),
+    ({"generator": {"filler_vocab": 0}}, "filler_vocab must be >= 1"),
+    ({"train": {"seed": -1}}, "train seed must be >= 0"),
+], ids=["seed", "generator-seed", "filler-vocab", "train-seed"])
+def test_bad_generator_and_train_seeds_exit_4(tmp_path, capsys, over,
+                                              message):
+    spec = write_spec(tmp_path, **over)
+    assert cli.main(["generate", "--spec", str(spec)]) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"fusion": "IMAGE", "image": {"backbone_channels": []}},
+     "backbone_channels must be a non-empty list"),
+    ({"fusion": "IMAGE", "image": {"backbone_channels": [8, 0]}},
+     "backbone_channels must be a non-empty list"),
+    ({"fusion": "IMAGE", "image": {"stride": 0}}, "stride must be >= 1"),
+    ({"fusion": "IMAGE", "image": {"raster_size": 0}},
+     "raster_size must be >= 1"),
+    ({"fusion": "IMAGE", "image": {"raster_channels": 0}},
+     "raster_channels must be >= 1"),
+    ({"style_dim": 0}, "style_dim must be >= 1"),
+    ({"style_features": ["bold", "italic"]}, "unknown style features"),
+    ({"init_std": -0.5}, "init_std must be finite and >= 0"),
+], ids=["no-backbone", "zero-backbone-width", "stride-0", "raster-size-0",
+        "raster-channels-0", "style-dim-0", "unknown-style-feature",
+        "negative-init-std"])
+def test_image_and_style_widths_checked_before_use_exit_4(tmp_path, capsys,
+                                                          model, message):
+    spec = write_spec(tmp_path, model=model)
+    assert cli.main(["params", "--spec", str(spec)]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_numeric_error_exits_4(tmp_path, capsys, monkeypatch):
+    def non_finite(spec):
+        raise NumericError("softmax_rows input contains non-finite values")
+
+    monkeypatch.setattr(cli, "cmd_params", non_finite)
+    spec = write_spec(tmp_path)
+    assert cli.main(["params", "--spec", str(spec)]) == 4
+    assert "a non-finite value reached the model" in capsys.readouterr().err
+
+
+_SPEC = {
+    "seed": 21,
+    "paths": {"corpus": "corpus.jsonl", "output": "out"},
+    "model": {"fusion": "IMAGE", "hidden": 16, "layers": 1, "heads": 2,
+              "style_dim": 4, "image": {"backbone_channels": [4, 8]}},
+    "train": {"lr": 0.001, "epochs": 2, "folds": 3},
+    "bucketing": {"font_top_k": 8},
+    "generator": {"n_docs": 9, "tokens_per_doc": [14, 20]},
+}
+_SECTION_KEYS = {
+    "spec": ["seed", "paths", "model", "train", "bucketing", "generator"],
+    "paths": ["corpus", "rasters", "output"],
+    "model": ["fusion", "image", "style_dim", "style_features",
+              *cli._ENCODER_KEYS],
+    "image": [f.name for f in dataclasses.fields(ImagePathConfig)],
+    "train": [f.name for f in dataclasses.fields(TrainConfig)],
+    "bucketing": [f.name for f in dataclasses.fields(BucketingConfig)],
+    "generator": [f.name for f in dataclasses.fields(GeneratorConfig)],
+}
+_SMALL_INTS = st.integers(-2, 3)
+_SPEC_VALUES = _SMALL_INTS | st.recursive(
+    st.none() | st.booleans() | _SMALL_INTS | st.integers(-10**30, 10**30)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=6)
+
+
+def _section_of(spec: dict, name: str) -> dict:
+    if name == "spec":
+        return spec
+    if name == "image":
+        return spec["model"]["image"]
+    return spec[name]
+
+
+def _use(spec: cli.ExperimentSpec) -> None:
+    """Run what each section's values feed, at sizes that do not grow with
+    them: parameter counts and the feature-map size for every width, a tiny
+    encoder for its seed and init_std, a fold plan for the train seed, a
+    one-document corpus for the generator."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.cmd_params(spec)
+    if spec.model.image is not None:
+        spec.model.image.feature_hw()
+    init_parameters(dataclasses.replace(spec.model.encoder, hidden=2, heads=1,
+                                        layers=1, ff_dim=2, max_seq_len=2))
+    make_fold_plan(["a", "b"], 2, spec.train.val_fraction, spec.train.seed)
+    if spec.generator is not None:
+        generate_corpus(dataclasses.replace(spec.generator, n_docs=1,
+                                            tokens_per_doc=(8, 8)))
+
+
+# a section and new values for 1-3 of its keys; "bogus" is an unknown key
+_MUTATIONS = st.sampled_from(sorted(_SECTION_KEYS)).flatmap(
+    lambda section: st.tuples(st.just(section), st.dictionaries(
+        st.sampled_from(_SECTION_KEYS[section] + ["bogus"]), _SPEC_VALUES,
+        min_size=1, max_size=3)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_MUTATIONS)
+@example(("generator", {"seed": -1}))
+@example(("generator", {"filler_vocab": 0}))
+@example(("spec", {"seed": -5}))
+@example(("image", {"backbone_channels": []}))
+@example(("image", {"stride": 0}))
+@example(("model", {"style_dim": 0}))
+def test_spec_fuzz_returns_or_rejects(mutation):
+    """A mutated spec is rejected with an exit-coded error (3 or 4), or it
+    loads and every value it sets can be used."""
+    section, values = mutation
+    spec = json.loads(json.dumps(_SPEC))
+    _section_of(spec, section).update(values)
+    try:
+        _use(cli.parse_spec(json.dumps(spec).encode()))
+    except (DataValidationError, ConfigError):
+        pass

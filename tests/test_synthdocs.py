@@ -179,3 +179,38 @@ def test_pgm_roundtrip(tmp_path):
     model_input = pgm.raster_to_input(grid)
     assert model_input.shape == (1, 128, 128)
     assert model_input.min() >= 0.0 and model_input.max() <= 1.0
+
+
+def test_draw_stream_matches_generator():
+    """100k interleaved draws give Generator's values across many block
+    refills: the 2**31 + 1 range redraws about half its 32-bit values, the
+    1 range consumes none, and the others split raw values in halves."""
+    refills = 0
+
+    class Counted(sg._Draws):
+        def _refill(self):
+            nonlocal refills
+            refills += 1
+            super()._refill()
+
+    ranges = (1, 3, 4, 451, 2**31 + 1, 3 * 2**30, 2**32)
+    ops = np.random.default_rng(0).integers(-1, len(ranges), 100_000).tolist()
+    gen = np.random.default_rng([5, 17, 3])
+    draws = Counted([5, 17, 3])
+    got, want = [], []
+    for op in ops:
+        if op < 0:
+            got.append(draws.random())
+            want.append(gen.random())
+        else:
+            lo = op - 2
+            got.append(draws.integers(lo, lo + ranges[op]))
+            want.append(int(gen.integers(lo, lo + ranges[op])))
+    assert got == want
+    assert refills > 40
+    state = gen.bit_generator.state
+    assert (draws._half is not None) == bool(state["has_uint32"])
+    if draws._half is not None:
+        assert draws._half == state["uinteger"]
+    with pytest.raises(ValueError):
+        draws.integers(0, 2**32 + 1)
