@@ -8,7 +8,7 @@ import numpy as np
 from ielab import layoutcore as lc
 from ielab import synthdocs
 from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
-from ielab.tensorcore import Tensor
+from ielab.tensorcore import Tensor, ops
 
 docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
     template="FEESCHEDULE", n_docs=3, tokens_per_doc=(14, 20), seed=7))
@@ -45,8 +45,22 @@ L_padded = lc.encoder_forward(padded, mask, params)
 drift = np.abs(L.data - L_padded.data[:inp.length]).max()
 print(f"padding invariance: max drift {drift:.2e}")
 
-# Attention rows over the unmasked keys always sum to one.
-attn = lc.attention_rows(e, inp.mask, params)
-print(f"attention row sums: {attn.sum(axis=1)[:5]}")
-print(f"strongest attention for token 0: token {attn[0].argmax()} "
-      f"({docs[0].tokens[int(attn[0].argmax())].text!r})")
+# First-layer attention weights of head 0, read through the attention op
+# itself: with v one on a set of keys and zero elsewhere, every output is the
+# weight each query puts on those keys.
+h = ops.layer_norm(e, params["embed_ln.gain"], params["embed_ln.bias"])
+q = ops.linear(h, params["layer.0.attn.q"], params["layer.0.attn.q_bias"])
+k = ops.linear(h, params["layer.0.attn.k"], params["layer.0.attn.k_bias"])
+
+
+def weights_on(keys):
+    v = Tensor(np.repeat(keys.astype(float)[:, None], cfg.hidden, axis=1))
+    return ops.attention(q, k, v, None, cfg.heads).data[:, 0]
+
+
+print(f"attention row sums: {weights_on(np.ones(inp.length))[:5]}")
+from_token0 = [weights_on(np.arange(inp.length) == j)[0]
+               for j in range(inp.length)]
+best = int(np.argmax(from_token0))
+print(f"strongest attention for token 0: token {best} "
+      f"({docs[0].tokens[best].text!r})")

@@ -19,8 +19,8 @@ from ielab.stylefuse import (
     ImagePathConfig,
     TaggerSpec,
     TokenTagger,
-    roi_align,
     backbone_forward,
+    roi_align_batch,
 )
 from ielab.stylefuse.model import with_resolved_sizes
 from ielab.tensorcore import Tensor
@@ -60,9 +60,11 @@ model = TokenTagger.build(spec)
 fmap = backbone_forward(Tensor(rasters[0]), model.image_params, spec.image)
 print(f"\nraster {rasters[0].shape} -> feature map {fmap.data.shape}")
 tok = docs[0].tokens[1]
-box = (inp.x1_ids[1], inp.y1_ids[1], inp.x2_ids[1], inp.y2_ids[1])
-pooled = roi_align(fmap, box, spec.image.roi_bins)
-print(f"RoIAlign over {tok.text!r} box {tuple(int(v) for v in box)} -> "
-      f"{pooled.data.shape}; channel-0 bins (randomly initialized backbone):")
+r = spec.image.roi_bins
+box = np.array([[inp.x1_ids[1], inp.y1_ids[1], inp.x2_ids[1], inp.y2_ids[1]]],
+               dtype=float)
+pooled = roi_align_batch(fmap, box, r).data.reshape(-1, r, r)
+print(f"RoIAlign over {tok.text!r} box {tuple(int(v) for v in box[0])} -> "
+      f"{pooled.shape}; channel-0 bins (randomly initialized backbone):")
 with np.printoptions(precision=2):
-    print(pooled.data[0] * 1e4, "(x 1e-4)")
+    print(pooled[0] * 1e4, "(x 1e-4)")

@@ -308,15 +308,16 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
 
 def cmd_params(spec: ExperimentSpec) -> int:
     vocab_sizes = (2, spec.bucketing.font_top_k + 1, 3, 2, 2)
-    image = spec.model.image or ImagePathConfig()
-    full = replace(spec.model,
-                   encoder=EncoderConfig(word_vocab=30522, label_count=25,
-                                         hidden=768, layers=12, heads=12,
-                                         ff_dim=3072, seed=0),
-                   style_vocab_sizes=vocab_sizes, image=image)
-    desk = replace(spec.model, encoder=replace(spec.model.encoder,
-                                               word_vocab=5000, label_count=13),
-                   style_vocab_sizes=vocab_sizes, image=image)
+    # every mode is accounted, so the style modes need features even when
+    # the spec's own (baseline or image) model lists none
+    model = replace(spec.model, style_vocab_sizes=vocab_sizes,
+                    style_features=spec.model.style_features or STYLE_FEATURES,
+                    image=spec.model.image or ImagePathConfig())
+    full = replace(model, encoder=EncoderConfig(word_vocab=30522, label_count=25,
+                                                hidden=768, layers=12, heads=12,
+                                                ff_dim=3072, seed=0))
+    desk = replace(model, encoder=replace(model.encoder, word_vocab=5000,
+                                          label_count=13))
     for title, base in (("desk configuration", desk),
                         ("full-scale accounting configuration", full)):
         breakdowns = [count_parameters(replace(base, fusion=m))

@@ -78,10 +78,6 @@ class StyleVocabulary:
 
     font_index: dict[str, int]  # top-k fonts; OTHER takes the last index
 
-    @property
-    def other_font_id(self) -> int:
-        return len(self.font_index)
-
     def sizes(self) -> dict[str, int]:
         return {"bold": 2, "font": len(self.font_index) + 1,
                 "fontSize": 3, "inTable": 2, "color": 2}

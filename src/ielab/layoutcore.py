@@ -8,13 +8,12 @@ hidden states the fusion heads consume.
 
 Several chunks can run as one packed sequence: their rows sit back to back,
 every per-token op (embedding, layer norm, linear, GELU, residual add) runs
-once over all rows, and attention runs once per chunk on that chunk's rows,
-so no score between two chunks is ever computed.
+once over all rows, and each layer's single attention node is told the chunk
+spans, so no score between two chunks is ever computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +149,12 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     """Post-norm transformer stack over the summed embeddings.
 
     `hidden_in` holds the rows of the chunks whose token counts `lengths`
-    lists, packed back to back (default: one chunk of all rows). Attention
-    runs per chunk, where each query sees only its own chunk's keys with
-    `mask` True; every other op runs once over all rows. A chunk with a
-    masked key adds a -1e9 bias to that key's scores; a chunk with none
-    (every chunk that `encode_document` and packing produce) adds no bias.
+    lists, packed back to back (default: one chunk of all rows). Each layer
+    runs one attention node over the chunk spans, where each query sees only
+    its own chunk's keys with `mask` True; every other op runs once over all
+    rows. A chunk with a masked key adds a -1e9 bias to that key's scores; a
+    chunk with none (every chunk that `encode_document` and packing produce)
+    adds no bias.
     """
     cfg = params.config
     T = hidden_in.data.shape[0]
@@ -162,20 +162,10 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     if msk.shape != (T,):
         raise ShapeError(f"mask length {msk.shape} does not match T={T}")
     bounds = [0, T] if lengths is None else np.cumsum([0, *lengths]).tolist()
-    if bounds[-1] != T:
-        raise ShapeError(f"chunk lengths sum to {bounds[-1]}, not T={T}")
     spans = list(zip(bounds[:-1], bounds[1:]))
     biases = [None if msk[lo:hi].all()
               else np.where(msk[lo:hi], 0.0, _MASK_BIAS)[None, :]
               for lo, hi in spans]
-
-    def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        if len(spans) == 1:
-            return ops.attention(q, k, v, biases[0], cfg.heads)
-        return ops.concat_rows([
-            ops.attention(ops.slice_rows(q, lo, hi), ops.slice_rows(k, lo, hi),
-                          ops.slice_rows(v, lo, hi), bias, cfg.heads)
-            for (lo, hi), bias in zip(spans, biases)])
 
     h = ops.layer_norm(hidden_in, params["embed_ln.gain"], params["embed_ln.bias"])
     for i in range(cfg.layers):
@@ -183,7 +173,7 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
         q = ops.linear(h, params[pre + "attn.q"], params[pre + "attn.q_bias"])
         k = ops.linear(h, params[pre + "attn.k"], params[pre + "attn.k_bias"])
         v = ops.linear(h, params[pre + "attn.v"], params[pre + "attn.v_bias"])
-        attn_out = ops.linear(attend(q, k, v),
+        attn_out = ops.linear(ops.attention(q, k, v, biases, cfg.heads, spans),
                               params[pre + "attn.o"], params[pre + "attn.o_bias"])
         h = ops.layer_norm(ops.add(h, attn_out),
                            params[pre + "ln1.gain"], params[pre + "ln1.bias"])
@@ -192,21 +182,3 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
         h = ops.layer_norm(ops.add(h, ff_out),
                            params[pre + "ln2.gain"], params[pre + "ln2.bias"])
     return h
-
-
-def attention_rows(hidden_in: Tensor, mask, params: EncoderParameters,
-                   head: int = 0) -> np.ndarray:
-    """First-layer attention matrix for inspection/tests (forward only)."""
-    cfg = params.config
-    msk = np.asarray(mask, dtype=bool)
-    key_bias = np.where(msk, 0.0, _MASK_BIAS)
-    dh = cfg.hidden // cfg.heads
-    h = ops.layer_norm(hidden_in, params["embed_ln.gain"], params["embed_ln.bias"])
-    pre = "layer.0."
-    q = ops.linear(h, params[pre + "attn.q"], params[pre + "attn.q_bias"])
-    k = ops.linear(h, params[pre + "attn.k"], params[pre + "attn.k_bias"])
-    lo, hi = head * dh, (head + 1) * dh
-    qj = ops.slice_cols(q, lo, hi)
-    kj = ops.slice_cols(k, lo, hi)
-    scores = ops.scale(ops.matmul(qj, ops.transpose2d(kj)), 1.0 / math.sqrt(dh))
-    return ops.softmax_rows(ops.add_const(scores, key_bias)).data

@@ -165,13 +165,6 @@ def roi_align_batch(fmaps, boxes: np.ndarray, r: int, pages=None) -> Tensor:
     return out
 
 
-def roi_align(fmap: Tensor, box, r: int) -> Tensor:
-    """Fixed-size (C, r, r) pooling of one box; differentiable w.r.t. fmap."""
-    C = fmap.data.shape[0]
-    flat = roi_align_batch(fmap, np.asarray(box, dtype=np.float64)[None, :], r)
-    return ops.reshape(flat, (C, r, r))
-
-
 def image_embed_and_fuse(L: Tensor, boxes: np.ndarray, page_ids: np.ndarray,
                          rasters: list, params: dict,
                          config: ImagePathConfig) -> Tensor:

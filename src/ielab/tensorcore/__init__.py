@@ -6,13 +6,11 @@ from ielab.tensorcore.engine import (
     Tape,
     TapeError,
     Tensor,
-    active_tape,
     backward,
     parameter,
 )
 from ielab.tensorcore.ops import (
     add,
-    add_const,
     concat_cols,
     conv2d,
     cross_entropy_masked,
@@ -21,23 +19,15 @@ from ielab.tensorcore.ops import (
     gelu,
     layer_norm,
     linear,
-    matmul,
-    mul,
-    reshape,
-    scale,
-    slice_cols,
     softmax_rows,
-    sum_all,
-    transpose2d,
 )
 from ielab.tensorcore.optim import AdamState, adam_step
 from ielab.tensorcore.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "AdamState", "NumericError", "ShapeError", "Tape", "TapeError", "Tensor",
-    "active_tape", "adam_step", "add", "add_const", "backward", "concat_cols",
-    "conv2d", "cross_entropy_masked", "dropout", "embedding_lookup", "gelu",
-    "layer_norm", "linear", "load_checkpoint", "matmul", "mul", "parameter",
-    "reshape", "save_checkpoint", "scale", "slice_cols", "softmax_rows",
-    "sum_all", "transpose2d",
+    "adam_step", "add", "backward", "concat_cols", "conv2d",
+    "cross_entropy_masked", "dropout", "embedding_lookup", "gelu",
+    "layer_norm", "linear", "load_checkpoint", "parameter", "save_checkpoint",
+    "softmax_rows",
 ]

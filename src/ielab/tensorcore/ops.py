@@ -42,21 +42,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul requires (m,k)x(k,n), got {ad.shape} x {bd.shape}")
-    out = Tensor(ad @ bd)
-    tape = active_tape()
-    if tape is not None:
-        pa, pb = tape.tracked_id(a), tape.tracked_id(b)
-        if pa >= 0 or pb >= 0:
-            def bw(g, ad=ad, bd=bd, na=pa >= 0, nb=pb >= 0):
-                return (g @ bd.T if na else None, ad.T @ g if nb else None)
-            tape.push(out, (pa, pb), bw)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x of shape (..., d_in); the fused hot path of the model."""
     xd, wd, bd = x.data, w.data, b.data
@@ -99,57 +84,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 return (_unbroadcast(g, sa).copy() if na else None,
                         _unbroadcast(g, sb).copy() if nb else None)
             tape.push(out, (pa, pb), bw)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    try:
-        out_data = ad * bd
-    except ValueError as exc:
-        raise ShapeError(f"mul shapes {ad.shape} * {bd.shape}") from exc
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        pa, pb = tape.tracked_id(a), tape.tracked_id(b)
-        if pa >= 0 or pb >= 0:
-            def bw(g, ad=ad, bd=bd, na=pa >= 0, nb=pb >= 0):
-                return (_unbroadcast(g * bd, ad.shape) if na else None,
-                        _unbroadcast(g * ad, bd.shape) if nb else None)
-            tape.push(out, (pa, pb), bw)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            tape.push(out, (px,), lambda g, c=c: (g * c,))
-    return out
-
-
-def add_const(x: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-differentiable constant (attention mask bias)."""
-    out = Tensor(x.data + const)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            tape.push(out, (px,), lambda g: (g,))
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            shape = x.data.shape
-            tape.push(out, (px,), lambda g, shape=shape:
-                      (np.full(shape, g, dtype=np.float64),))
     return out
 
 
@@ -283,8 +217,8 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
-              heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
+              heads: int, spans: list[tuple[int, int]] | None = None) -> Tensor:
     """Fused multi-head scaled dot-product attention (one tape node).
 
     q, k, v are (T, h) with h divisible by `heads`; `bias` is a constant
@@ -292,6 +226,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     (0 to allow, large negative to mask), or None when every key is allowed,
     which gives the same bits as an all-zero bias without adding it. All
     heads run as one batched (heads, T, dh) matmul.
+
+    With `spans`, a list of (lo, hi) row ranges that tile [0, T) in order,
+    the rows are chunks packed back to back: each span's queries see only
+    that span's keys, no score between two spans is computed, and `bias`
+    holds one entry per span, None or a constant broadcastable to that
+    span's (hi - lo, hi - lo) scores. Every span gets the bits of a separate
+    call on its own rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     T, h = qd.shape
@@ -300,36 +241,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
                          f"{qd.shape}/{kd.shape}/{vd.shape}")
     if h % heads != 0:
         raise ShapeError(f"width {h} not divisible by {heads} heads")
+    if spans is None:
+        spans, bias = [(0, T)], [bias]
+    else:
+        ends = [0] + [hi for _, hi in spans]
+        if (not spans or ends[-1] != T or [lo for lo, _ in spans] != ends[:-1]
+                or any(lo >= hi for lo, hi in spans)):
+            raise ShapeError(f"attention spans {spans} do not tile [0, {T})")
+        if len(bias) != len(spans):
+            raise ShapeError(f"attention needs one bias per span, got "
+                             f"{len(bias)} for {len(spans)} spans")
     dh = h // heads
     inv = 1.0 / np.sqrt(dh)
 
-    def split(x):                                  # (T, h) -> (heads, T, dh)
-        return x.reshape(T, heads, dh).transpose(1, 0, 2)
+    def split(x):                                  # (n, h) -> (heads, n, dh)
+        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
 
-    qh, kh, vh = split(qd), split(kd), split(vd)
-    a = qh @ kh.transpose(0, 2, 1)                 # (heads, T, T) scores
-    a *= inv
-    if bias is not None:
-        a += bias
-    a -= a.max(axis=2, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=2, keepdims=True)
-    out = Tensor._wrap((a @ vh).transpose(1, 0, 2).reshape(T, h))
+    def merge(x):                                  # (heads, n, dh) -> (n, h)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], h)
+
+    saved, outs = [], []
+    for (lo, hi), b in zip(spans, bias):
+        qh, kh, vh = split(qd[lo:hi]), split(kd[lo:hi]), split(vd[lo:hi])
+        a = qh @ kh.transpose(0, 2, 1)             # (heads, n, n) scores
+        a *= inv
+        if b is not None:
+            a += b
+        a -= a.max(axis=2, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=2, keepdims=True)
+        outs.append(merge(a @ vh))
+        saved.append((qh, kh, vh, a))
+    out = Tensor._wrap(outs[0] if len(outs) == 1 else np.concatenate(outs))
     tape = active_tape()
     if tape is not None:
         pq, pk, pv = (tape.tracked_id(t) for t in (q, k, v))
         if pq >= 0 or pk >= 0 or pv >= 0:
-            def bw(g, qh=qh, kh=kh, vh=vh, a=a):
-                gh = split(g)
-                dv = a.transpose(0, 2, 1) @ gh
-                ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
-                ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]
-                ds *= a                            # d(scores)
-                ds *= inv
-                dq = ds @ kh
-                dk = ds.transpose(0, 2, 1) @ qh
-                return tuple(x.transpose(1, 0, 2).reshape(T, h)
-                             for x in (dq, dk, dv))
+            def bw(g, spans=spans, saved=saved):
+                grads = []
+                for (lo, hi), (qh, kh, vh, a) in zip(spans, saved):
+                    gh = split(g[lo:hi])
+                    dv = a.transpose(0, 2, 1) @ gh
+                    ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
+                    ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]
+                    ds *= a                            # d(scores)
+                    ds *= inv
+                    dq = ds @ kh
+                    dk = ds.transpose(0, 2, 1) @ qh
+                    grads.append((merge(dq), merge(dk), merge(dv)))
+                if len(grads) == 1:
+                    return grads[0]
+                return tuple(np.concatenate(parts) for parts in zip(*grads))
             tape.push(out, (pq, pk, pv), bw)
     return out
 
@@ -490,70 +452,6 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
                     pos += w
                 return tuple(outs)
             tape.push(out, pids, bw)
-    return out
-
-
-def concat_rows(tensors: list[Tensor]) -> Tensor:
-    """Concatenate along the first axis."""
-    if not tensors:
-        raise ShapeError("concat_rows needs at least one tensor")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0))
-    tape = active_tape()
-    if tape is not None:
-        pids = tuple(tape.tracked_id(t) for t in tensors)
-        if any(p >= 0 for p in pids):
-            counts = [t.data.shape[0] for t in tensors]
-            def bw(g, counts=counts, pids=pids):
-                outs, pos = [], 0
-                for n, pid in zip(counts, pids):
-                    outs.append(np.ascontiguousarray(g[pos:pos + n])
-                                if pid >= 0 else None)
-                    pos += n
-                return tuple(outs)
-            tape.push(out, pids, bw)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start:stop of x (first axis)."""
-    out = Tensor(x.data[start:stop])
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            shape = x.data.shape
-            def bw(g, shape=shape, start=start, stop=stop):
-                dx = np.zeros(shape, dtype=np.float64)
-                dx[start:stop] = g
-                return (dx,)
-            tape.push(out, (px,), bw)
-    return out
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[..., start:stop])
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            shape = x.data.shape
-            def bw(g, shape=shape, start=start, stop=stop):
-                dx = np.zeros(shape, dtype=np.float64)
-                dx[..., start:stop] = g
-                return (dx,)
-            tape.push(out, (px,), bw)
-    return out
-
-
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose2d expects a matrix, got {x.data.shape}")
-    out = Tensor(x.data.T)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            tape.push(out, (px,), lambda g: (np.ascontiguousarray(g.T),))
     return out
 
 

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite-difference gradients and t-distribution tails.
+"""Shared test oracles: finite-difference gradients and t-distribution tails,
+plus the two tape ops that only tests use, to reduce outputs to a scalar loss.
 
 These stay independent of the library code paths they check: gradcheck only
 re-runs the caller's forward function, and the t tail integrates the density
@@ -11,6 +12,40 @@ import numpy as np
 from scipy import integrate
 
 from ielab import tensorcore as tc
+from ielab.tensorcore.engine import ShapeError, Tensor, active_tape
+from ielab.tensorcore.ops import _unbroadcast
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with broadcasting, recorded on the active tape."""
+    ad, bd = a.data, b.data
+    try:
+        out_data = ad * bd
+    except ValueError as exc:
+        raise ShapeError(f"mul shapes {ad.shape} * {bd.shape}") from exc
+    out = Tensor(out_data)
+    tape = active_tape()
+    if tape is not None:
+        pa, pb = tape.tracked_id(a), tape.tracked_id(b)
+        if pa >= 0 or pb >= 0:
+            def bw(g, ad=ad, bd=bd, na=pa >= 0, nb=pb >= 0):
+                return (_unbroadcast(g * bd, ad.shape) if na else None,
+                        _unbroadcast(g * ad, bd.shape) if nb else None)
+            tape.push(out, (pa, pb), bw)
+    return out
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of every element, as a scalar Tensor recorded on the active tape."""
+    out = Tensor(x.data.sum())
+    tape = active_tape()
+    if tape is not None:
+        px = tape.tracked_id(x)
+        if px >= 0:
+            shape = x.data.shape
+            tape.push(out, (px,), lambda g, shape=shape:
+                      (np.full(shape, g, dtype=np.float64),))
+    return out
 
 
 def gradcheck(make_loss, named_params, h=1e-5, tol=1e-4, max_samples=24, seed=0):

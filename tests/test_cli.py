@@ -274,6 +274,23 @@ def test_params_reports_published_ratios(tmp_path, capsys):
     assert totals == sorted(totals)
 
 
+def test_params_accounts_every_mode_for_a_spec_without_style_features(
+        tmp_path, capsys):
+    """A baseline spec that lists no style features still gets all four
+    modes, the style ones with every feature, as if it listed them all."""
+    outputs = []
+    for model in ({"fusion": "BASELINE", "style_features": []},
+                  {"fusion": "BASELINE"}):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "model": model}))
+        assert cli.main(["params", "--spec", str(spec)]) == 0
+        outputs.append(capsys.readouterr().out)
+    headers = [l.split()[1:] for l in outputs[0].splitlines()
+               if l.startswith("component")]
+    assert headers == [["BASELINE", "STYLE_CONCAT", "STYLE_SUM", "IMAGE"]] * 2
+    assert outputs[0] == outputs[1]
+
+
 def test_eval_on_all_o_corpus_reports_zero(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

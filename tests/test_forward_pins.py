@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import mul, sum_all
 
 from ielab import pgm, synthdocs
 from ielab.docstream import BucketingConfig, encode_document
@@ -96,7 +97,7 @@ def _grads(make_out, leaves, w):
     with tape:
         tape.watch(*leaves)
         out = make_out()
-        loss = ops.sum_all(ops.mul(out, Tensor(w)))
+        loss = sum_all(mul(out, Tensor(w)))
     g = backward(loss, tape)
     return out.data, [g[tape.tracked_id(t)].data for t in leaves]
 

@@ -5,7 +5,7 @@ from conftest import gradcheck
 from ielab import layoutcore as lc
 from ielab.docstream import ModelInput
 from ielab.errors import ConfigError, ContractError
-from ielab.tensorcore import Tape, Tensor, backward, cross_entropy_masked
+from ielab.tensorcore import Tape, Tensor, backward, cross_entropy_masked, ops
 
 
 def tiny_input(T=4, seed=0, max_coord=1000):
@@ -138,26 +138,37 @@ def test_padding_invariance():
 
 
 def test_attention_rows_sum_to_one_over_unmasked():
+    """Read first-layer attention weights through ops.attention itself: with
+    v all ones each output is a row sum, and with v one on the masked keys
+    and zero elsewhere each output is the weight on masked keys."""
     cfg = make_config()
     params = lc.init_parameters(cfg)
     x = Tensor(np.random.default_rng(0).normal(size=(6, 8)))
     mask = np.array([True, True, True, True, False, False])
-    attn = lc.attention_rows(x, mask, params)
-    assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(attn[:, 4:], 0.0)  # masked keys get zero weight
+    key_bias = np.where(mask, 0.0, lc._MASK_BIAS)[None, :]
+    h = ops.layer_norm(x, params["embed_ln.gain"], params["embed_ln.bias"])
+    q = ops.linear(h, params["layer.0.attn.q"], params["layer.0.attn.q_bias"])
+    k = ops.linear(h, params["layer.0.attn.k"], params["layer.0.attn.k_bias"])
+
+    def weights_on(keys):
+        v = Tensor(np.repeat(keys.astype(float)[:, None], cfg.hidden, axis=1))
+        return ops.attention(q, k, v, key_bias, cfg.heads).data
+
+    assert np.allclose(weights_on(np.ones(6, bool)), 1.0, atol=1e-12)
+    assert np.allclose(weights_on(~mask), 0.0)  # masked keys get zero weight
 
 
 def test_full_encoder_differentiable():
-    from ielab.tensorcore import slice_cols
-
     cfg = make_config(layers=1)
     params = lc.init_parameters(cfg)
     inp = tiny_input(T=4, seed=2)
+    first_three = (Tensor(np.eye(cfg.hidden, 3)), Tensor(np.zeros(3)))
 
     def loss():
         e = lc.embed_tokens(inp, params)
         L = lc.encoder_forward(e, inp.mask, params)
-        return cross_entropy_masked(slice_cols(L, 0, 3), inp.label_ids, inp.mask)
+        return cross_entropy_masked(ops.linear(L, *first_three),
+                                    inp.label_ids, inp.mask)
 
     named = {n: params[n] for n in params.names()}
     gradcheck(loss, named, tol=1e-4, max_samples=6)

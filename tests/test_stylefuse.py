@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import bilinear_point_oracle, gradcheck
+from conftest import bilinear_point_oracle, gradcheck, mul, sum_all
 
 from ielab import stylefuse as sf
 from ielab.docstream import ModelInput
@@ -14,10 +14,7 @@ from ielab.tensorcore import (
     backward,
     cross_entropy_masked,
     embedding_lookup,
-    mul,
     parameter,
-    scale,
-    sum_all,
 )
 from test_layoutcore import tiny_input
 
@@ -194,28 +191,33 @@ def test_backbone_gradients():
     named["raster"] = raster
 
     def loss():
-        from ielab.tensorcore import mul, sum_all
         fmap = sf.backbone_forward(raster, model.image_params, cfg)
         return sum_all(mul(fmap, fmap))
 
     gradcheck(loss, named, tol=1e-5, max_samples=8)
 
 
+def _roi_one(fmap, box, r):
+    """One box through roi_align_batch, as a (C, r, r) grid."""
+    return sf.roi_align_batch(fmap, np.array([box], dtype=float), r) \
+        .data.reshape(-1, r, r)
+
+
 def test_roi_align_constant_map():
     fmap = Tensor(np.full((3, 6, 6), 2.5))
-    out = sf.roi_align(fmap, (100, 100, 900, 700), 3)
-    assert out.data.shape == (3, 3, 3)
-    assert np.allclose(out.data, 2.5, atol=1e-12)
+    out = _roi_one(fmap, (100, 100, 900, 700), 3)
+    assert out.shape == (3, 3, 3)
+    assert np.allclose(out, 2.5, atol=1e-12)
 
 
 def test_roi_align_point_box_equals_bilinear_value():
     rng = np.random.default_rng(9)
     fmap = Tensor(rng.normal(size=(2, 5, 7)))
     # zero-area box: every bin equals the bilinear value at that point
-    out = sf.roi_align(fmap, (430, 620, 430, 620), 3)
+    out = _roi_one(fmap, (430, 620, 430, 620), 3)
     expected = bilinear_point_oracle(fmap.data, 620 / 1000 * 5, 430 / 1000 * 7)
     for c in range(2):
-        assert np.allclose(out.data[c], expected[c], atol=1e-12)
+        assert np.allclose(out[c], expected[c], atol=1e-12)
 
 
 def test_roi_align_matches_brute_force_oracle():
@@ -227,7 +229,7 @@ def test_roi_align_matches_brute_force_oracle():
         x2 = rng.uniform(x1, 1000)
         y2 = rng.uniform(y1, 1000)
         r = int(rng.integers(1, 4))
-        out = sf.roi_align(Tensor(fmap), (x1, y1, x2, y2), r).data
+        out = _roi_one(Tensor(fmap), (x1, y1, x2, y2), r)
         fx1, fx2 = x1 * W / 1000, x2 * W / 1000
         fy1, fy2 = y1 * H / 1000, y2 * H / 1000
         bw, bh = (fx2 - fx1) / r, (fy2 - fy1) / r
@@ -245,11 +247,11 @@ def test_roi_align_matches_brute_force_oracle():
 def test_roi_align_gradient():
     rng = np.random.default_rng(12)
     fmap = parameter(rng.normal(size=(2, 6, 6)))
-    w = Tensor(rng.normal(size=(2, 3, 3)))
+    w = Tensor(rng.normal(size=(1, 2 * 3 * 3)))
+    box = np.array([[120, 80, 640, 910]], dtype=float)
 
     def loss():
-        from ielab.tensorcore import mul, sum_all
-        return sum_all(mul(sf.roi_align(fmap, (120, 80, 640, 910), 3), w))
+        return sum_all(mul(sf.roi_align_batch(fmap, box, 3), w))
 
     gradcheck(loss, {"fmap": fmap}, tol=1e-6, max_samples=36)
 
@@ -305,7 +307,6 @@ def test_roi_align_batch_pages_gradient():
     w = Tensor(np.random.default_rng(17).normal(size=(12, 2 * 2 * 2)))
 
     def loss():
-        from ielab.tensorcore import mul
         return sum_all(mul(sf.roi_align_batch(list(named.values()), boxes, 2,
                                               pages), w))
 
@@ -376,8 +377,9 @@ def test_image_fuse_composition_oracle():
     W = model.image_params["image.proj.weight"].data
     b = model.image_params["image.proj.bias"].data
     for i in range(5):
-        pooled = sf.roi_align(Tensor(fmap), boxes[i], spec.image.roi_bins).data
-        v = pooled.reshape(-1) @ W + b
+        pooled = sf.roi_align_batch(Tensor(fmap), boxes[i:i + 1],
+                                    spec.image.roi_bins).data[0]
+        v = pooled @ W + b
         assert np.allclose(out[i] - L.data[i], v, atol=1e-10)
 
 
@@ -545,8 +547,8 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
         for i, inp in enumerate(inputs):
             logits = model.forward_logits(inp, rasters and rasters[i], True,
                                           drop)
-            term = scale(cross_entropy_masked(logits, inp.label_ids, inp.mask),
-                         int(inp.mask.sum()) / total)
+            term = mul(cross_entropy_masked(logits, inp.label_ids, inp.mask),
+                       Tensor(int(inp.mask.sum()) / total))
             parts.append(logits.data)
             loss = term if loss is None else add(loss, term)
         return Tensor(np.concatenate(parts)), loss

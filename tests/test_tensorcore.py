@@ -1,9 +1,11 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import gradcheck
+from conftest import gradcheck, mul, sum_all
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,27 +14,10 @@ from ielab.errors import ConfigError, ContractError
 from ielab.tensorcore.ops import embedding_sum
 
 
-def test_matmul_identity():
-    a = tc.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = tc.matmul(a, tc.Tensor(np.eye(2)))
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_matmul_scalar_case():
-    out = tc.matmul(tc.Tensor([[2.0]]), tc.Tensor([[3.0]]))
-    assert out.data[0, 0] == 6.0
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(tc.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        tc.matmul(tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((2, 2))))
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    a = tc.parameter(rng.normal(size=(3, 4)))
-    b = tc.parameter(rng.normal(size=(4, 2)))
-    gradcheck(lambda: tc.sum_all(tc.matmul(a, b)), {"a": a, "b": b}, tol=1e-6)
+def test_linear_shape_error_names_all_shapes():
+    with pytest.raises(tc.ShapeError, match=r"\(2, 3\).*\(2, 2\).*\(2,\)"):
+        tc.linear(tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((2, 2))),
+                  tc.Tensor(np.zeros(2)))
 
 
 def test_softmax_uniform_and_shift_invariance():
@@ -79,8 +64,8 @@ def test_layer_norm_gradient():
     x = tc.parameter(rng.normal(size=(3, 6)))
     gamma = tc.parameter(rng.normal(size=6) + 1.0)
     beta = tc.parameter(rng.normal(size=6))
-    gradcheck(lambda: tc.sum_all(tc.mul(tc.layer_norm(x, gamma, beta),
-                                        tc.layer_norm(x, gamma, beta))),
+    gradcheck(lambda: sum_all(mul(tc.layer_norm(x, gamma, beta),
+                                  tc.layer_norm(x, gamma, beta))),
               {"x": x, "gamma": gamma, "beta": beta}, tol=1e-5)
 
 
@@ -95,7 +80,7 @@ def test_embedding_lookup_duplicate_ids_accumulate():
     tape = tc.Tape()
     with tape:
         out = tc.embedding_lookup(table, [0, 0])
-        loss = tc.sum_all(tc.mul(out, tc.Tensor([[1.0, 2.0], [3.0, 4.0]])))
+        loss = sum_all(mul(out, tc.Tensor([[1.0, 2.0], [3.0, 4.0]])))
     g = tc.backward(loss, tape)[table.node_id].data
     assert np.array_equal(g[0], [4.0, 6.0])  # both occurrences summed
     assert np.array_equal(g[1], [0.0, 0.0])
@@ -105,7 +90,7 @@ def test_embedding_lookup_gradient():
     rng = np.random.default_rng(5)
     table = tc.parameter(rng.normal(size=(6, 4)))
     w = tc.Tensor(rng.normal(size=(5, 4)))
-    gradcheck(lambda: tc.sum_all(tc.mul(tc.embedding_lookup(table, [1, 3, 1, 0, 5]), w)),
+    gradcheck(lambda: sum_all(mul(tc.embedding_lookup(table, [1, 3, 1, 0, 5]), w)),
               {"table": table}, tol=1e-6)
 
 
@@ -120,7 +105,7 @@ def test_embedding_sum_matches_per_table_lookups():
         with tape:
             tape.watch(*tables)
             out = forward()
-            loss = tc.sum_all(tc.mul(out, w))
+            loss = sum_all(mul(out, w))
         grads = tc.backward(loss, tape)
         return out.data, [grads[t.node_id].data for t in tables]
 
@@ -144,7 +129,7 @@ def test_embedding_sum_gradient():
               for i, v in enumerate((6, 3))}
     ids = [[5, 1, 5, 0], [2, 2, 0, 2]]
     w = tc.Tensor(rng.normal(size=(4, 4)))
-    gradcheck(lambda: tc.sum_all(tc.mul(
+    gradcheck(lambda: sum_all(mul(
         embedding_sum(list(tables.values()), ids), w)), tables, tol=1e-6)
 
 
@@ -226,8 +211,8 @@ def test_conv2d_gradients():
     rng = np.random.default_rng(23)
     x = tc.parameter(rng.normal(size=(2, 6, 5)))
     k = tc.parameter(rng.normal(size=(3, 2, 3, 3)))
-    gradcheck(lambda: tc.sum_all(tc.mul(tc.conv2d(x, k, 2, 1),
-                                        tc.conv2d(x, k, 2, 1))),
+    gradcheck(lambda: sum_all(mul(tc.conv2d(x, k, 2, 1),
+                                  tc.conv2d(x, k, 2, 1))),
               {"x": x, "k": k}, tol=1e-5)
 
 
@@ -235,7 +220,7 @@ def test_backward_square_sum():
     x = tc.parameter(np.array([1.0, -2.0, 0.5]))
     tape = tc.Tape()
     with tape:
-        loss = tc.sum_all(tc.mul(x, x))
+        loss = sum_all(mul(x, x))
     g = tc.backward(loss, tape)[x.node_id].data
     assert np.allclose(g, 2 * x.data, atol=1e-12)
 
@@ -246,7 +231,7 @@ def test_backward_unused_parameter_gets_zero():
     tape = tc.Tape()
     with tape:
         tape.watch(unused)
-        loss = tc.sum_all(x)
+        loss = sum_all(x)
     g = tc.backward(loss, tape)
     assert np.array_equal(g[unused.node_id].data, np.zeros((2, 2)))
 
@@ -255,11 +240,12 @@ def test_backward_three_op_composite():
     rng = np.random.default_rng(31)
     a = tc.parameter(rng.normal(size=(4, 3)))
     b = tc.parameter(rng.normal(size=(3, 5)))
+    zero = tc.Tensor(np.zeros(5))
     gamma = tc.parameter(np.ones(5))
     beta = tc.parameter(np.zeros(5))
 
     def loss():
-        h = tc.matmul(a, b)
+        h = tc.linear(a, b, zero)
         h = tc.layer_norm(h, gamma, beta)
         return tc.cross_entropy_masked(h, [0, 3, 2, 1], [True, True, True, False])
 
@@ -270,8 +256,8 @@ def test_backward_rejects_non_scalar_and_double_run():
     x = tc.parameter(np.ones(2))
     tape = tc.Tape()
     with tape:
-        y = tc.mul(x, x)
-        loss = tc.sum_all(y)
+        y = mul(x, x)
+        loss = sum_all(y)
     with pytest.raises(tc.TapeError):
         tc.backward(y, tape)
     tc.backward(loss, tape)
@@ -285,9 +271,9 @@ def test_tape_determinism():
         x = tc.parameter(rng.normal(size=(4, 4)))
         tape = tc.Tape()
         with tape:
-            h = tc.gelu(tc.matmul(x, x))
+            h = tc.gelu(tc.linear(x, x, tc.Tensor(np.zeros(4))))
             h = tc.dropout(h, 0.5, np.random.default_rng(1), True)
-            loss = tc.sum_all(h)
+            loss = sum_all(h)
         return loss.item(), tc.backward(loss, tape)[x.node_id].data.copy()
 
     l1, g1 = run()
@@ -312,7 +298,7 @@ def test_tapes_on_two_threads_share_parameters():
             h = x
             for w, b in zip(params[::2], params[1::2]):
                 h = tc.gelu(tc.linear(h, w, b))
-            loss = tc.sum_all(tc.mul(h, h))
+            loss = sum_all(mul(h, h))
         grads = tc.backward(loss, tape)
         return len(tape.leaves), [grads[tape.tracked_id(p)].data for p in params]
 
@@ -349,15 +335,12 @@ def test_plumbing_op_gradients():
     w = tc.parameter(rng.normal(size=(4, 2)))
     b = tc.parameter(rng.normal(size=2))
 
-    gradcheck(lambda: tc.sum_all(tc.gelu(tc.linear(x, w, b))),
+    gradcheck(lambda: sum_all(tc.gelu(tc.linear(x, w, b))),
               {"x": x, "w": w, "b": b}, tol=1e-5)
     y = tc.parameter(rng.normal(size=(3, 2)))
-    gradcheck(lambda: tc.sum_all(tc.mul(tc.concat_cols([x, y]),
-                                        tc.concat_cols([x, y]))),
+    gradcheck(lambda: sum_all(mul(tc.concat_cols([x, y]),
+                                  tc.concat_cols([x, y]))),
               {"x": x, "y": y}, tol=1e-5)
-    gradcheck(lambda: tc.sum_all(tc.mul(tc.slice_cols(x, 1, 4),
-                                        tc.transpose2d(tc.slice_cols(x, 1, 4)))),
-              {"x": x}, tol=1e-5)
 
 
 def test_gelu_bits_match_the_tanh_formula():
@@ -380,7 +363,7 @@ def test_gelu_bits_match_the_tanh_formula():
                                 + 0.5 * xd * (1.0 - t * t) * du)
         tape.watch(x)
         out = tc.gelu(x)
-        loss = tc.sum_all(tc.mul(out, tc.Tensor(upstream)))
+        loss = sum_all(mul(out, tc.Tensor(upstream)))
         grads = tc.backward(loss, tape)
     assert out.data.tobytes() == want_out.tobytes()
     assert grads[x.node_id].data.tobytes() == want_grad.tobytes()
@@ -600,7 +583,7 @@ def test_attention_gradient():
     q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
     w = rng.normal(size=(T, h))
     for bias in _attention_biases(rng, T).values():
-        gradcheck(lambda: tc.sum_all(tc.mul(
+        gradcheck(lambda: sum_all(mul(
                       tc.ops.attention(q, k, v, bias, heads), tc.Tensor(w))),
                   {"q": q, "k": k, "v": v}, tol=1e-6)
 
@@ -615,24 +598,82 @@ def test_attention_without_a_bias_is_a_zero_bias_bit_for_bit():
         tape = tc.Tape()
         with tape:
             out = tc.ops.attention(q, k, v, bias, heads)
-            loss = tc.sum_all(tc.mul(out, w))
+            loss = sum_all(mul(out, w))
         grads = tc.backward(loss, tape)
         runs.append([out.data.tobytes()] + [
             grads[tape.tracked_id(t)].data.tobytes() for t in (q, k, v)])
     assert runs[0] == runs[1]
 
 
-def test_concat_rows_and_slice_rows_gradients():
-    rng = np.random.default_rng(33)
-    x = tc.parameter(rng.normal(size=(5, 3)))
-    y = tc.parameter(rng.normal(size=(2, 3)))
-    assert np.array_equal(tc.ops.slice_rows(x, 1, 4).data, x.data[1:4])
-    assert np.array_equal(tc.ops.concat_rows([x, y]).data,
-                          np.vstack([x.data, y.data]))
+def test_attention_spans_match_separate_calls_bit_for_bit():
+    rng = np.random.default_rng(35)
+    h, heads = 8, 2
+    spans = [(0, 5), (5, 6), (6, 13)]          # unequal, one a single token
+    T = spans[-1][1]
+    q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
+    w = rng.normal(size=(T, h))
+    biases = [None, None, np.where(np.arange(7) < 5, 0.0, -1e9)[None, :]]
 
-    def loss():
-        parts = [tc.ops.slice_rows(x, 3, 5), y, tc.ops.slice_rows(x, 0, 4)]
-        joined = tc.ops.concat_rows(parts)
-        return tc.sum_all(tc.mul(joined, joined))
+    def run(q, k, v, bias, w, *spans):
+        tape = tc.Tape()
+        with tape:
+            out = tc.ops.attention(q, k, v, bias, heads, *spans)
+            loss = sum_all(mul(out, tc.Tensor(w)))
+        grads = tc.backward(loss, tape)
+        return [out.data] + [grads[tape.tracked_id(t)].data for t in (q, k, v)]
 
-    gradcheck(loss, {"x": x, "y": y}, tol=1e-6)
+    packed = run(q, k, v, biases, w, spans)
+    for (lo, hi), bias in zip(spans, biases):
+        rows = [tc.parameter(t.data[lo:hi].copy()) for t in (q, k, v)]
+        alone = run(*rows, bias, w[lo:hi])
+        for got, want in zip(packed, alone):
+            assert got[lo:hi].tobytes() == want.tobytes(), (lo, hi)
+
+
+def test_attention_spans_gradient():
+    rng = np.random.default_rng(36)
+    T, h, heads = 7, 6, 3
+    q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
+    w = tc.Tensor(rng.normal(size=(T, h)))
+    spans = [(0, 4), (4, 7)]
+    biases = [np.where(np.arange(4) < 3, 0.0, -1e9)[None, :], None]
+    gradcheck(lambda: sum_all(mul(
+                  tc.ops.attention(q, k, v, biases, heads, spans), w)),
+              {"q": q, "k": k, "v": v}, tol=1e-6)
+
+
+@pytest.mark.parametrize("spans", [
+    [(0, 3), (4, 6)], [(0, 4), (3, 6)], [(0, 3), (3, 5)], [(1, 6)],
+    [(0, 3), (3, 3), (3, 6)], []],
+    ids=["gap", "overlap", "short-of-T", "late-start", "empty-span", "none"])
+def test_attention_spans_must_tile_the_rows(spans):
+    x = tc.Tensor(np.ones((6, 4)))
+    with pytest.raises(tc.ShapeError, match="tile"):
+        tc.ops.attention(x, x, x, [None] * len(spans), 2, spans)
+
+
+def test_attention_needs_one_bias_per_span():
+    x = tc.Tensor(np.ones((6, 4)))
+    with pytest.raises(tc.ShapeError, match="one bias per span"):
+        tc.ops.attention(x, x, x, [None], 2, [(0, 2), (2, 6)])
+
+
+def test_every_public_op_is_used_by_the_library():
+    """No op that only tests reach: src/ calls each public function of
+    ops.py from outside ops.py and the package's re-exports."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ielab"
+    ops_path = src / "tensorcore" / "ops.py"
+    defined = {n.name for n in ast.parse(ops_path.read_text()).body
+               if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    used = set()
+    for path in src.rglob("*.py"):
+        if path in (ops_path, src / "tensorcore" / "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and node.value.id == "ops":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module in ("ielab.tensorcore", "ielab.tensorcore.ops"):
+                used.update(alias.name for alias in node.names)
+    assert sorted(defined - used) == []
