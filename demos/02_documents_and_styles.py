@@ -7,8 +7,8 @@ from ielab import synthdocs
 from ielab.docstream import (
     BucketingConfig,
     build_vocabularies,
-    document_style_stats,
     encode_document,
+    median_font_size,
     normalize_bbox,
     parse_documents,
     serialize_documents,
@@ -33,15 +33,14 @@ for tok in doc.tokens[:8]:
 
 # Geometry is quantized onto a [0, 1000] grid, whatever the page units.
 print("\nbbox quantization on a 612x792 page:")
-print("  (61.2, 79.2, 122.4, 158.4) ->",
-      normalize_bbox((61.2, 79.2, 122.4, 158.4), (612, 792)))
+box = normalize_bbox([[61.2], [79.2], [122.4], [158.4]], [[612], [792]])
+print("  (61.2, 79.2, 122.4, 158.4) ->", tuple(box[:, 0].tolist()))
 
 # Style attributes become small discrete vocabularies: bold and inTable are
 # booleans, color collapses to black / not-black, font size buckets by the
 # ratio to the document median, fonts keep only the top-k names.
 cfg = BucketingConfig()
-stats = document_style_stats(doc)
-print(f"\nmedian font size in {doc.id}: {stats.median_font_size}")
+print(f"\nmedian font size in {doc.id}: {median_font_size(doc)}")
 
 vocabs = build_vocabularies(docs, cfg)
 print(f"word vocabulary: {vocabs.word.size} ids (incl. PAD/UNK)")

@@ -159,12 +159,18 @@ def _load_rasters(spec: ExperimentSpec, docs) -> dict | None:
     raster_dir = spec.paths.get("rasters")
     if not raster_dir:
         raise FileNotFoundError("IMAGE fusion needs spec.paths.rasters")
+    size = spec.model.image.raster_size
     rasters = {}
     for doc in docs:
         pages = []
         for k in range(len(doc.pages)):
             p = Path(raster_dir) / f"{doc.id}.page{k}.pgm"
-            pages.append(pgm.raster_to_input(pgm.read_pgm(p)))
+            grid = pgm.read_pgm(p)
+            if grid.shape != (size, size):
+                raise DataValidationError(
+                    f"{p}: page is {grid.shape[1]}x{grid.shape[0]} pixels, "
+                    f"but image.raster_size is {size}")
+            pages.append(pgm.raster_to_input(grid))
         rasters[doc.id] = pages
     return rasters
 
@@ -179,8 +185,9 @@ def cmd_generate(spec: ExperimentSpec) -> int:
     (out / "corpus.jsonl").write_bytes(serialize_documents(docs))
     raster_dir = out / "rasters"
     raster_dir.mkdir(exist_ok=True)
+    size = (spec.model.image or ImagePathConfig()).raster_size
     for doc in docs:
-        for k, page in enumerate(synthdocs.render_pages(doc)):
+        for k, page in enumerate(synthdocs.render_pages(doc, size)):
             pgm.write_pgm(raster_dir / f"{doc.id}.page{k}.pgm", page.grid)
     summary = synthdocs.corpus_summary(docs, spec.generator)
     summary["manifest"] = _manifest(spec)

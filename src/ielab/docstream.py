@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -300,12 +300,12 @@ def serialize_documents(docs: list[DocumentRecord]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def normalize_bbox(bbox, page_size):
+def normalize_bbox(bbox, page_size) -> np.ndarray:
     """Quantize page-unit boxes to the [0, 1000] grid as (X1,Y1,X2,Y2,W,H).
 
-    One box (x1, y1, x2, y2) on a (width, height) page gives a tuple of six
-    ints. A (4, T) array of boxes with a (2, T) array of their page sizes
-    gives a (6, T) int64 array. Coordinates round half to even.
+    A (4, T) array of boxes (x1, y1, x2, y2) with a (2, T) array of their
+    (width, height) page sizes gives a (6, T) int64 array. Coordinates round
+    half to even.
     """
     box = np.asarray(bbox, dtype=np.float64)
     extent = np.asarray(page_size, dtype=np.float64)
@@ -314,55 +314,39 @@ def normalize_bbox(bbox, page_size):
             f"page sizes must be positive, got a side of {extent.min()}")
     q = np.clip(np.rint(1000.0 * box / np.concatenate([extent, extent])),
                 0, 1000).astype(np.int64)
-    out = np.concatenate([q, q[2:] - q[:2]])
-    return tuple(out.tolist()) if out.ndim == 1 else out
+    return np.concatenate([q, q[2:] - q[:2]])
 
 
-@dataclass
-class StyleStats:
-    median_font_size: float
-    font_counts: Counter = field(default_factory=Counter)
-
-
-def document_style_stats(doc: DocumentRecord) -> StyleStats:
-    """Per-document statistics needed by bucketing (lower median for even p)."""
+def median_font_size(doc: DocumentRecord) -> float:
+    """The document's median font size (the lower one for an even count),
+    the reference for font-size bucketing."""
     sizes = sorted(t.font_size for t in doc.tokens)
-    median = sizes[(len(sizes) - 1) // 2]
-    return StyleStats(median_font_size=median,
-                      font_counts=Counter(t.font for t in doc.tokens))
+    return sizes[(len(sizes) - 1) // 2]
 
 
 BLACK, NOT_BLACK = 0, 1
 
 
-def bucket_styles(tokens, stats: StyleStats, cfg: BucketingConfig,
-                  font_index: dict[str, int] | None = None):
-    """Map raw style attributes to the 5 bucket indices, STYLE_FEATURES order.
+def bucket_styles(tokens, median_size: float, cfg: BucketingConfig,
+                  font_index: dict[str, int]) -> np.ndarray:
+    """Map a document's tokens to the 5 bucket indices, STYLE_FEATURES order.
 
-    `tokens` is one TokenRecord, giving a tuple of five ints, or a sequence
-    of a document's tokens, giving a (5, T) int64 array. `font_index` is the
-    corpus vocabulary's font map; when omitted, fonts are ranked by frequency
-    within the document's own stats (same tie rule).
+    Gives a (5, T) int64 array. `median_size` is the document's median font
+    size; `font_index` is the corpus vocabulary's font map, with fonts
+    outside it taking the last id (OTHER).
     """
-    one = isinstance(tokens, TokenRecord)
-    toks = [tokens] if one else tokens
     b0, b1 = cfg.fontsize_cluster_bounds
-    ratio = np.array([t.font_size for t in toks], dtype=np.float64) \
-        / stats.median_font_size
+    ratio = np.array([t.font_size for t in tokens], dtype=np.float64) \
+        / median_size
     size_bucket = np.where(ratio < b0, 0, np.where(ratio <= b1, 1, 2))
-    color = np.array([max(t.color) for t in toks])
+    color = np.array([max(t.color) for t in tokens])
     color_bucket = np.where(color < cfg.black_max_channel, BLACK, NOT_BLACK)
-    if font_index is None:
-        ranked = [f for f, _ in sorted(stats.font_counts.items(),
-                                       key=lambda kv: (-kv[1], kv[0]))]
-        font_index = {f: i for i, f in enumerate(ranked[:cfg.font_top_k])}
     other = len(font_index)                     # last id = OTHER
-    out = np.array([[t.bold for t in toks],
-                    [font_index.get(t.font, other) for t in toks],
-                    size_bucket,
-                    [t.in_table for t in toks],
-                    color_bucket], dtype=np.int64).reshape(5, len(toks))
-    return tuple(out[:, 0].tolist()) if one else out
+    return np.array([[t.bold for t in tokens],
+                     [font_index.get(t.font, other) for t in tokens],
+                     size_bucket,
+                     [t.in_table for t in tokens],
+                     color_bucket], dtype=np.int64).reshape(5, len(tokens))
 
 
 def build_vocabularies(training_docs: list[DocumentRecord],
@@ -372,17 +356,17 @@ def build_vocabularies(training_docs: list[DocumentRecord],
     if not training_docs:
         raise ConfigError("cannot build vocabularies from an empty corpus")
     word_counts: Counter = Counter()
-    font_counts: Counter = Counter()
+    font_freq: Counter = Counter()
     labels = set()
     for doc in training_docs:
         for t in doc.tokens:
             word_counts[t.text.lower()] += 1
-            font_counts[t.font] += 1
+            font_freq[t.font] += 1
             labels.add(t.label)
     ranked_words = sorted(word_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     keep = ranked_words[:max(0, max_words - 2)]
     word_index = {w: i + 2 for i, (w, _) in enumerate(keep)}
-    ranked_fonts = [f for f, _ in sorted(font_counts.items(),
+    ranked_fonts = [f for f, _ in sorted(font_freq.items(),
                                          key=lambda kv: (-kv[1], kv[0]))]
     font_index = {f: i for i, f in enumerate(ranked_fonts[:cfg.font_top_k])}
     labels.add("O")
@@ -407,8 +391,8 @@ def encode_document(doc: DocumentRecord, vocabs: Vocabularies,
     extents = np.array(doc.pages, dtype=np.float64)[pages].T       # (2, T)
     boxes = np.array([t.bbox for t in toks], dtype=np.float64).reshape(-1, 4)
     coords = normalize_bbox(boxes.T, extents)
-    style = bucket_styles(toks, document_style_stats(doc), cfg,
-                          font_index=vocabs.style.font_index)
+    style = bucket_styles(toks, median_font_size(doc), cfg,
+                          vocabs.style.font_index)
     label_ids = []
     for tok in toks:
         label = vocabs.labels.get(tok.label)

@@ -1,6 +1,6 @@
 """Entity decoding, scoring, parameter accounting, and ablation probes."""
 
-from ielab.evalsuite.iob import EntitySpan, decode_iob, encode_iob
+from ielab.evalsuite.iob import EntitySpan, decode_iob
 from ielab.evalsuite.scoring import ClassReport, ClassScores, entity_scores
 from ielab.evalsuite.accounting import (
     ParamBreakdown,
@@ -12,7 +12,6 @@ from ielab.evalsuite.accounting import (
 )
 from ielab.evalsuite.importance import (
     ImportanceResult,
-    feature_subset_run,
     permutation_importance,
     permute_feature,
 )
@@ -20,7 +19,6 @@ from ielab.evalsuite.importance import (
 __all__ = [
     "ClassReport", "ClassScores", "EntitySpan", "ImportanceResult",
     "ParamBreakdown", "TABLE1_PARAMS_M", "count_parameters", "decode_iob",
-    "encode_iob", "entity_scores", "feature_subset_run", "format_breakdowns",
-    "permutation_importance", "permute_feature", "style_sum_fullscale_delta",
-    "table1_consistency",
+    "entity_scores", "format_breakdowns", "permutation_importance",
+    "permute_feature", "style_sum_fullscale_delta", "table1_consistency",
 ]

@@ -1,13 +1,14 @@
 """Feature-importance probes for style models.
 
 Permutation importance shuffles one bucketed style feature across the whole
-evaluation corpus and measures the F1 drop without retraining; subset runs
-retrain a concatenation model restricted to chosen features.
+evaluation corpus and measures the F1 drop without retraining. A subset run
+needs no helper: cross-validate a TaggerSpec whose style_features name the
+subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,18 +81,3 @@ def permutation_importance(model, encoded_docs: list[ModelInput],
     return ImportanceResult(feature=feature, intact_f1=intact,
                             permuted_f1=permuted)
 
-
-def feature_subset_run(docs, subset, spec_template, train_cfg, bucket_cfg,
-                       k: int = 5):
-    """Cross-validate a style model restricted to `subset` features."""
-    from ielab.trainloop.training import cross_validate  # local to avoid a cycle
-
-    features = tuple(f for f in STYLE_FEATURES if f in set(subset))
-    if not features:
-        raise ConfigError(
-            "empty feature subset: run the BASELINE fusion mode instead")
-    unknown = set(subset) - set(STYLE_FEATURES)
-    if unknown:
-        raise ConfigError(f"unknown style features {sorted(unknown)}")
-    spec = replace(spec_template, style_features=features)
-    return cross_validate(docs, spec, train_cfg, bucket_cfg, k=k)

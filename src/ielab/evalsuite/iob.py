@@ -1,8 +1,8 @@
-"""IOB tag sequences <-> entity spans.
+"""IOB tag sequences -> entity spans.
 
 Decoding applies a repair rule rather than dropping tokens: an I-X that does
-not continue an open X span starts a new span. Encoding always opens spans
-with B-, so adjacent same-class entities stay separated.
+not continue an open X span starts a new span. A B- tag always opens a span,
+so adjacent same-class entities stay separated.
 """
 
 from __future__ import annotations
@@ -53,16 +53,3 @@ def decode_iob(tags: list[str]) -> list[EntitySpan]:
     close(len(tags))
     return spans
 
-
-def encode_iob(spans: list[EntitySpan], length: int) -> list[str]:
-    """Inverse of decode_iob for sorted, non-overlapping spans."""
-    tags = ["O"] * length
-    prev_end = 0
-    for span in sorted(spans):
-        if span.start < prev_end or span.end > length:
-            raise DataValidationError(f"span {span} overlaps or exceeds length")
-        tags[span.start] = f"B-{span.cls}"
-        for i in range(span.start + 1, span.end):
-            tags[i] = f"I-{span.cls}"
-        prev_end = span.end
-    return tags

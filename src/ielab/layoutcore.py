@@ -65,7 +65,7 @@ class EncoderConfig(JsonConfig):
 
 
 class EncoderParameters:
-    """Named encoder tensors; iteration order is the (sorted) name order."""
+    """Named encoder tensors, looked up by name."""
 
     def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor]):
         self.config = config
@@ -73,12 +73,6 @@ class EncoderParameters:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
 
 
 def init_parameters(config: EncoderConfig) -> EncoderParameters:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,31 @@ def write_pgm(path, grid: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+# magic, width, height, maxval, then exactly one whitespace byte: the pixels
+# follow it, and may themselves start with whitespace values
+_HEADER = re.compile(rb"P5\s+(\S+)\s+(\S+)\s+(\S+)\s")
+
+
 def read_pgm(path) -> np.ndarray:
+    """The (height, width) uint8 pixels of a P5 PGM with maxval 255;
+    DataValidationError for anything else."""
     blob = Path(path).read_bytes()
-    parts = blob.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] != b"P5":
+    header = _HEADER.match(blob)
+    if header is None:
         raise DataValidationError(f"{path}: not a binary P5 PGM")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+    try:
+        w, h, maxval = (int(v) for v in header.groups())
+    except ValueError:
+        raise DataValidationError(
+            f"{path}: PGM width, height and maxval must be integers, got "
+            f"{b' '.join(header.groups())!r}") from None
+    if min(w, h, maxval) < 1:
+        raise DataValidationError(
+            f"{path}: PGM width, height and maxval must be positive, got "
+            f"{w} {h} {maxval}")
     if maxval != 255:
         raise DataValidationError(f"{path}: expected maxval 255, got {maxval}")
-    data = parts[4][:w * h]
+    data = blob[header.end():header.end() + w * h]
     if len(data) != w * h:
         raise DataValidationError(f"{path}: truncated pixel payload")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

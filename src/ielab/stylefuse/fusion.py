@@ -72,8 +72,8 @@ def fuse_style_concat(L: Tensor, style_ids: np.ndarray, tables: StyleTables) -> 
     restricted to the active features, in that fixed order."""
     parts = [L]
     for f in tables.features:
-        parts.append(ops.embedding_lookup(tables.tables[f],
-                                          _feature_rows(style_ids, f)))
+        parts.append(ops.embedding_sum([tables.tables[f]],
+                                       [_feature_rows(style_ids, f)]))
     return ops.concat_cols(parts)
 
 
@@ -96,12 +96,12 @@ def head_logits(e: Tensor, head: ClassifierHead, training: bool = False,
             "(fusion mode and head are wired inconsistently)")
     if training and head.dropout_rate > 0.0:
         if rng is None:
-            raise ConfigError("training-mode classify needs an rng for dropout")
-        e = ops.dropout(e, head.dropout_rate, rng, True)
+            raise ConfigError("training-mode head_logits needs an rng for dropout")
+        e = ops.dropout(e, head.dropout_rate, rng)
     return ops.linear(e, head.weight, head.bias)
 
 
-def classify(e: Tensor, head: ClassifierHead, training: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
-    """Per-token class probabilities (softmax rows)."""
-    return ops.softmax_rows(head_logits(e, head, training, rng))
+def classify(e: Tensor, head: ClassifierHead) -> Tensor:
+    """Per-token class probabilities (softmax rows) at inference, without
+    dropout; training takes head_logits into the loss instead."""
+    return ops.softmax_rows(head_logits(e, head))

@@ -48,13 +48,6 @@ class ImagePathConfig(JsonConfig):
     def feature_channels(self) -> int:
         return self.backbone_channels[-1]
 
-    def feature_hw(self) -> tuple[int, int]:
-        hw = self.raster_size
-        for _ in self.backbone_channels:
-            hw = (hw + 2 * (self.kernel_size // 2) - self.kernel_size) \
-                // self.stride + 1
-        return hw, hw
-
     @property
     def roi_width(self) -> int:
         return self.feature_channels * self.roi_bins * self.roi_bins

@@ -48,7 +48,8 @@ class TaggerSpec(JsonConfig):
         # corpus-dependent sizes may still be unresolved here; build() checks
         if self.fusion in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT) \
                 and not self.style_features:
-            raise ConfigError("style modes need at least one active feature")
+            raise ConfigError("style modes need at least one active feature; "
+                              "run the BASELINE fusion mode instead")
         if self.fusion is FusionMode.IMAGE and self.image is None:
             raise ConfigError("IMAGE fusion needs an ImagePathConfig")
         if self.style_dim < 1:

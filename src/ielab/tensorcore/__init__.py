@@ -15,7 +15,6 @@ from ielab.tensorcore.ops import (
     conv2d,
     cross_entropy_masked,
     dropout,
-    embedding_lookup,
     gelu,
     layer_norm,
     linear,
@@ -27,7 +26,6 @@ from ielab.tensorcore.checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "AdamState", "NumericError", "ShapeError", "Tape", "TapeError", "Tensor",
     "adam_step", "add", "backward", "concat_cols", "conv2d",
-    "cross_entropy_masked", "dropout", "embedding_lookup", "gelu",
-    "layer_norm", "linear", "load_checkpoint", "parameter", "save_checkpoint",
-    "softmax_rows",
+    "cross_entropy_masked", "dropout", "gelu", "layer_norm", "linear",
+    "load_checkpoint", "parameter", "save_checkpoint", "softmax_rows",
 ]

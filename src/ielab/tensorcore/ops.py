@@ -185,23 +185,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 
 
 def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
-    """Sum of row gathers over several same-width tables (one tape node).
+    """Sum of row gathers over one or more same-width tables (one tape node).
 
-    Equivalent to adding up embedding_lookup(t, ids) for each pair; the fused
-    form keeps additive multi-table embeddings cheap.
+    Gives the bits of table_0[ids_0] + table_1[ids_1] + ... added left to
+    right; backward scatters the output gradient into each tracked table,
+    summing the rows of duplicate ids. Ids must have at least one dimension.
     """
     if len(tables) != len(ids_list) or not tables:
         raise ShapeError("embedding_sum needs one id sequence per table")
     idxs = []
     for table, ids in zip(tables, ids_list):
         idx = np.asarray(ids, dtype=np.intp)
+        if idx.ndim == 0:   # a scalar id gathers a view, which acc += alters
+            raise ShapeError("embedding ids must have at least one dimension")
         V = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= V):
             bad = idx[(idx < 0) | (idx >= V)][0]
             raise IndexError(
                 f"embedding id {int(bad)} out of range for table of {V} rows")
         idxs.append(idx)
-    acc = tables[0].data[idxs[0]].copy()
+    acc = tables[0].data[idxs[0]]
     for table, idx in zip(tables[1:], idxs[1:]):
         acc += table.data[idx]
     out = Tensor._wrap(acc)
@@ -296,25 +299,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     return out
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows `ids` from `table`; backward accumulates duplicate ids."""
-    idx = np.asarray(ids, dtype=np.intp)
-    V = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= V):
-        bad = idx[(idx < 0) | (idx >= V)][0]
-        raise IndexError(f"embedding id {int(bad)} out of range for table of {V} rows")
-    out = Tensor._wrap(table.data[idx])
-    tape = active_tape()
-    if tape is not None:
-        pt = tape.tracked_id(table)
-        if pt >= 0:
-            shape = table.data.shape
-            def bw(g, idx=idx, shape=shape):
-                return (_scatter_add(shape, idx, g),)
-            tape.push(out, (pt,), bw)
-    return out
-
-
 def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     """Mean of -log softmax(logits)[target] over unmasked positions."""
     ld = logits.data
@@ -349,19 +333,11 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Zero elements with probability `rate` and rescale survivors while
-    training; identity in inference mode."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Training-time dropout: zero elements with probability `rate` and
+    rescale survivors by 1/(1 - rate). Inference skips the call."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
-        out = Tensor(x.data)
-        tape = active_tape()
-        if tape is not None:
-            px = tape.tracked_id(x)
-            if px >= 0:
-                tape.push(out, (px,), lambda g: (g,))
-        return out
     keep = rng.random(x.data.shape) >= rate
     factor = keep / (1.0 - rate)
     out = Tensor(x.data * factor)

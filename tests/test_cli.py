@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ielab import cli
+from ielab import cli, pgm
 from ielab.docstream import BucketingConfig, parse_documents, serialize_documents
 from ielab.errors import ConfigError, DataValidationError
 from ielab.layoutcore import init_parameters
@@ -145,6 +148,50 @@ def test_train_corrupt_corpus_exits_3(tmp_path):
     corpus.write_text(corpus.read_text().replace('"bbox":[30.0', '"bbox":[9e9',
                                                  1))
     assert cli.main(["train", "--spec", str(spec)]) == 3
+
+
+_SMALL_IMAGE = {"model": {"fusion": "IMAGE", "hidden": 8, "layers": 1,
+                          "heads": 2, "image": {"raster_size": 32,
+                                                "backbone_channels": [4]}},
+                "train": {"epochs": 1, "folds": 2},
+                "generator": {"template": "TRADECONF", "n_docs": 4,
+                              "tokens_per_doc": [14, 20]}}
+
+
+def test_generate_renders_at_the_spec_raster_size(tmp_path):
+    spec = write_spec(tmp_path, **_SMALL_IMAGE)
+    assert cli.main(["generate", "--spec", str(spec)]) == 0
+    pages = sorted((tmp_path / "out" / "rasters").glob("*.pgm"))
+    assert pages and all(pgm.read_pgm(p).shape == (32, 32) for p in pages)
+    assert cli.main(["train", "--spec", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("page", [
+    b"P5\nab 2\n255\n" + bytes(64),
+    b"P5\n2 2\n2.5\n" + bytes(4),
+    b"P5\n-2 -2\n255\n" + bytes(4),
+    b"P5\n0 0\n255\n" + bytes(4),
+    b"P5\n16 16\n255\n" + bytes(256),
+], ids=["non-integer-width", "non-integer-maxval", "negative-size",
+        "empty-page", "off-size-page"])
+def test_malformed_page_raster_exits_3(tmp_path, capsys, page):
+    spec = write_spec(tmp_path, **_SMALL_IMAGE)
+    assert cli.main(["generate", "--spec", str(spec)]) == 0
+    bad = sorted((tmp_path / "out" / "rasters").glob("*.pgm"))[0]
+    bad.write_bytes(page)
+    assert cli.main(["train", "--spec", str(spec)]) == 3
+    assert bad.name in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """paired_t_test computes its p from scipy.special, so no command pays
+    for importing scipy.stats."""
+    code = "import sys, ielab.cli; print('scipy.stats' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_eval_reproduces_stored_val_f1(tmp_path):
@@ -410,13 +457,11 @@ def _section_of(spec: dict, name: str) -> dict:
 
 def _use(spec: cli.ExperimentSpec) -> None:
     """Run what each section's values feed, at sizes that do not grow with
-    them: parameter counts and the feature-map size for every width, a tiny
-    encoder for its seed and init_std, a fold plan for the train seed, a
-    one-document corpus for the generator."""
+    them: parameter counts for every width, a tiny encoder for its seed and
+    init_std, a fold plan for the train seed, a one-document corpus for the
+    generator."""
     with contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_params(spec)
-    if spec.model.image is not None:
-        spec.model.image.feature_hw()
     init_parameters(dataclasses.replace(spec.model.encoder, hidden=2, heads=1,
                                         layers=1, ff_dim=2, max_seq_len=2))
     make_fold_plan(["a", "b"], 2, spec.train.val_fraction, spec.train.seed)

@@ -65,18 +65,25 @@ def test_parse_ignores_trailing_blank_lines():
     assert len(docs) == 1
 
 
+def normalize_one(box, page):
+    """normalize_bbox on one box, passed as one-element arrays."""
+    out = ds.normalize_bbox(np.reshape(box, (4, 1)), np.reshape(page, (2, 1)))
+    assert out.shape == (6, 1) and out.dtype == np.int64
+    return tuple(out[:, 0].tolist())
+
+
 def test_normalize_bbox_unit_page():
-    assert ds.normalize_bbox((100, 200, 300, 400), (1000, 1000)) == \
+    assert normalize_one((100, 200, 300, 400), (1000, 1000)) == \
         (100, 200, 300, 400, 200, 200)
 
 
 def test_normalize_bbox_letter_page():
-    got = ds.normalize_bbox((61.2, 79.2, 122.4, 158.4), (612, 792))
+    got = normalize_one((61.2, 79.2, 122.4, 158.4), (612, 792))
     assert got == (100, 100, 200, 200, 100, 100)
 
 
 def test_normalize_bbox_full_page():
-    assert ds.normalize_bbox((0, 0, 612, 792), (612, 792)) == \
+    assert normalize_one((0, 0, 612, 792), (612, 792)) == \
         (0, 0, 1000, 1000, 1000, 1000)
 
 
@@ -98,12 +105,11 @@ def test_normalize_bbox_arrays_round_like_python_round():
         want = (q(x1, w), q(y1, h), q(x2, w), q(y2, h))
         want += (want[2] - want[0], want[3] - want[1])
         assert tuple(got[:, i].tolist()) == want
-        assert ds.normalize_bbox((x1, y1, x2, y2), (w, h)) == want
 
 
 def test_normalize_bbox_zero_page_dimension():
     with pytest.raises(ConfigError):
-        ds.normalize_bbox((0, 0, 1, 1), (0, 100))
+        normalize_one((0, 0, 1, 1), (0, 100))
 
 
 def doc_with_sizes(sizes):
@@ -113,50 +119,50 @@ def doc_with_sizes(sizes):
 
 
 def test_style_stats_median():
-    assert ds.document_style_stats(doc_with_sizes([10, 10, 10])).median_font_size == 10
-    assert ds.document_style_stats(doc_with_sizes([12, 8, 10])).median_font_size == 10
+    assert ds.median_font_size(doc_with_sizes([10, 10, 10])) == 10
+    assert ds.median_font_size(doc_with_sizes([12, 8, 10])) == 10
     # lower median on even counts
-    assert ds.document_style_stats(doc_with_sizes([14, 8, 12, 10])).median_font_size == 10
+    assert ds.median_font_size(doc_with_sizes([14, 8, 12, 10])) == 10
+
+
+def bucket_one(tok, median=10.0, font_index=None):
+    """bucket_styles on a one-token document, as a tuple of five ints."""
+    out = ds.bucket_styles([tok], median, ds.BucketingConfig(),
+                           font_index or {})
+    assert out.shape == (5, 1) and out.dtype == np.int64
+    return tuple(out[:, 0].tolist())
 
 
 def test_bucket_color_black_vs_not():
-    cfg = ds.BucketingConfig()
-    stats = ds.StyleStats(10.0)
     tok = ds.TokenRecord("x", 0, (0, 0, 1, 1), False, "F", 10.0, False, (0, 0, 0), "O")
-    assert ds.bucket_styles(tok, stats, cfg)[4] == ds.BLACK
+    assert bucket_one(tok)[4] == ds.BLACK
     tok_red = ds.TokenRecord("x", 0, (0, 0, 1, 1), False, "F", 10.0, False,
                              (200, 30, 30), "O")
-    assert ds.bucket_styles(tok_red, stats, cfg)[4] == ds.NOT_BLACK
+    assert bucket_one(tok_red)[4] == ds.NOT_BLACK
     tok_dim = ds.TokenRecord("x", 0, (0, 0, 1, 1), False, "F", 10.0, False,
                              (63, 63, 63), "O")
-    assert ds.bucket_styles(tok_dim, stats, cfg)[4] == ds.BLACK
+    assert bucket_one(tok_dim)[4] == ds.BLACK
 
 
 @pytest.mark.parametrize("ratio,bucket", [
     (1.0, 0), (1.19, 0), (1.2, 1), (1.7, 1), (2.0, 1), (2.0001, 2), (2.5, 2),
 ])
 def test_bucket_fontsize_interval_bounds(ratio, bucket):
-    cfg = ds.BucketingConfig()
-    stats = ds.StyleStats(10.0)
     tok = ds.TokenRecord("x", 0, (0, 0, 1, 1), False, "F", 10.0 * ratio, False,
                          (0, 0, 0), "O")
-    assert ds.bucket_styles(tok, stats, cfg)[2] == bucket
+    assert bucket_one(tok)[2] == bucket
 
 
 def test_bucket_bold_and_table_flags():
-    cfg = ds.BucketingConfig()
-    stats = ds.StyleStats(10.0)
     tok = ds.TokenRecord("x", 0, (0, 0, 1, 1), True, "F", 10.0, True, (0, 0, 0), "O")
-    buckets = ds.bucket_styles(tok, stats, cfg)
+    buckets = bucket_one(tok)
     assert buckets[0] == 1 and buckets[3] == 1
 
 
 def test_bucketing_is_pure():
-    cfg = ds.BucketingConfig()
-    stats = ds.StyleStats(9.5, ds.document_style_stats(doc_with_sizes([9.5])).font_counts)
     tok = ds.TokenRecord("x", 0, (0, 0, 1, 1), True, "Arial", 13.0, False,
                          (10, 200, 10), "O")
-    assert ds.bucket_styles(tok, stats, cfg) == ds.bucket_styles(tok, stats, cfg)
+    assert bucket_one(tok, 9.5, {"F": 0}) == bucket_one(tok, 9.5, {"F": 0})
 
 
 def corpus_for_vocab():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ielab.evalsuite import EntitySpan
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, TaggerSpec, TokenTagger
 from ielab.stylefuse.model import with_resolved_sizes
-from ielab.trainloop import TrainConfig
+from ielab.trainloop import TrainConfig, cross_validate
 
 
 def test_decode_basic_span():
@@ -38,17 +40,17 @@ def test_iob_roundtrip_random_spans():
     classes = ["A", "B", "C"]
     for _ in range(200):
         length = int(rng.integers(1, 40))
-        spans = []
+        spans, tags = [], ["O"] * length
         pos = 0
         while pos < length:
             if rng.random() < 0.4:
                 end = int(min(length, pos + rng.integers(1, 4)))
-                spans.append(EntitySpan(pos, end,
-                                        classes[int(rng.integers(3))]))
+                cls = classes[int(rng.integers(3))]
+                spans.append(EntitySpan(pos, end, cls))
+                tags[pos:end] = [f"B-{cls}"] + [f"I-{cls}"] * (end - pos - 1)
                 pos = end
             else:
                 pos += 1
-        tags = ev.encode_iob(spans, length)
         assert ev.decode_iob(tags) == spans
 
 
@@ -251,25 +253,26 @@ def test_feature_subset_head_width():
 
 
 def test_feature_subset_run_empty_subset_advises_baseline():
-    docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
-        template="TRADECONF", n_docs=6, tokens_per_doc=(14, 20), seed=2))
+    """A style model restricted to no features is refused when its spec is
+    made, pointing to the BASELINE mode."""
     enc = EncoderConfig(word_vocab=2, label_count=1, hidden=8, layers=1,
                         heads=2, seed=0)
     spec = TaggerSpec(encoder=enc, fusion=FusionMode.STYLE_CONCAT, style_dim=4)
     with pytest.raises(ConfigError, match="BASELINE"):
-        ev.feature_subset_run(docs, [], spec, TrainConfig(epochs=1),
-                              BucketingConfig(), k=2)
+        replace(spec, style_features=())
 
 
 def test_feature_subset_run_trains_restricted_model():
+    """A feature-subset run is cross_validate on a spec whose
+    style_features name the subset."""
     docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
         template="TRADECONF", n_docs=8, tokens_per_doc=(14, 20), seed=2))
     enc = EncoderConfig(word_vocab=2, label_count=1, hidden=8, layers=1,
                         heads=2, seed=0)
     spec = TaggerSpec(encoder=enc, fusion=FusionMode.STYLE_CONCAT, style_dim=4)
-    res = ev.feature_subset_run(docs, ["bold", "inTable"], spec,
-                                TrainConfig(lr=1e-3, epochs=1, seed=0),
-                                BucketingConfig(), k=2)
+    res = cross_validate(docs, replace(spec, style_features=("bold", "inTable")),
+                         TrainConfig(lr=1e-3, epochs=1, seed=0),
+                         BucketingConfig(), k=2)
     got = res.fold_results[0].model.spec
     assert got.style_features == ("bold", "inTable")
     assert "style.bold" in res.fold_results[0].model.parameters()

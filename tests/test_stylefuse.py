@@ -6,6 +6,7 @@ from ielab import stylefuse as sf
 from ielab.docstream import ModelInput
 from ielab.errors import ConfigError
 from ielab.layoutcore import EncoderConfig
+from ielab.tensorcore.ops import embedding_sum
 from ielab.tensorcore import (
     ShapeError,
     Tape,
@@ -13,7 +14,6 @@ from ielab.tensorcore import (
     add,
     backward,
     cross_entropy_masked,
-    embedding_lookup,
     parameter,
 )
 from test_layoutcore import tiny_input
@@ -91,7 +91,7 @@ def test_fuse_sum_bits_match_an_add_chain():
     def chain():
         e = L
         for m, f in enumerate(tables.features):
-            e = add(e, embedding_lookup(tables.tables[f], ids[m]))
+            e = add(e, embedding_sum([tables.tables[f]], [ids[m]]))
         return e
 
     runs = []
@@ -141,8 +141,8 @@ def test_classify_rows_sum_to_one_and_deterministic():
     head = sf.ClassifierHead(weight=parameter(rng.normal(size=(8, 5))),
                              bias=parameter(rng.normal(size=5)))
     e = Tensor(rng.normal(size=(6, 8)))
-    p1 = sf.classify(e, head, training=False).data
-    p2 = sf.classify(e, head, training=False).data
+    p1 = sf.classify(e, head).data
+    p2 = sf.classify(e, head).data
     assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(p1, p2)
 
@@ -168,7 +168,6 @@ def test_backbone_output_shape():
     fmap = sf.backbone_forward(Tensor(np.zeros((1, 128, 128))),
                                model.image_params, cfg)
     assert fmap.data.shape == (32, 16, 16)
-    assert cfg.feature_hw() == (16, 16)
 
 
 def test_backbone_zero_raster_zero_biases_gives_zero_map():
@@ -423,7 +422,7 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
             loss = cross_entropy_masked(logits, inp.label_ids, inp.mask)
         g = backward(loss, tape)
         return logits.data, {n: g[t.node_id].data
-                             for n, t in model.encoder_params.items()}
+                             for n, t in model.encoder_params.tensors.items()}
 
     logits_b, g_b = grads_of(base)
     logits_s, g_s = grads_of(summ)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ielab import pgm, synthdocs as sg
 from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
 from ielab.docstream import serialize_documents
-from ielab.errors import ConfigError
-from ielab.evalsuite import decode_iob, encode_iob
+from ielab.errors import ConfigError, DataValidationError
 
 
 def test_same_seed_identical_bytes():
@@ -25,8 +26,11 @@ def test_generated_labels_are_iob_valid_without_repair():
             template=template, n_docs=25, seed=4))
         for doc in docs:
             tags = [t.label for t in doc.tokens]
-            spans = decode_iob(tags)
-            assert encode_iob(spans, len(tags)) == tags
+            # canonical form: every I-X continues a B-X or I-X
+            for prev, tag in zip(["O"] + tags, tags):
+                assert tag == "O" or tag[:2] in ("B-", "I-"), tag
+                if tag.startswith("I-"):
+                    assert prev[2:] == tag[2:], (doc.id, prev, tag)
 
 
 def test_probability_one_case():
@@ -179,6 +183,48 @@ def test_pgm_roundtrip(tmp_path):
     model_input = pgm.raster_to_input(grid)
     assert model_input.shape == (1, 128, 128)
     assert model_input.min() >= 0.0 and model_input.max() <= 1.0
+
+
+def test_pgm_pixels_may_start_with_whitespace_values(tmp_path):
+    """One whitespace byte ends the header; pixel values that are
+    whitespace bytes (9-13, 32) are pixels, even at the start."""
+    grid = np.array([[32, 9, 10], [11, 12, 13]], dtype=np.uint8)
+    path = tmp_path / "page.pgm"
+    pgm.write_pgm(path, grid)
+    assert np.array_equal(pgm.read_pgm(path), grid)
+
+
+_VALID_PGM = b"P5\n4 3\n255\n" + bytes([32, 10, 0, 255, 9, 1, 2, 3,
+                                          13, 200, 100, 50])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 100), st.binary(min_size=1, max_size=3),
+       st.sampled_from(["replace", "insert", "delete", "truncate"]))
+@example(8, b"x", "insert")            # non-integer maxval
+@example(3, b"a", "replace")           # non-integer width
+def test_pgm_byte_mutated_returns_or_rejects(tmp_path_factory, pos, chunk,
+                                             how):
+    """A byte-mutated or truncated PGM reads as a uint8 array of the shape
+    its header states, or raises DataValidationError."""
+    blob = _VALID_PGM
+    pos %= len(blob)
+    if how == "replace":
+        blob = blob[:pos] + chunk + blob[pos + len(chunk):]
+    elif how == "insert":
+        blob = blob[:pos] + chunk + blob[pos:]
+    elif how == "delete":
+        blob = blob[:pos] + blob[pos + len(chunk):]
+    else:
+        blob = blob[:pos]
+    path = tmp_path_factory.mktemp("pgm") / "page.pgm"
+    path.write_bytes(blob)
+    try:
+        grid = pgm.read_pgm(path)
+    except DataValidationError:
+        return
+    w, h = (int(v) for v in blob.split()[1:3])
+    assert grid.dtype == np.uint8 and grid.shape == (h, w)
 
 
 def test_draw_stream_matches_generator():

@@ -468,6 +468,20 @@ def test_paired_t_test_matches_integration_oracle():
             assert p == pytest.approx(t_two_sided_p_oracle(t, k - 1), abs=1e-6)
 
 
+def test_paired_t_test_p_has_the_bits_of_scipy_stats():
+    """p is 2 * scipy.stats.t.sf(|t|, k - 1) bit for bit, for df 1 to 29
+    and |t| from near 0 to far in the tail."""
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(12)
+    for k in range(2, 31):
+        for shift in (0.0, 0.05, 0.5, 2.0, 20.0):
+            a = rng.normal(size=k) + shift
+            b = rng.normal(size=k)
+            t, p = paired_t_test(a, b)
+            assert p == 2.0 * float(sps.t.sf(abs(t), k - 1)), (k, t)
+
+
 def test_paired_t_test_length_mismatch():
     with pytest.raises(ConfigError):
         paired_t_test([1, 2, 3], [1, 2])
