@@ -44,10 +44,13 @@ class ClassReport:
 
     @property
     def weighted_f1(self) -> float:
-        total = sum(s.support for s in self.per_class.values())
+        """Summed in class-name order, so its bits never follow the order
+        classes were met in (set order, which varies between processes)."""
+        scores = [s for _, s in sorted(self.per_class.items())]
+        total = sum(s.support for s in scores)
         if total == 0:
             return 0.0
-        return sum(s.support * s.f1 for s in self.per_class.values()) / total
+        return sum(s.support * s.f1 for s in scores) / total
 
     def to_json(self) -> dict:
         return {

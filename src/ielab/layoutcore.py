@@ -21,7 +21,7 @@ import numpy as np
 from ielab.docstream import COORD_VOCAB, ModelInput
 from ielab.errors import ConfigError, ContractError
 from ielab.jsonconfig import JsonConfig
-from ielab.tensorcore import engine, ops
+from ielab.tensorcore import engine, ops, threads
 from ielab.tensorcore.engine import ShapeError, Tensor
 
 COORD_TABLES = ("x1", "y1", "x2", "y2", "w", "h")
@@ -138,6 +138,7 @@ def embed_tokens(inp: ModelInput, params: EncoderParameters,
 _MASK_BIAS = -1e9  # drives masked keys' attention weight to exact zero
 
 
+@threads.split_rows()
 def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
                     lengths: list[int] | None = None) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
@@ -148,7 +149,9 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     its own chunk's keys with `mask` True; every other op runs once over all
     rows. A chunk with a masked key adds a -1e9 bias to that key's scores; a
     chunk with none (every chunk that `encode_document` and packing produce)
-    adds no bias.
+    adds no bias. In an inference call every op but the embedding gather runs
+    its rows (attention: its heads) as two halves on two threads; see
+    tensorcore.threads.
     """
     cfg = params.config
     T = hidden_in.data.shape[0]

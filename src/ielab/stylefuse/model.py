@@ -28,7 +28,7 @@ from ielab.stylefuse.fusion import (
 )
 from ielab.stylefuse.image import ImagePathConfig, image_embed_and_fuse
 from ielab.tensorcore import checkpoint as ckpt
-from ielab.tensorcore import engine
+from ielab.tensorcore import engine, threads
 from ielab.tensorcore.engine import Tensor
 
 
@@ -175,8 +175,14 @@ class TokenTagger:
 
     def predict_probs(self, inputs, rasters=None) -> np.ndarray:
         """Inference-mode class probabilities, (total tokens, label_count);
-        inputs as in fused_output."""
-        return classify(self.fused_output(inputs, rasters), self.head).data
+        inputs as in fused_output. One inference call: from
+        `threads.SPLIT_MIN_ROWS` rows up, OpenBLAS runs on one thread
+        throughout and the encoder splits its ops over two threads (see
+        tensorcore.threads)."""
+        rows = inputs.length if isinstance(inputs, ModelInput) \
+            else sum(i.length for i in inputs)
+        with threads.inference(rows):
+            return classify(self.fused_output(inputs, rasters), self.head).data
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}

@@ -4,6 +4,17 @@ Every op computes its forward value with numpy and, when a tape is active and
 at least one input is tracked, pushes a closure that maps the output gradient
 to per-parent gradients. Broadcasting is supported only where the model needs
 it (bias-style adds); everything else is shape-strict.
+
+The encoder's row-wise ops (`linear`, `add`, `gelu`, `layer_norm`) and
+`attention` compute their forward values with one kernel each, over a part
+of the rows (or, for attention, of the heads) written into a preallocated
+output. With a tape, or outside a pinned inference call, the kernel runs once
+over everything. In an inference call of at least `threads.SPLIT_MIN_ROWS`
+rows (no tape, OpenBLAS pinned to one thread, see tensorcore.threads) the
+encoder's ops run it as two halves, one on the calling thread and one on the
+worker thread, with the bytes of the whole. Every other op runs whole on the
+calling thread, at one BLAS thread inside such a call and at the process's
+BLAS thread count outside it.
 """
 
 from __future__ import annotations
@@ -19,14 +30,15 @@ from ielab.tensorcore.engine import (
     Tensor,
     active_tape,
 )
+from ielab.tensorcore.threads import run_halves
 
 
 def _scatter_add(shape, idx, g):
     """Rows of g summed into a zero table at rows idx: onehot(idx)^T @ g."""
     T = idx.size
-    onehot = sparse.csr_array((np.ones(T), idx.ravel(), np.arange(T + 1)),
-                              shape=(T, shape[0]))
-    return (onehot.T @ g.reshape(T, -1)).reshape(shape)
+    onehot_t = sparse.csc_array((np.ones(T), idx.ravel(), np.arange(T + 1)),
+                                shape=(shape[0], T))
+    return (onehot_t @ g.reshape(T, -1)).reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -42,13 +54,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _rows(xd: np.ndarray) -> int:
+    """Rows a row-wise kernel may split: the leading axis of a matrix."""
+    return xd.shape[0] if xd.ndim > 1 else 0
+
+
+def _linear_rows(out, xd, wd, bd, part):
+    o = out[part]
+    np.matmul(xd[part], wd, out=o)
+    o += bd
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x of shape (..., d_in); the fused hot path of the model."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.shape[-1] != wd.shape[0] or wd.shape[1] != bd.shape[0]:
         raise ShapeError(
             f"linear shapes incompatible: x{xd.shape} w{wd.shape} b{bd.shape}")
-    out = Tensor._wrap(xd @ wd + bd)
+    out_data = np.empty(xd.shape[:-1] + wd.shape[1:])
+    run_halves(_linear_rows, _rows(xd), out_data, xd, wd, bd)
+    out = Tensor._wrap(out_data)
     tape = active_tape()
     if tape is not None:
         px, pw, pb = tape.tracked_id(x), tape.tracked_id(w), tape.tracked_id(b)
@@ -67,13 +92,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _add_rows(out, ad, bd, part):
+    np.add(ad[part], bd[part], out=out[part])
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with bias-style broadcasting."""
     ad, bd = a.data, b.data
     try:
-        out_data = ad + bd
+        out_data = np.empty(np.broadcast(ad, bd).shape)
     except ValueError as exc:
         raise ShapeError(f"add shapes {ad.shape} + {bd.shape}") from exc
+    run_halves(_add_rows, _rows(ad) if ad.shape == bd.shape else 0,
+               out_data, ad, bd)
     out = Tensor._wrap(out_data)
     tape = active_tape()
     if tape is not None:
@@ -87,16 +118,24 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _gelu_rows(out, t, xd, part):
+    x, tp, o = xd[part], t[part], out[part]
+    np.multiply(x, x, out=tp)       # in place, with the same rounding as
+    tp *= x                         # c*(x + 0.044715*(x*x*x)) evaluated
+    tp *= 0.044715                  # left to right
+    tp += x
+    tp *= GELU_TANH_COEFF
+    np.tanh(tp, out=tp)
+    np.multiply(x, 0.5, out=o)
+    o *= tp + 1.0
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    t = xd * xd                     # in place, with the same rounding as
-    t *= xd                         # c*(x + 0.044715*(x*x*x)) evaluated
-    t *= 0.044715                   # left to right
-    t += xd
-    t *= GELU_TANH_COEFF
-    np.tanh(t, out=t)
-    out = Tensor._wrap((0.5 * xd) * (t + 1.0))
+    t, out_data = np.empty_like(xd), np.empty_like(xd)
+    run_halves(_gelu_rows, _rows(xd), out_data, t, xd)
+    out = Tensor._wrap(out_data)
     tape = active_tape()
     if tape is not None:
         px = tape.tracked_id(x)
@@ -144,6 +183,18 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
+def _layer_norm_rows(out, xhat, inv, xd, gd, bd, eps, part):
+    x, xh, iv, y = xd[part], xhat[part], inv[part], out[part]
+    h = xd.shape[-1]
+    np.subtract(x, x.sum(axis=-1, keepdims=True) / h, out=xh)  # np.mean's bits
+    np.multiply(xh, xh, out=y)
+    np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps, out=iv)
+    np.divide(1.0, iv, out=iv)
+    xh *= iv
+    np.multiply(xh, gd, out=y)
+    y += bd
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize each last-dimension slice to zero mean / unit variance, then
     apply the gamma/beta affine."""
@@ -151,12 +202,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     h = xd.shape[-1]
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
         raise ShapeError(f"layer_norm affine must have shape ({h},)")
-    xhat = xd - xd.sum(axis=-1, keepdims=True) / h     # np.mean's bits
-    y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps)
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    y, xhat = np.empty_like(xd), np.empty_like(xd)
+    inv = np.empty(xd.shape[:-1] + (1,))
+    run_halves(_layer_norm_rows, _rows(xd), y, xhat, inv, xd, gamma.data,
+               beta.data, eps)
     out = Tensor._wrap(y)
     tape = active_tape()
     if tape is not None:
@@ -220,6 +269,27 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
     return out
 
 
+def _heads(x, heads):
+    """(n, h) rows -> (heads, n, h // heads) view."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _attention_heads(out, probs, qd, kd, vd, spans, bias, heads, part):
+    inv = 1.0 / np.sqrt(qd.shape[1] // heads)
+    for (lo, hi), b, a in zip(spans, bias, probs):
+        a = a[part]                                # (heads, n, n) scores
+        kh = _heads(kd[lo:hi], heads)[part]
+        np.matmul(_heads(qd[lo:hi], heads)[part], kh.transpose(0, 2, 1), out=a)
+        a *= inv
+        if b is not None:
+            a += b
+        a -= a.max(axis=2, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=2, keepdims=True)
+        np.matmul(a, _heads(vd[lo:hi], heads)[part],
+                  out=_heads(out[lo:hi], heads)[part])
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
               heads: int, spans: list[tuple[int, int]] | None = None) -> Tensor:
     """Fused multi-head scaled dot-product attention (one tape node).
@@ -227,8 +297,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     q, k, v are (T, h) with h divisible by `heads`; `bias` is a constant
     additive score matrix broadcastable to (T, T), such as a (1, T) key mask
     (0 to allow, large negative to mask), or None when every key is allowed,
-    which gives the same bits as an all-zero bias without adding it. All
-    heads run as one batched (heads, T, dh) matmul.
+    which gives the same bits as an all-zero bias without adding it. Each
+    head's scores are one (T, dh) @ (dh, T) product; in a split inference
+    call (see tensorcore.threads) the heads run in two halves on two
+    threads.
 
     With `spans`, a list of (lo, hi) row ranges that tile [0, T) in order,
     the rows are chunks packed back to back: each span's queries see only
@@ -254,36 +326,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
         if len(bias) != len(spans):
             raise ShapeError(f"attention needs one bias per span, got "
                              f"{len(bias)} for {len(spans)} spans")
-    dh = h // heads
-    inv = 1.0 / np.sqrt(dh)
-
-    def split(x):                                  # (n, h) -> (heads, n, dh)
-        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
-
-    def merge(x):                                  # (heads, n, dh) -> (n, h)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], h)
-
-    saved, outs = [], []
-    for (lo, hi), b in zip(spans, bias):
-        qh, kh, vh = split(qd[lo:hi]), split(kd[lo:hi]), split(vd[lo:hi])
-        a = qh @ kh.transpose(0, 2, 1)             # (heads, n, n) scores
-        a *= inv
-        if b is not None:
-            a += b
-        a -= a.max(axis=2, keepdims=True)
-        np.exp(a, out=a)
-        a /= a.sum(axis=2, keepdims=True)
-        outs.append(merge(a @ vh))
-        saved.append((qh, kh, vh, a))
-    out = Tensor._wrap(outs[0] if len(outs) == 1 else np.concatenate(outs))
+    out_data = np.empty((T, h))
+    probs = [np.empty((heads, hi - lo, hi - lo)) for lo, hi in spans]
+    run_halves(_attention_heads, heads, out_data, probs, qd, kd, vd, spans,
+               bias, heads)
+    out = Tensor._wrap(out_data)
     tape = active_tape()
     if tape is not None:
         pq, pk, pv = (tape.tracked_id(t) for t in (q, k, v))
         if pq >= 0 or pk >= 0 or pv >= 0:
-            def bw(g, spans=spans, saved=saved):
+            inv = 1.0 / np.sqrt(h // heads)
+
+            def merge(x):                          # (heads, n, dh) -> (n, h)
+                return x.transpose(1, 0, 2).reshape(x.shape[1], h)
+
+            def bw(g, spans=spans, probs=probs):
                 grads = []
-                for (lo, hi), (qh, kh, vh, a) in zip(spans, saved):
-                    gh = split(g[lo:hi])
+                for (lo, hi), a in zip(spans, probs):
+                    qh, kh, vh, gh = (_heads(x[lo:hi], heads)
+                                      for x in (qd, kd, vd, g))
                     dv = a.transpose(0, 2, 1) @ gh
                     ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
                     ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]

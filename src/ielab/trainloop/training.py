@@ -15,16 +15,22 @@ whole batch; Adam then applies one update at a constant learning rate.
 
 Shard 0 runs on the calling thread and draws dropout from the fold's
 dropout stream (fold_seed, 12), so a batch of one chunk's rows trains
-exactly as an unsharded step. Shard 1 runs on a worker thread that lives for
-one `train_fold` call and draws dropout from (fold_seed, 12, epoch, batch
+exactly as an unsharded step. Shard 1 runs on the process's worker thread
+(tensorcore.threads) and draws dropout from (fold_seed, 12, epoch, batch
 start). While a batch of more than one chunk's rows trains, numpy's OpenBLAS
 is pinned to one thread, and its old thread count is restored afterwards,
 also on an exception. The two shards then use two CPUs without a BLAS pool
 oversubscribing them, and their bits do not depend on the process's BLAS
 thread count, which changes the low bits of large products. Where OpenBLAS
-cannot be pinned or only one CPU is usable, the shards run one after the
-other with the same bits. The partition depends only on the batch, never on
-the machine.
+cannot be pinned, only one CPU is usable or the caller is the worker itself,
+the shards run one after the other with the same bits. The partition depends
+only on the batch, never on the machine. A batch of at most one chunk's rows
+trains at the process's BLAS thread count, on the calling thread; every op
+of a training step runs whole, never split by rows.
+
+Validation runs inference calls (see TokenTagger.predict_probs): for a
+document of at least `threads.SPLIT_MIN_ROWS` tokens, OpenBLAS on one thread
+and the encoder's ops split over the calling thread and the worker.
 
 Training stops with a ConfigError at the first batch whose loss is not
 finite, naming the fold seed, epoch and batch start.
@@ -37,12 +43,8 @@ earlier epochs winning ties.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import glob
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,16 +61,9 @@ from ielab.evalsuite.accounting import count_parameters
 from ielab.evalsuite.scoring import ClassReport, entity_scores
 from ielab.jsonconfig import JsonConfig
 from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
-from ielab.tensorcore import AdamState, Tape, adam_step, backward, ops
+from ielab.tensorcore import AdamState, Tape, adam_step, backward, ops, threads
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
 from ielab.trainloop.chunking import chunk_document, predict_tags
-
-# (get, set) thread-count symbols of numpy's bundled OpenBLAS builds
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 @dataclass(frozen=True)
@@ -141,47 +136,6 @@ def _doc_rasters(rasters, doc: DocumentRecord):
     return rasters.get(doc.id) if rasters else None
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread, restoring the old count on exit; yields
-    whether it could be pinned."""
-    fns = _openblas_threads()
-    if fns is None:
-        yield False
-        return
-    get, set_ = fns
-    old = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(old)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _shards(batch: list, max_rows: int) -> list[list]:
     """The batch's (doc index, chunk inputs) entries as one shard, or as two
     contiguous shards cut where their row counts balance best."""
@@ -212,13 +166,13 @@ def _shard_grads(model: TokenTagger, params: dict, inputs: list,
 
 def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
                  drop_rng: np.random.Generator, second_seed: list,
-                 max_rows: int, worker: ThreadPoolExecutor):
+                 max_rows: int):
     """Loss and parameter gradients of a batch of (doc index, chunk inputs).
 
     A batch with more rows than `max_rows` runs with OpenBLAS pinned to one
     thread. If it splits into two shards, the second draws dropout from
-    `second_seed` and runs on `worker` while this thread runs the first,
-    when OpenBLAS is pinned and two CPUs are usable.
+    `second_seed` and runs on the worker thread while this thread runs the
+    first, when OpenBLAS is pinned and a second CPU is at hand.
     """
     shards = _shards(batch, max_rows)
     inputs = [[c for _, chunks in sh for c in chunks] for sh in shards]
@@ -230,10 +184,10 @@ def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
              t / sum(tokens))
             for sh, inp, rng, t in zip(shards, inputs, rngs, tokens)]
     rows = sum(i.length for inp in inputs for i in inp)
-    with _one_blas_thread() if rows > max_rows \
+    with threads._one_blas_thread() if rows > max_rows \
             else contextlib.nullcontext(False) as pinned:
-        if pinned and len(jobs) == 2 and _usable_cpus() >= 2:
-            second = worker.submit(_shard_grads, *jobs[1])
+        if len(jobs) == 2 and threads.second_cpu(pinned):
+            second = threads.worker().submit(_shard_grads, *jobs[1])
             try:
                 first = _shard_grads(*jobs[0])
             finally:
@@ -280,35 +234,34 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
     loss_trace: list[float] = []
     best_f1, best_epoch, best_snapshot = -1.0, -1, None
     n = len(enc_train)
-    with ThreadPoolExecutor(1) as worker:
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n)
-            epoch_losses = []
-            for bstart in range(0, n, cfg.batch_size):
-                batch = []
-                for di in order[bstart:bstart + cfg.batch_size]:
-                    x = augment_tokens(enc_train[di], cfg.token_replace_rate,
-                                       aug_rng, vocabs.word.size)
-                    x = augment_bboxes(x, cfg, aug_rng)
-                    batch.append((di, [ch.inputs for ch in chunk_document(
-                        x, cfg, train_docs[di].id)]))
-                loss, grads = _batch_grads(
-                    model, params, batch, train_rasters, drop_rng,
-                    [fold_seed, 12, epoch, bstart], cfg.max_seq_len, worker)
-                if not math.isfinite(loss):
-                    raise ConfigError(
-                        f"fold seed {fold_seed}, epoch {epoch}, batch start "
-                        f"{bstart}: training loss is {loss}; lower the "
-                        "learning rate")
-                epoch_losses.append(loss)
-                adam_step(params, grads, state)
-            loss_trace.append(float(np.mean(epoch_losses)))
-            preds = [predict_tags(model, enc, cfg, label_names, rast)
-                     for enc, rast in zip(enc_val, val_rasters)]
-            f1 = entity_scores(preds, gold_val).weighted_f1
-            trace.append(f1)
-            if f1 > best_f1:
-                best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_losses = []
+        for bstart in range(0, n, cfg.batch_size):
+            batch = []
+            for di in order[bstart:bstart + cfg.batch_size]:
+                x = augment_tokens(enc_train[di], cfg.token_replace_rate,
+                                   aug_rng, vocabs.word.size)
+                x = augment_bboxes(x, cfg, aug_rng)
+                batch.append((di, [ch.inputs for ch in chunk_document(
+                    x, cfg, train_docs[di].id)]))
+            loss, grads = _batch_grads(
+                model, params, batch, train_rasters, drop_rng,
+                [fold_seed, 12, epoch, bstart], cfg.max_seq_len)
+            if not math.isfinite(loss):
+                raise ConfigError(
+                    f"fold seed {fold_seed}, epoch {epoch}, batch start "
+                    f"{bstart}: training loss is {loss}; lower the "
+                    "learning rate")
+            epoch_losses.append(loss)
+            adam_step(params, grads, state)
+        loss_trace.append(float(np.mean(epoch_losses)))
+        preds = [predict_tags(model, enc, cfg, label_names, rast)
+                 for enc, rast in zip(enc_val, val_rasters)]
+        f1 = entity_scores(preds, gold_val).weighted_f1
+        trace.append(f1)
+        if f1 > best_f1:
+            best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
     model.restore(best_snapshot)
     return FoldResult(model=model, vocabs=vocabs, spec=spec,
                       best_epoch=best_epoch, best_val_f1=best_f1,

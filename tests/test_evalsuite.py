@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,38 @@ def test_feature_subset_run_trains_restricted_model():
     assert got.style_features == ("bold", "inTable")
     assert "style.bold" in res.fold_results[0].model.parameters()
     assert "style.color" not in res.fold_results[0].model.parameters()
+
+
+# Tags of several classes per document: `entity_scores` meets a document's
+# classes in the iteration order of a set of spans, which follows the
+# process's string hash seed.
+_HASH_SEED_SCRIPT = """
+import json, random
+from ielab.evalsuite.scoring import entity_scores
+rng = random.Random(3)
+gold, pred = [], []
+for _ in range(12):
+    g, p = [], []
+    for c in ("AMOUNT", "BUYER", "DATE", "SELLER", "PRICE", "QTY", "REF"):
+        for _ in range(rng.randint(0, 3)):
+            g += ["B-" + c, "I-" + c, "O"]
+            r = rng.random()
+            p += (["B-" + c, "I-" + c, "O"] if r < 0.6
+                  else ["O", "B-" + c, "O"] if r < 0.8 else ["O", "O", "O"])
+    gold.append(g)
+    pred.append(p)
+print(json.dumps(entity_scores(pred, gold).to_json()))
+"""
+
+
+def test_entity_scores_json_is_the_same_under_any_hash_seed():
+    """metrics.json holds this report and its weighted F1s: its bytes must
+    not depend on the hash seed (seeds 0 and 6 summed the classes in orders
+    that differ in the last bit)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = [subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT], capture_output=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "6")]
+    assert outs[0] == outs[1]

@@ -12,6 +12,7 @@ from ielab.docstream import BucketingConfig
 from ielab.errors import ConfigError, ContractError
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
+from ielab.tensorcore import threads
 from ielab.trainloop import (
     TrainConfig,
     aggregate_chunk_predictions,
@@ -250,7 +251,7 @@ def test_cross_validate_same_on_one_or_two_workers(monkeypatch):
                       chunk_overlap=6)
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         runs.append(cross_validate(docs, spec_template(), cfg,
                                    BucketingConfig(), k=4))
     assert runs[0].per_fold_f1 == runs[1].per_fold_f1
@@ -289,7 +290,7 @@ def assert_same_runs(a, b):
 
 
 def blas_threads():
-    fns = training._openblas_threads()
+    fns = threads._openblas_threads()
     if fns is None:
         pytest.skip("numpy's OpenBLAS thread count is not reachable")
     return fns
@@ -347,7 +348,7 @@ def test_sharded_steps_follow_the_whole_batch_loss(monkeypatch):
 def test_train_fold_same_on_one_or_two_workers(monkeypatch, fusion):
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         runs.append(sharded_run(fusion))
     assert_same_runs(*runs)
 
@@ -380,7 +381,7 @@ def test_train_fold_restores_blas_threads(monkeypatch):
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard failed")
         time.sleep(0.2)             # still running after shard 0 failed
-        worker_saw.append(get())
+        worker_saw.append((threading.current_thread().name, get()))
         return shard_grads(*args)
 
     try:
@@ -392,7 +393,8 @@ def test_train_fold_restores_blas_threads(monkeypatch):
         with pytest.raises(RuntimeError, match="shard failed"):
             train_fold(docs[:4], docs[4:], spec_template(), cfg,
                        BucketingConfig(), fold_seed=0)
-        assert worker_saw == [1]    # pinned until shard 1 ended, ...
+        # shard 1 ran on the process's worker, pinned until it ended, ...
+        assert worker_saw == [("ielab-worker_0", 1)]
         assert get() == 2           # ... then restored
     finally:
         set_(old)
