@@ -146,8 +146,10 @@ def _write_json(path: Path, obj: dict) -> None:
                     encoding="utf-8")
 
 
-def _load_corpus(spec: ExperimentSpec) -> list[DocumentRecord]:
-    corpus_path = spec.paths.get("corpus")
+def _load_corpus(spec: ExperimentSpec,
+                 corpus_path: str | None = None) -> list[DocumentRecord]:
+    """The corpus at `corpus_path`, by default the spec's paths.corpus."""
+    corpus_path = corpus_path or spec.paths.get("corpus")
     if not corpus_path:
         raise FileNotFoundError("spec.paths.corpus is not set")
     return parse_documents(Path(corpus_path).read_bytes())
@@ -254,8 +256,7 @@ def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[
 def cmd_eval(spec: ExperimentSpec, checkpoint: str,
              corpus_path: str | None) -> int:
     model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
-    corpus_bytes = Path(corpus_path or spec.paths["corpus"]).read_bytes()
-    docs = parse_documents(corpus_bytes)
+    docs = _load_corpus(spec, corpus_path)
     rasters = _load_rasters(spec, docs)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -287,6 +288,8 @@ def cmd_eval(spec: ExperimentSpec, checkpoint: str,
 
 def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
                repeats: int = 5) -> int:
+    if repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
     if model.spec.fusion not in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
         raise ContractError(

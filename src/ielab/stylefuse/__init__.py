@@ -12,7 +12,7 @@ from ielab.stylefuse.fusion import (
 from ielab.stylefuse.image import (
     ImagePathConfig,
     backbone_forward,
-    image_embed_and_fuse,
+    image_rows,
     roi_align_batch,
 )
 from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
@@ -21,6 +21,6 @@ __all__ = [
     "ClassifierHead", "FusionMode", "ImagePathConfig", "StyleTables",
     "TaggerSpec", "TokenTagger", "backbone_forward", "classify",
     "fuse_style_concat", "fuse_style_sum", "head_logits",
-    "image_embed_and_fuse", "roi_align_batch",
+    "image_rows", "roi_align_batch",
     "with_resolved_sizes",
 ]

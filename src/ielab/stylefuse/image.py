@@ -3,10 +3,16 @@
 A page raster (grayscale grid over the page) runs through three strided
 conv+GELU stages to build a feature map; each token's quantized box is pooled
 from its page's map with RoIAlign (r x r bins, 2x2 averaged bilinear samples
-per bin, zero padding outside the map) and projected to the encoder width,
-then element-wise summed with the token's encoder output. RoIAlign is linear
-in the maps, so one sparse interpolation matrix (a row per token bin, holding
-its corner weights on its own page) pools every token of a forward at once.
+per bin, zero padding outside the map) and projected to the encoder width
+(`image_rows`); TokenTagger.fused_output sums these rows element-wise with
+the tokens' encoder output. RoIAlign is linear in the maps, so one sparse
+interpolation matrix (a row per token bin, holding its corner weights on its
+own page) pools every token of a forward at once.
+
+The image rows do not depend on the encoder. In a split inference call
+(see tensorcore.threads) they run as one task on the worker thread while the
+calling thread runs the encoder; everywhere else, training included, they
+run on the calling thread after the encoder.
 """
 
 from __future__ import annotations
@@ -158,12 +164,12 @@ def roi_align_batch(fmaps, boxes: np.ndarray, r: int, pages=None) -> Tensor:
     return out
 
 
-def image_embed_and_fuse(L: Tensor, boxes: np.ndarray, page_ids: np.ndarray,
-                         rasters: list, params: dict,
-                         config: ImagePathConfig) -> Tensor:
-    """e_i = L_i + proj(RoIAlign(feature_map(page_i), box_i)).
+def image_rows(boxes: np.ndarray, page_ids: np.ndarray, rasters: list,
+               params: dict, config: ImagePathConfig) -> Tensor:
+    """v_i = proj(RoIAlign(feature_map(page_i), box_i)), one row per token.
 
-    `rasters` holds one (C, H, W) grid per page; backbone, projection, and the
+    `rasters` holds one (C, H, W) grid per page; each page that a token
+    names runs through the backbone once. Backbone, projection, and the
     upstream encoder all train jointly through this path.
     """
     needed, page_of_token = np.unique(np.asarray(page_ids), return_inverse=True)
@@ -174,8 +180,8 @@ def image_embed_and_fuse(L: Tensor, boxes: np.ndarray, page_ids: np.ndarray,
     fmaps = [backbone_forward(_as_tensor(rasters[int(p)]), params, config)
              for p in needed]
     rows = roi_align_batch(fmaps, boxes, config.roi_bins, page_of_token)
-    v = ops.linear(rows, params["image.proj.weight"], params["image.proj.bias"])
-    return ops.add(L, v)
+    return ops.linear(rows, params["image.proj.weight"],
+                      params["image.proj.bias"])
 
 
 def _as_tensor(raster) -> Tensor:

@@ -26,9 +26,9 @@ from ielab.stylefuse.fusion import (
     fuse_style_sum,
     head_logits,
 )
-from ielab.stylefuse.image import ImagePathConfig, image_embed_and_fuse
+from ielab.stylefuse.image import ImagePathConfig, image_rows
 from ielab.tensorcore import checkpoint as ckpt
-from ielab.tensorcore import engine, threads
+from ielab.tensorcore import engine, ops, threads
 from ielab.tensorcore.engine import Tensor
 
 
@@ -144,6 +144,13 @@ class TokenTagger:
         rows back to back, equal to per-input forwards. For IMAGE, each
         distinct page list is numbered once, so a page's feature map is
         computed once per call however many chunks show it.
+
+        IMAGE embeds the tokens and numbers the pages first, then computes
+        the image rows (`image_rows`: backbones, RoIAlign, projection)
+        beside the encoder (`threads.beside`): in a split inference call on
+        the worker thread while this thread runs the encoder, elsewhere on
+        this thread after it. Either way the rows are added to the encoder
+        output last, with the same bytes.
         """
         if isinstance(inputs, ModelInput):
             inputs, rasters = [inputs], [rasters]
@@ -153,19 +160,22 @@ class TokenTagger:
         inp = inputs[0] if single else pack_inputs(inputs)
         lengths = None if single else [i.length for i in inputs]
         e = layoutcore.embed_tokens(inp, self.encoder_params, lengths)
-        L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params, lengths)
         mode = self.spec.fusion
+        if mode is FusionMode.IMAGE:
+            page_ids, pages = _number_pages(inputs, rasters)
+            boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
+                             axis=1).astype(np.float64)
+            with threads.beside(image_rows, boxes, page_ids, pages,
+                                self.image_params, self.spec.image) as v:
+                L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params,
+                                               lengths)
+                return ops.add(L, v())
+        L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params, lengths)
         if mode is FusionMode.BASELINE:
             return L
         if mode is FusionMode.STYLE_SUM:
             return fuse_style_sum(L, inp.style_ids, self.style)
-        if mode is FusionMode.STYLE_CONCAT:
-            return fuse_style_concat(L, inp.style_ids, self.style)
-        page_ids, pages = _number_pages(inputs, rasters)
-        boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
-                         axis=1).astype(np.float64)
-        return image_embed_and_fuse(L, boxes, page_ids, pages,
-                                    self.image_params, self.spec.image)
+        return fuse_style_concat(L, inp.style_ids, self.style)
 
     def forward_logits(self, inputs, rasters=None, training: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
@@ -177,8 +187,10 @@ class TokenTagger:
         """Inference-mode class probabilities, (total tokens, label_count);
         inputs as in fused_output. One inference call: from
         `threads.SPLIT_MIN_ROWS` rows up, OpenBLAS runs on one thread
-        throughout and the encoder splits its ops over two threads (see
-        tensorcore.threads)."""
+        throughout and the encoder splits its ops over this thread and the
+        worker thread; IMAGE runs its image rows as one task on the worker
+        meanwhile, and the encoder's op halves that the busy worker has not
+        begun run on this thread (see tensorcore.threads)."""
         rows = inputs.length if isinstance(inputs, ModelInput) \
             else sum(i.length for i in inputs)
         with threads.inference(rows):

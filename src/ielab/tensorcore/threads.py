@@ -1,20 +1,26 @@
 """The second CPU: one persistent worker thread and OpenBLAS's thread count.
 
-Two kinds of work use the worker. A training step of more than one chunk's
-rows runs its second shard there (see trainloop.training). An inference call
-(`inference`) over at least SPLIT_MIN_ROWS rows pins numpy's OpenBLAS to one
-thread for its whole length, and inside it the encoder's row-wise ops
-(`split_rows`, `run_halves`) run one half of their rows, or of their
-attention heads, on the worker while the calling thread runs the other half.
-With OpenBLAS at one thread every half has the bytes of the same rows
-computed whole, so the call's bits depend neither on the split nor on the
-process's BLAS thread count. A shorter call runs whole, on the calling
+Three kinds of work use the worker. A training step of more than one
+chunk's rows runs its second shard there (see trainloop.training). An
+inference call (`inference`) over at least SPLIT_MIN_ROWS rows pins numpy's
+OpenBLAS to one thread for its whole length, and inside it the encoder's
+row-wise ops (`split_rows`, `run_halves`) run one half of their rows, or of
+their attention heads, on the worker while the calling thread runs the
+other half. In such a call, work that does not depend on the encoder
+(`beside`: the IMAGE path's page backbones, RoIAlign and projection) runs on
+the worker as one task while the calling thread runs the encoder; the op
+halves the encoder hands over meanwhile wait behind it, so the calling
+thread takes them back and runs them itself until the task ends. With
+OpenBLAS at one thread every half and every task has the bytes of the same
+work computed whole, so the call's bits depend neither on the split nor on
+the process's BLAS thread count. A shorter call runs whole, on the calling
 thread, at the process's BLAS thread count: short-document eval measured
 slower with OpenBLAS pinned to one thread.
 
-Work runs whole on the calling thread when only one CPU is usable, when
-OpenBLAS cannot be pinned, or when the caller is the worker itself. The
-worker starts on first use, so importing this module starts no thread.
+Work runs whole on the calling thread, in program order, when only one CPU
+is usable, when OpenBLAS cannot be pinned, when a tape records, or when the
+caller is the worker itself. The worker starts on first use, so importing
+this module starts no thread.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -136,16 +142,48 @@ def inference(rows: int):
             _LOCAL.two_cpus = outer
 
 
+def _may_split() -> bool:
+    """Inside an inference call with a second CPU and no active tape."""
+    return getattr(_LOCAL, "two_cpus", False) and active_tape() is None
+
+
 @contextlib.contextmanager
 def split_rows():
     """Inside a pinned inference call with no active tape, let `run_halves`
     use the worker."""
     outer = getattr(_LOCAL, "split", False)
-    _LOCAL.split = getattr(_LOCAL, "two_cpus", False) and active_tape() is None
+    _LOCAL.split = _may_split()
     try:
         yield
     finally:
         _LOCAL.split = outer
+
+
+@contextlib.contextmanager
+def beside(fn, *args):
+    """Yields a zero-argument function that gives fn(*args).
+
+    Inside a pinned inference call with a second CPU and no active tape, fn
+    starts on the worker at once while the block goes on; the function waits
+    for it, or runs it on this thread if the worker has not begun it (its
+    CPU is busy). Anywhere else fn runs only when the function is called, on
+    this thread. The block does not end before a run of fn that the worker
+    has begun ends, also when the block raises, so the worker is idle again
+    and fn ran with OpenBLAS pinned.
+    """
+    if not _may_split():
+        yield functools.partial(fn, *args)
+        return
+    task = worker().submit(fn, *args)
+
+    def result():
+        return fn(*args) if task.cancel() else task.result()
+
+    try:
+        yield result
+    finally:
+        if not task.cancel():       # begun: it ends before the block does
+            wait([task])
 
 
 def run_halves(kernel, parts: int, *args) -> None:

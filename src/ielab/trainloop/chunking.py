@@ -79,7 +79,10 @@ def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
     document of at least `threads.SPLIT_MIN_ROWS` tokens, numpy's OpenBLAS
     runs on one thread for all of it, and each encoder op runs as two
     halves, one on this thread and one on the process's worker thread
-    (attention splits its heads). Its probabilities have the bytes of an
+    (attention splits its heads). An IMAGE model computes its image rows
+    (page backbones, RoIAlign, projection) as one task on the worker while
+    this thread runs the encoder, and this thread runs the op halves that
+    the busy worker has not begun. Its probabilities have the bytes of an
     unsplit forward with OpenBLAS on one thread, whatever the process's BLAS
     thread count and whether or not the split ran: it does not run when one
     CPU is usable, when OpenBLAS cannot be pinned, or when this is the worker

@@ -26,11 +26,13 @@ cannot be pinned, only one CPU is usable or the caller is the worker itself,
 the shards run one after the other with the same bits. The partition depends
 only on the batch, never on the machine. A batch of at most one chunk's rows
 trains at the process's BLAS thread count, on the calling thread; every op
-of a training step runs whole, never split by rows.
+of a training step runs whole, never split by rows, and an IMAGE shard
+computes its image rows after its encoder, on its own thread.
 
 Validation runs inference calls (see TokenTagger.predict_probs): for a
 document of at least `threads.SPLIT_MIN_ROWS` tokens, OpenBLAS on one thread
-and the encoder's ops split over the calling thread and the worker.
+and the encoder's ops split over the calling thread and the worker, and an
+IMAGE model's image rows run on the worker beside the encoder.
 
 Training stops with a ConfigError at the first batch whose loss is not
 finite, naming the fold seed, epoch and batch start.

@@ -285,6 +285,33 @@ def test_eval_config_mismatch_exits_4(tmp_path):
                      "--checkpoint", str(tmp_path / "out" / "fold0.ckpt")]) == 4
 
 
+def test_eval_without_a_corpus_exits_2(tmp_path, capsys):
+    """No --corpus and no paths.corpus: an i/o error, not a KeyError."""
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    obj = json.loads(spec.read_text())
+    del obj["paths"]["corpus"]
+    spec.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(tmp_path / "out" / "fold0.ckpt")]) == 2
+    assert "spec.paths.corpus is not set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_ablate_repeats_below_one_exit_4_before_loading(tmp_path, capsys,
+                                                          repeats):
+    """Refused before the (here missing) checkpoint is read, so no NaN
+    reaches ablation.json."""
+    spec = write_spec(tmp_path)
+    assert cli.main(["ablate", "--spec", str(spec),
+                     "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--repeats", repeats]) == 4
+    assert f"--repeats must be >= 1, got {repeats}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
 def test_ablate_baseline_checkpoint_exits_5(tmp_path):
     spec = write_spec(tmp_path, model={"fusion": "BASELINE"})
     cli.main(["generate", "--spec", str(spec)])

@@ -339,8 +339,8 @@ def test_image_fuse_zero_path_is_identity():
     L = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
     boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
     rasters = [np.random.default_rng(3).uniform(size=(1, 16, 16))]
-    out = sf.image_embed_and_fuse(L, boxes, inp.page_ids, rasters,
-                                  model.image_params, spec.image)
+    out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
+                               model.image_params, spec.image))
     assert np.array_equal(out.data, L.data)
 
 
@@ -348,15 +348,14 @@ def test_image_fuse_linear_in_projection():
     spec = small_spec(sf.FusionMode.IMAGE)
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=4)
-    L = Tensor(np.zeros((4, 8)))
     boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
     rasters = [np.random.default_rng(5).uniform(size=(1, 16, 16))]
-    v1 = sf.image_embed_and_fuse(L, boxes, inp.page_ids, rasters,
-                                 model.image_params, spec.image).data
+    v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
+                       spec.image).data
     model.image_params["image.proj.weight"].data *= 2.0
     model.image_params["image.proj.bias"].data *= 2.0
-    v2 = sf.image_embed_and_fuse(L, boxes, inp.page_ids, rasters,
-                                 model.image_params, spec.image).data
+    v2 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
+                       spec.image).data
     assert np.allclose(v2, 2.0 * v1, atol=1e-12)
 
 
@@ -369,8 +368,8 @@ def test_image_fuse_composition_oracle():
     boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
                      1).astype(float)
     rasters = [rng.uniform(size=(1, 16, 16))]
-    out = sf.image_embed_and_fuse(L, boxes, inp.page_ids, rasters,
-                                  model.image_params, spec.image).data
+    out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
+                               model.image_params, spec.image)).data
     fmap = sf.backbone_forward(Tensor(rasters[0]), model.image_params,
                                spec.image).data
     W = model.image_params["image.proj.weight"].data
@@ -389,9 +388,8 @@ def test_image_fuse_missing_page_raster():
     inp.page_ids[:] = 2
     boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
     with pytest.raises(ConfigError, match="page 2"):
-        sf.image_embed_and_fuse(Tensor(np.zeros((3, 8))), boxes, inp.page_ids,
-                                [np.zeros((1, 16, 16))], model.image_params,
-                                spec.image)
+        sf.image_rows(boxes, inp.page_ids, [np.zeros((1, 16, 16))],
+                      model.image_params, spec.image)
 
 
 def test_baseline_ignores_styles_and_rasters():

@@ -1,5 +1,6 @@
-"""Two-thread inference: every split op gives the bytes of one whole call
-with OpenBLAS on one thread, and every fallback runs whole."""
+"""Two-thread inference: every split op, and the IMAGE path's image rows
+beside the encoder, give the bytes of one whole call with OpenBLAS on one
+thread, and every fallback runs whole."""
 
 import functools
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ielab import pgm, synthdocs
+from ielab import layoutcore, pgm, synthdocs
 from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import (
@@ -25,8 +26,9 @@ from ielab.stylefuse import (
     TokenTagger,
     with_resolved_sizes,
 )
-from ielab.tensorcore import Tensor, ops, threads
-from ielab.trainloop import TrainConfig, predict_token_probs
+from ielab.stylefuse import model as tagger
+from ielab.tensorcore import ShapeError, Tensor, ops, threads
+from ielab.trainloop import TrainConfig, predict_token_probs, training
 
 # 256-token chunks: documents of 145, 176 and 202 tokens run as one chunk,
 # one of 262 tokens as two, all at or above SPLIT_MIN_ROWS
@@ -143,8 +145,113 @@ def test_split_inference_has_the_bytes_of_a_whole_one_thread_forward(
     want = _unsplit_one_thread_probs(mode)
     assert [p.tobytes() for p in _probs(mode)] == want
     # per document: embed layer norm, then per layer 6 linears, attention,
-    # 2 adds, 2 layer norms and gelu
-    assert two_cpus.calls == 4 * 13
+    # 2 adds, 2 layer norms and gelu; IMAGE also hands over its image rows
+    assert two_cpus.calls == 4 * (13 + (mode is FusionMode.IMAGE))
+
+
+class _Record(list):
+    """Names of the threads that ran each image-rows task, appended as each
+    ends; `started` is set as one begins."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = threading.Event()
+
+
+@pytest.fixture
+def image_rows_ran_on(monkeypatch):
+    ran_on, real = _Record(), tagger.image_rows
+
+    def spy(*args):
+        ran_on.started.set()
+        try:
+            return real(*args)
+        finally:
+            time.sleep(0.01)    # an end that the caller could overtake
+            ran_on.append(threading.current_thread().name)
+
+    monkeypatch.setattr(tagger, "image_rows", spy)
+    return ran_on
+
+
+def _encoder_after_image_rows_start(monkeypatch, ran_on):
+    """Hold each encoder call until an image-rows task has begun, so that
+    the worker, not this thread, runs it."""
+    real = layoutcore.encoder_forward
+    ran_on.started.clear()
+
+    def held(*args):
+        assert ran_on.started.wait(60)
+        ran_on.started.clear()
+        return real(*args)
+
+    monkeypatch.setattr(layoutcore, "encoder_forward", held)
+
+
+def test_image_rows_run_on_the_worker_beside_the_encoder(
+        two_cpus, image_rows_ran_on, monkeypatch):
+    want = _unsplit_one_thread_probs(FusionMode.IMAGE)
+    _encoder_after_image_rows_start(monkeypatch, image_rows_ran_on)
+    assert [p.tobytes() for p in _probs(FusionMode.IMAGE)] == want
+    assert len(image_rows_ran_on) == 4
+    assert all(name.startswith("ielab-worker") for name in image_rows_ran_on)
+
+
+def test_a_busy_worker_leaves_the_image_rows_to_the_caller(
+        two_cpus, image_rows_ran_on):
+    """The call takes its image rows and every op half back from a worker
+    that stays blocked until the call has ended."""
+    want = _unsplit_one_thread_probs(FusionMode.IMAGE)
+    release = threading.Event()
+    busy = two_cpus.real.submit(release.wait, 60)
+    try:
+        got = [p.tobytes() for p in _probs(FusionMode.IMAGE)]
+        still_busy = not busy.done()
+    finally:
+        release.set()
+    assert busy.result(timeout=60) is True
+    assert still_busy and got == want
+    assert image_rows_ran_on == [threading.current_thread().name] * 4
+    assert two_cpus.calls == 4 * 14
+
+
+def test_a_failing_image_task_fails_the_call_after_it_ends(
+        two_cpus, image_rows_ran_on, monkeypatch):
+    """A two-channel raster fails the worker's task; the call raises what
+    the one-CPU path raises, once the task has ended, and the worker is idle
+    again."""
+    docs, rasters = _corpus()
+    model, encs = _model(FusionMode.IMAGE, docs)
+    bad = [np.concatenate([r, r]) for r in rasters[docs[0].id]]
+    with monkeypatch.context() as mp:
+        mp.setattr(threads, "_usable_cpus", lambda: 1)
+        with pytest.raises(ShapeError) as one_cpu:
+            predict_token_probs(model, encs[0], CFG, bad)
+    assert "raster has 2 channels" in str(one_cpu.value)
+    assert two_cpus.calls == 0
+    image_rows_ran_on.clear()
+    _encoder_after_image_rows_start(monkeypatch, image_rows_ran_on)
+    with pytest.raises(ShapeError) as split:
+        predict_token_probs(model, encs[0], CFG, bad)
+    ended = list(image_rows_ran_on)
+    assert str(split.value) == str(one_cpu.value)
+    assert len(ended) == 1 and ended[0].startswith("ielab-worker")
+    assert two_cpus.real.submit(int, 3).result(timeout=60) == 3
+
+
+def test_a_one_shard_image_training_step_hands_nothing_over(two_cpus):
+    """A batch of one two-chunk document: OpenBLAS pinned and a tape
+    recording, so every op and the image rows stay on this thread."""
+    docs, rasters = _corpus()
+    model, encs = _model(FusionMode.IMAGE, docs)
+    longest = max(range(len(docs)), key=lambda i: len(docs[i].tokens))
+    chunks = [c.inputs for c in training.chunk_document(encs[longest], CFG)]
+    assert len(chunks) == 2
+    loss, grads = training._batch_grads(
+        model, model.parameters(), [(0, chunks)], [rasters[docs[longest].id]],
+        np.random.default_rng(0), [0, 12, 0, 0], CFG.max_seq_len)
+    assert np.isfinite(loss) and np.any(grads["image.proj.weight"])
+    assert two_cpus.calls == 0
 
 
 def test_one_usable_cpu_runs_whole(two_cpus, monkeypatch):
@@ -177,16 +284,20 @@ def test_inference_on_the_worker_runs_whole(two_cpus):
 
 
 def test_documents_below_the_cut_off_run_as_they_are(two_cpus, monkeypatch):
-    """Whole, on this thread, at the process's BLAS thread count."""
+    """Whole, on this thread, at the process's BLAS thread count; IMAGE
+    keeps its image rows on this thread too."""
     docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
         template="TRADECONF", n_docs=3, tokens_per_doc=(20, 60), seed=2))
     assert max(len(d.tokens) for d in docs) < threads.SPLIT_MIN_ROWS
-    model, encs = _model(FusionMode.BASELINE, docs)
+    pages = [[pgm.raster_to_input(p.grid)
+              for p in synthdocs.render_pages(d, size=32)] for d in docs]
     asked = []
     monkeypatch.setattr(threads, "_openblas_threads",
                         lambda: asked.append(1))
-    for enc in encs:
-        predict_token_probs(model, enc, CFG)
+    for mode in (FusionMode.BASELINE, FusionMode.IMAGE):
+        model, encs = _model(mode, docs)
+        for enc, rasters in zip(encs, pages):
+            predict_token_probs(model, enc, CFG, rasters)
     assert two_cpus.calls == 0 and not asked
 
 
