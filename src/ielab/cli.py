@@ -152,7 +152,10 @@ def _load_corpus(spec: ExperimentSpec,
     corpus_path = corpus_path or spec.paths.get("corpus")
     if not corpus_path:
         raise FileNotFoundError("spec.paths.corpus is not set")
-    return parse_documents(Path(corpus_path).read_bytes())
+    docs = parse_documents(Path(corpus_path).read_bytes())
+    if not docs:
+        raise DataValidationError(f"{corpus_path}: corpus has no documents")
+    return docs
 
 
 def _load_rasters(spec: ExperimentSpec, docs) -> dict | None:
@@ -290,6 +293,10 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
                repeats: int = 5) -> int:
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
+    if not features or len(set(features)) < len(features) \
+            or not set(features) <= set(STYLE_FEATURES):
+        raise ConfigError(f"--features must name distinct style features "
+                          f"of {list(STYLE_FEATURES)}, got {features}")
     model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
     if model.spec.fusion not in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
         raise ContractError(

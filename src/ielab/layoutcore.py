@@ -149,9 +149,8 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
     its own chunk's keys with `mask` True; every other op runs once over all
     rows. A chunk with a masked key adds a -1e9 bias to that key's scores; a
     chunk with none (every chunk that `encode_document` and packing produce)
-    adds no bias. In an inference call every op but the embedding gather runs
-    its rows (attention: its heads) as two halves on two threads; see
-    tensorcore.threads.
+    adds no bias. In an inference call the ops may run as two halves on two
+    threads (see tensorcore.threads).
     """
     cfg = params.config
     T = hidden_in.data.shape[0]

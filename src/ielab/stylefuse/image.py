@@ -9,10 +9,8 @@ the tokens' encoder output. RoIAlign is linear in the maps, so one sparse
 interpolation matrix (a row per token bin, holding its corner weights on its
 own page) pools every token of a forward at once.
 
-The image rows do not depend on the encoder. In a split inference call
-(see tensorcore.threads) they run as one task on the worker thread while the
-calling thread runs the encoder; everywhere else, training included, they
-run on the calling thread after the encoder.
+The image rows do not depend on the encoder, so they may run beside it (see
+tensorcore.threads).
 """
 
 from __future__ import annotations

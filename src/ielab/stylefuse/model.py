@@ -147,10 +147,8 @@ class TokenTagger:
 
         IMAGE embeds the tokens and numbers the pages first, then computes
         the image rows (`image_rows`: backbones, RoIAlign, projection)
-        beside the encoder (`threads.beside`): in a split inference call on
-        the worker thread while this thread runs the encoder, elsewhere on
-        this thread after it. Either way the rows are added to the encoder
-        output last, with the same bytes.
+        `beside` the encoder (see tensorcore.threads) and adds them to the
+        encoder output last.
         """
         if isinstance(inputs, ModelInput):
             inputs, rasters = [inputs], [rasters]
@@ -185,15 +183,11 @@ class TokenTagger:
 
     def predict_probs(self, inputs, rasters=None) -> np.ndarray:
         """Inference-mode class probabilities, (total tokens, label_count);
-        inputs as in fused_output. One inference call: from
-        `threads.SPLIT_MIN_ROWS` rows up, OpenBLAS runs on one thread
-        throughout and the encoder splits its ops over this thread and the
-        worker thread; IMAGE runs its image rows as one task on the worker
-        meanwhile, and the encoder's op halves that the busy worker has not
-        begun run on this thread (see tensorcore.threads)."""
+        inputs as in fused_output. One inference call, pinned from
+        `threads.SPLIT_MIN_ROWS` rows up (see tensorcore.threads)."""
         rows = inputs.length if isinstance(inputs, ModelInput) \
             else sum(i.length for i in inputs)
-        with threads.inference(rows):
+        with threads.one_blas_thread(rows >= threads.SPLIT_MIN_ROWS):
             return classify(self.fused_output(inputs, rasters), self.head).data
 
     def snapshot(self) -> dict[str, np.ndarray]:

@@ -8,13 +8,8 @@ it (bias-style adds); everything else is shape-strict.
 The encoder's row-wise ops (`linear`, `add`, `gelu`, `layer_norm`) and
 `attention` compute their forward values with one kernel each, over a part
 of the rows (or, for attention, of the heads) written into a preallocated
-output. With a tape, or outside a pinned inference call, the kernel runs once
-over everything. In an inference call of at least `threads.SPLIT_MIN_ROWS`
-rows (no tape, OpenBLAS pinned to one thread, see tensorcore.threads) the
-encoder's ops run it as two halves, one on the calling thread and one on the
-worker thread, with the bytes of the whole. Every other op runs whole on the
-calling thread, at one BLAS thread inside such a call and at the process's
-BLAS thread count outside it.
+output, so that `threads.run_halves` can run it whole or as two halves with
+the same bytes (see tensorcore.threads).
 """
 
 from __future__ import annotations
@@ -298,9 +293,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     additive score matrix broadcastable to (T, T), such as a (1, T) key mask
     (0 to allow, large negative to mask), or None when every key is allowed,
     which gives the same bits as an all-zero bias without adding it. Each
-    head's scores are one (T, dh) @ (dh, T) product; in a split inference
-    call (see tensorcore.threads) the heads run in two halves on two
-    threads.
+    head's scores are one (T, dh) @ (dh, T) product; the heads may run in
+    two halves (see tensorcore.threads).
 
     With `spans`, a list of (lo, hi) row ranges that tile [0, T) in order,
     the rows are chunks packed back to back: each span's queries see only

@@ -1,21 +1,39 @@
 """The second CPU: one persistent worker thread and OpenBLAS's thread count.
 
-Three kinds of work use the worker. A training step of more than one
-chunk's rows runs its second shard there (see trainloop.training). An
-inference call (`inference`) over at least SPLIT_MIN_ROWS rows pins numpy's
-OpenBLAS to one thread for its whole length, and inside it the encoder's
-row-wise ops (`split_rows`, `run_halves`) run one half of their rows, or of
-their attention heads, on the worker while the calling thread runs the
-other half. In such a call, work that does not depend on the encoder
-(`beside`: the IMAGE path's page backbones, RoIAlign and projection) runs on
-the worker as one task while the calling thread runs the encoder; the op
-halves the encoder hands over meanwhile wait behind it, so the calling
-thread takes them back and runs them itself until the task ends. With
-OpenBLAS at one thread every half and every task has the bytes of the same
-work computed whole, so the call's bits depend neither on the split nor on
-the process's BLAS thread count. A shorter call runs whole, on the calling
-thread, at the process's BLAS thread count: short-document eval measured
-slower with OpenBLAS pinned to one thread.
+This is the one account of the process's threading policy; the modules that
+follow it point here.
+
+Pin. `one_blas_thread(on)` pins numpy's OpenBLAS to one thread while `on`,
+and restores the old count on exit, also on an exception. Two callers pass
+`on`:
+- an inference call (TokenTagger.predict_probs) over at least
+  SPLIT_MIN_ROWS rows, counting all its chunks together. A shorter call runs
+  at the process's BLAS thread count, because short-document eval measured
+  slower with OpenBLAS pinned to one thread;
+- a training step (trainloop.training) of more rows than one chunk
+  (`max_seq_len`). A step of at most one chunk's rows runs at the process's
+  BLAS thread count.
+With OpenBLAS on one thread, each piece of work has the bytes of the same
+work computed whole on one thread, so the bits depend neither on how work is
+spread over the two threads nor on the process's BLAS thread count, which
+changes the low bits of large products.
+
+Hand-off. Inside a pin, with two usable CPUs, on a thread other than the
+worker and with no tape recording, `beside(fn, *args)` starts fn on the
+worker while the calling thread goes on; the caller takes fn back and runs
+it itself if the worker has not begun it (its CPU is busy). `beside` is the
+only way work reaches the worker, and three kinds of work use it:
+- a training step of two shards runs shard 1 beside shard 0; each shard
+  records its own tape, so its ops run whole on its own thread;
+- in an inference call the encoder (`split_rows`) runs each row-wise op
+  (`run_halves`: linear, add, gelu, layer_norm, and attention by heads) as
+  two halves, the second beside the first;
+- in an inference call IMAGE runs its image rows (page backbones, RoIAlign,
+  projection) as one task beside the encoder. The op halves that the encoder
+  hands over meanwhile wait behind it, so the calling thread takes them back
+  and runs them itself until the task ends.
+Every other op runs whole on the calling thread: at one BLAS thread inside a
+pin, at the process's count outside one.
 
 Work runs whole on the calling thread, in program order, when only one CPU
 is usable, when OpenBLAS cannot be pinned, when a tape records, or when the
@@ -31,7 +49,7 @@ import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,11 +66,9 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# per thread: is_worker, two_cpus (inside `inference` with a second CPU at
-# hand), split (inside `split_rows` as well, with no active tape)
+# per thread: is_worker, two_cpus (inside `one_blas_thread` with a second
+# CPU at hand), split (inside `split_rows` as well, with no active tape)
 _LOCAL = threading.local()
-_worker_lock = threading.Lock()
-_worker: ThreadPoolExecutor | None = None
 
 
 @functools.cache
@@ -72,23 +88,6 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread, restoring the old count on exit; yields
-    whether it could be pinned."""
-    fns = _openblas_threads()
-    if fns is None:
-        yield False
-        return
-    get, set_ = fns
-    old = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(old)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -100,57 +99,51 @@ def _mark_worker():
     _LOCAL.is_worker = True
 
 
-def _forget_worker():
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+def _new_worker():
+    """A ThreadPoolExecutor starts its thread on its first task, not here."""
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="ielab-worker",
+                                 initializer=_mark_worker)
 
 
+_new_worker()
 if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def worker() -> ThreadPoolExecutor:
     """The process's one worker thread, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="ielab-worker",
-                                         initializer=_mark_worker)
-        return _worker
-
-
-def second_cpu(pinned: bool) -> bool:
-    """Whether work may go to the worker: OpenBLAS is `pinned`, two CPUs are
-    usable and this thread is not the worker."""
-    return (pinned and _usable_cpus() >= 2
-            and not getattr(_LOCAL, "is_worker", False))
+    return _worker
 
 
 @contextlib.contextmanager
-def inference(rows: int):
-    """One inference call over `rows` rows (of all its chunks together): from
-    SPLIT_MIN_ROWS up, OpenBLAS runs on one thread until it ends."""
-    if rows < SPLIT_MIN_ROWS:
+def one_blas_thread(on: bool):
+    """While `on`, OpenBLAS runs on one thread and, with two usable CPUs and
+    this thread not the worker, `beside` may hand work to the worker."""
+    fns = _openblas_threads() if on else None
+    if fns is None:
         yield
         return
-    outer = getattr(_LOCAL, "two_cpus", False)
-    with _one_blas_thread() as pinned:
-        _LOCAL.two_cpus = second_cpu(pinned)
-        try:
-            yield
-        finally:
-            _LOCAL.two_cpus = outer
+    get, set_ = fns
+    old, outer = get(), getattr(_LOCAL, "two_cpus", False)
+    try:
+        set_(1)
+        _LOCAL.two_cpus = (_usable_cpus() >= 2
+                           and not getattr(_LOCAL, "is_worker", False))
+        yield
+    finally:
+        _LOCAL.two_cpus = outer
+        set_(old)
 
 
 def _may_split() -> bool:
-    """Inside an inference call with a second CPU and no active tape."""
+    """Inside `one_blas_thread` with a second CPU and no active tape."""
     return getattr(_LOCAL, "two_cpus", False) and active_tape() is None
 
 
 @contextlib.contextmanager
 def split_rows():
-    """Inside a pinned inference call with no active tape, let `run_halves`
-    use the worker."""
+    """Where `beside` may hand work over, let `run_halves` split."""
     outer = getattr(_LOCAL, "split", False)
     _LOCAL.split = _may_split()
     try:
@@ -159,53 +152,51 @@ def split_rows():
         _LOCAL.split = outer
 
 
-@contextlib.contextmanager
-def beside(fn, *args):
-    """Yields a zero-argument function that gives fn(*args).
+class beside:
+    """`with beside(fn, *args) as result:` gives a zero-argument function
+    that returns fn(*args).
 
-    Inside a pinned inference call with a second CPU and no active tape, fn
-    starts on the worker at once while the block goes on; the function waits
-    for it, or runs it on this thread if the worker has not begun it (its
-    CPU is busy). Anywhere else fn runs only when the function is called, on
-    this thread. The block does not end before a run of fn that the worker
-    has begun ends, also when the block raises, so the worker is idle again
-    and fn ran with OpenBLAS pinned.
+    Inside `one_blas_thread` with a second CPU and no active tape, fn starts
+    on the worker as the block begins; `result` waits for it, or runs it on
+    this thread if the worker has not begun it (its CPU is busy). Anywhere
+    else fn runs only when `result` is called, on this thread. The block
+    does not end before a run of fn that the worker has begun ends, also
+    when the block raises, so the worker is idle again and fn ran with
+    OpenBLAS pinned. A class, not a generator: split encoder ops enter one
+    each, and this form adds the least to their hand-off.
     """
-    if not _may_split():
-        yield functools.partial(fn, *args)
-        return
-    task = worker().submit(fn, *args)
 
-    def result():
-        return fn(*args) if task.cancel() else task.result()
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.task = fn, args, None
 
-    try:
-        yield result
-    finally:
-        if not task.cancel():       # begun: it ends before the block does
-            wait([task])
+    def __enter__(self):
+        if _may_split():
+            self.task = worker().submit(self.fn, *self.args)
+        return self.result
+
+    def result(self):
+        task, self.task = self.task, None   # collected: nothing left to wait
+        if task is None or task.cancel():   # never handed over, or not begun
+            return self.fn(*self.args)
+        return task.result()
+
+    def __exit__(self, *exc):
+        if self.task is not None and not self.task.cancel():
+            self.task.exception()   # begun: it ends before the block does
 
 
 def run_halves(kernel, parts: int, *args) -> None:
     """kernel(*args, part) over everything, with `part` the Ellipsis.
 
     Inside `split_rows`, for at least two `parts` (leading entries of the
-    kernel's arrays), the worker runs kernel(*args, slice(cut, parts)) while
-    this thread runs kernel(*args, slice(0, cut)), with cut = parts // 2; if
-    the worker has not begun its half when this thread's half ends (its CPU
-    is busy), this thread runs that half too. The kernel writes into
-    preallocated arrays, each half into its own entries.
+    kernel's arrays), this thread runs kernel(*args, slice(0, cut)) with
+    kernel(*args, slice(cut, parts)) `beside` it, cut = parts // 2. The
+    kernel writes into preallocated arrays, each half into its own entries.
     """
     if parts < 2 or not getattr(_LOCAL, "split", False):
         kernel(*args, ...)
         return
     cut = parts // 2
-    second = worker().submit(kernel, *args, slice(cut, parts))
-    try:
+    with beside(kernel, *args, slice(cut, parts)) as second:
         kernel(*args, slice(0, cut))
-    finally:
-        taken_back = second.cancel()    # the worker has not begun it
-        if not taken_back:
-            second.result()     # the worker's half ends before anyone reads
-    if taken_back:
-        kernel(*args, slice(cut, parts))
+        second()

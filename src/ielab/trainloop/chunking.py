@@ -75,19 +75,9 @@ def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
     All chunks run as one packed forward, sharing the document's page
     rasters; their rows are then stitched back to one row per token.
 
-    The forward is one inference call (TokenTagger.predict_probs). For a
-    document of at least `threads.SPLIT_MIN_ROWS` tokens, numpy's OpenBLAS
-    runs on one thread for all of it, and each encoder op runs as two
-    halves, one on this thread and one on the process's worker thread
-    (attention splits its heads). An IMAGE model computes its image rows
-    (page backbones, RoIAlign, projection) as one task on the worker while
-    this thread runs the encoder, and this thread runs the op halves that
-    the busy worker has not begun. Its probabilities have the bytes of an
-    unsplit forward with OpenBLAS on one thread, whatever the process's BLAS
-    thread count and whether or not the split ran: it does not run when one
-    CPU is usable, when OpenBLAS cannot be pinned, or when this is the worker
-    thread. A shorter document runs whole on this thread at the process's
-    BLAS thread count, as its small products run faster that way.
+    The forward is one inference call (TokenTagger.predict_probs); see
+    tensorcore.threads for where it runs and why its bytes do not depend on
+    that.
     """
     if inp.length <= cfg.max_seq_len:       # one chunk: the document itself
         return model.predict_probs(inp, rasters)

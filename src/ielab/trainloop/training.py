@@ -15,24 +15,12 @@ whole batch; Adam then applies one update at a constant learning rate.
 
 Shard 0 runs on the calling thread and draws dropout from the fold's
 dropout stream (fold_seed, 12), so a batch of one chunk's rows trains
-exactly as an unsharded step. Shard 1 runs on the process's worker thread
-(tensorcore.threads) and draws dropout from (fold_seed, 12, epoch, batch
-start). While a batch of more than one chunk's rows trains, numpy's OpenBLAS
-is pinned to one thread, and its old thread count is restored afterwards,
-also on an exception. The two shards then use two CPUs without a BLAS pool
-oversubscribing them, and their bits do not depend on the process's BLAS
-thread count, which changes the low bits of large products. Where OpenBLAS
-cannot be pinned, only one CPU is usable or the caller is the worker itself,
-the shards run one after the other with the same bits. The partition depends
-only on the batch, never on the machine. A batch of at most one chunk's rows
-trains at the process's BLAS thread count, on the calling thread; every op
-of a training step runs whole, never split by rows, and an IMAGE shard
-computes its image rows after its encoder, on its own thread.
-
-Validation runs inference calls (see TokenTagger.predict_probs): for a
-document of at least `threads.SPLIT_MIN_ROWS` tokens, OpenBLAS on one thread
-and the encoder's ops split over the calling thread and the worker, and an
-IMAGE model's image rows run on the worker beside the encoder.
+exactly as an unsharded step. Shard 1 draws dropout from (fold_seed, 12,
+epoch, batch start), so its bits do not depend on the thread that runs it,
+and the partition depends only on the batch, never on the machine. A batch
+of more than one chunk's rows trains with numpy's OpenBLAS pinned to one
+thread, shard 1 beside shard 0; tensorcore.threads tells where each part of
+a step and of validation runs.
 
 Training stops with a ConfigError at the first batch whose loss is not
 finite, naming the fold seed, epoch and batch start.
@@ -44,9 +32,7 @@ earlier epochs winning ties.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,8 +159,7 @@ def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
 
     A batch with more rows than `max_rows` runs with OpenBLAS pinned to one
     thread. If it splits into two shards, the second draws dropout from
-    `second_seed` and runs on the worker thread while this thread runs the
-    first, when OpenBLAS is pinned and a second CPU is at hand.
+    `second_seed` and runs beside the first (see tensorcore.threads).
     """
     shards = _shards(batch, max_rows)
     inputs = [[c for _, chunks in sh for c in chunks] for sh in shards]
@@ -186,23 +171,14 @@ def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
              t / sum(tokens))
             for sh, inp, rng, t in zip(shards, inputs, rngs, tokens)]
     rows = sum(i.length for inp in inputs for i in inp)
-    with threads._one_blas_thread() if rows > max_rows \
-            else contextlib.nullcontext(False) as pinned:
-        if len(jobs) == 2 and threads.second_cpu(pinned):
-            second = threads.worker().submit(_shard_grads, *jobs[1])
-            try:
-                first = _shard_grads(*jobs[0])
-            finally:
-                wait([second])      # shard 1 ends before BLAS is unpinned
-            results = [first, second.result()]
-        else:
-            results = [_shard_grads(*job) for job in jobs]
-    loss, grads = results[0]
-    for shard_loss, shard_grads in results[1:]:
-        loss += shard_loss
-        for name, g in grads.items():
-            g += shard_grads[name]
-    return loss, grads
+    with threads.one_blas_thread(rows > max_rows):
+        if len(jobs) == 1:
+            return _shard_grads(*jobs[0])
+        with threads.beside(_shard_grads, *jobs[1]) as second:
+            (loss, grads), (loss1, grads1) = _shard_grads(*jobs[0]), second()
+    for name, g in grads.items():
+        g += grads1[name]
+    return loss + loss1, grads
 
 
 def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],

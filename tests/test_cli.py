@@ -312,6 +312,30 @@ def test_ablate_repeats_below_one_exit_4_before_loading(tmp_path, capsys,
     assert not (tmp_path / "out" / "ablation.json").exists()
 
 
+@pytest.mark.parametrize("features", ["", "bold,bold", "bold,italic"])
+def test_ablate_features_must_name_distinct_style_features_exit_4(
+        tmp_path, capsys, features):
+    """Refused before the (here missing) checkpoint is read."""
+    spec = write_spec(tmp_path)
+    assert cli.main(["ablate", "--spec", str(spec),
+                     "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--features", features]) == 4
+    assert "--features must name distinct style features" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_empty_corpus_exits_3(tmp_path, capsys, command):
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    (tmp_path / "out" / "corpus.jsonl").write_bytes(b"\n")
+    capsys.readouterr()
+    assert cli.main([command, "--spec", str(spec),
+                     "--checkpoint", str(tmp_path / "out" / "fold0.ckpt")]) == 3
+    assert "corpus has no documents" in capsys.readouterr().err
+
+
 def test_ablate_baseline_checkpoint_exits_5(tmp_path):
     spec = write_spec(tmp_path, model={"fusion": "BASELINE"})
     cli.main(["generate", "--spec", str(spec)])

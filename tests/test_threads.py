@@ -2,6 +2,7 @@
 beside the encoder, give the bytes of one whole call with OpenBLAS on one
 thread, and every fallback runs whole."""
 
+import ast
 import functools
 import hashlib
 import json
@@ -254,6 +255,64 @@ def test_a_one_shard_image_training_step_hands_nothing_over(two_cpus):
     assert two_cpus.calls == 0
 
 
+def _two_shard_step():
+    """Loss and gradient bytes of one training step over two documents of
+    one chunk each, more rows together than one chunk: two shards."""
+    docs, _ = _corpus()
+    model, encs = _model(FusionMode.STYLE_CONCAT, docs)
+    batch = [(i, [c.inputs for c in training.chunk_document(encs[i], CFG)])
+             for i in range(2)]
+    assert [len(chunks) for _, chunks in batch] == [1, 1]
+    assert training._shards(batch, CFG.max_seq_len) == [batch[:1], batch[1:]]
+    loss, grads = training._batch_grads(
+        model, model.parameters(), batch, [None, None],
+        np.random.default_rng(0), [0, 12, 0, 0], CFG.max_seq_len)
+    return np.float64(loss).tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+
+def test_a_busy_worker_leaves_both_training_shards_to_the_caller(
+        two_cpus, monkeypatch):
+    """The step takes shard 1 back from a worker that stays blocked until
+    the step has ended, with the bytes of a one-CPU step."""
+    with monkeypatch.context() as mp:
+        mp.setattr(threads, "_usable_cpus", lambda: 1)
+        want = _two_shard_step()
+    assert two_cpus.calls == 0
+    release = threading.Event()
+    busy = two_cpus.real.submit(release.wait, 60)
+    try:
+        got = _two_shard_step()
+        still_busy = not busy.done()
+    finally:
+        release.set()
+    assert busy.result(timeout=60) is True
+    assert still_busy and got == want
+    assert two_cpus.calls == 1
+
+
+def test_only_threads_hands_work_to_the_worker():
+    """No src/ module but tensorcore/threads.py imports concurrent.futures
+    or reaches `threads.worker`, so `beside` stays the one hand-off."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ielab"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "tensorcore" / "threads.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "worker" in names or any(n.split(".")[0] == "concurrent"
+                                        for n in names):
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert found == []
+
+
 def test_one_usable_cpu_runs_whole(two_cpus, monkeypatch):
     want = _unsplit_one_thread_probs(FusionMode.STYLE_CONCAT)
     monkeypatch.setattr(threads, "_usable_cpus", lambda: 1)
@@ -302,7 +361,7 @@ def test_documents_below_the_cut_off_run_as_they_are(two_cpus, monkeypatch):
 
 
 def _whole_and_split(fn, rows):
-    with threads.inference(rows):
+    with threads.one_blas_thread(rows >= threads.SPLIT_MIN_ROWS):
         whole = fn().data.tobytes()
         with threads.split_rows():
             split = fn().data.tobytes()
@@ -348,7 +407,7 @@ def test_a_failing_half_fails_the_op_after_both_halves_end(two_cpus):
         done.append(part)
 
     out = np.zeros(200)
-    with threads.inference(200), threads.split_rows():
+    with threads.one_blas_thread(True), threads.split_rows():
         with pytest.raises(RuntimeError, match="second half failed"):
             threads.run_halves(kernel, 200, out)
     assert done == [slice(0, 100)] and out[:100].all() and not out[100:].any()
@@ -365,7 +424,7 @@ def test_a_busy_worker_leaves_both_halves_to_the_caller(two_cpus):
 
     out = np.zeros(200)
     try:
-        with threads.inference(200), threads.split_rows():
+        with threads.one_blas_thread(True), threads.split_rows():
             threads.run_halves(kernel, 200, out)
     finally:
         release.set()
@@ -396,7 +455,7 @@ def test_many_callers_share_the_worker(monkeypatch):
 
     def caller(i):
         x = np.arange(300.0) + 1000 * i
-        with threads.inference(300), threads.split_rows():
+        with threads.one_blas_thread(True), threads.split_rows():
             for _ in range(50):
                 out = np.full(300, np.nan)
                 threads.run_halves(kernel, 300, out, x)

@@ -376,10 +376,14 @@ def test_train_fold_restores_blas_threads(monkeypatch):
     # 32-row chunks: the first batch splits into two shards
     cfg = TrainConfig(lr=1e-3, epochs=1, max_seq_len=32, chunk_overlap=8)
     shard_grads, worker_saw = training._shard_grads, []
+    begun = threading.Event()
 
     def failing_shard(*args):
         if threading.current_thread() is threading.main_thread():
+            # fail once the worker has begun shard 1, so it is not taken back
+            assert begun.wait(60)
             raise RuntimeError("shard failed")
+        begun.set()
         time.sleep(0.2)             # still running after shard 0 failed
         worker_saw.append((threading.current_thread().name, get()))
         return shard_grads(*args)
