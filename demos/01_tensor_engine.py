@@ -23,7 +23,7 @@ with tape:
                                    [True] * 8)
 grads = tc.backward(loss, tape)
 print(f"loss = {loss.item():.4f}")
-print(f"grad w shape {grads[w.node_id].shape}, grad b {grads[b.node_id].data}")
+print(f"grad w shape {grads[w.node_id].data.shape}, grad b {grads[b.node_id].data}")
 
 # ------------------------------------------------- check against finite diffs
 h_step = 1e-5

@@ -80,8 +80,8 @@ def _section(obj: dict, key: str) -> dict:
     return dict(value)
 
 
-_ENCODER_KEYS = ("hidden", "layers", "heads", "ff_dim", "max_seq_len",
-                 "init_std")
+# the position table's length is the training window, `train.max_seq_len`
+_ENCODER_KEYS = ("hidden", "layers", "heads", "ff_dim", "init_std")
 
 
 def load_spec(path: str | Path, out_override: str | None = None) -> ExperimentSpec:
@@ -326,8 +326,11 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
 def cmd_params(spec: ExperimentSpec) -> int:
     vocab_sizes = (2, spec.bucketing.font_top_k + 1, 3, 2, 2)
     # every mode is accounted, so the style modes need features even when
-    # the spec's own (baseline or image) model lists none
+    # the spec's own (baseline or image) model lists none; train_fold sizes
+    # the position table by the training window
     model = replace(spec.model, style_vocab_sizes=vocab_sizes,
+                    encoder=replace(spec.model.encoder,
+                                    max_seq_len=spec.train.max_seq_len),
                     style_features=spec.model.style_features or STYLE_FEATURES,
                     image=spec.model.image or ImagePathConfig())
     full = replace(model, encoder=EncoderConfig(word_vocab=30522, label_count=25,

@@ -31,10 +31,6 @@ class ParamBreakdown:
     def total(self) -> int:
         return sum(self.components.values())
 
-    def to_json(self) -> dict:
-        return {"mode": self.mode.value, "components": self.components,
-                "total": self.total}
-
 
 def count_parameters(spec: TaggerSpec) -> ParamBreakdown:
     enc = spec.encoder

@@ -23,7 +23,7 @@ from scipy import sparse
 from ielab.errors import ConfigError
 from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import ops
-from ielab.tensorcore.engine import ShapeError, Tensor, active_tape
+from ielab.tensorcore.engine import ShapeError, Tensor, record
 
 
 @dataclass(frozen=True)
@@ -146,20 +146,16 @@ def roi_align_batch(fmaps, boxes: np.ndarray, r: int, pages=None) -> Tensor:
         shape=(T * r * r, len(fmaps) * H * W))
     F = np.concatenate([m.data.reshape(C, H * W).T for m in fmaps])
     pooled = (S @ F).reshape(T, r * r, C)
-    out = Tensor._wrap(
-        np.ascontiguousarray(pooled.transpose(0, 2, 1)).reshape(T, C * r * r))
-    tape = active_tape()
-    if tape is not None:
-        pids = tuple(tape.tracked_id(m) for m in fmaps)
-        if any(p >= 0 for p in pids):
-            def bw(g, S=S, pids=pids):
-                gbins = g.reshape(T, C, r * r).transpose(0, 2, 1)
-                dF = S.T @ gbins.reshape(T * r * r, C)      # (P*H*W, C)
-                return tuple(np.ascontiguousarray(dF[p * H * W:(p + 1) * H * W].T)
-                             .reshape(C, H, W) if pid >= 0 else None
-                             for p, pid in enumerate(pids))
-            tape.push(out, pids, bw)
-    return out
+    out = np.ascontiguousarray(pooled.transpose(0, 2, 1)).reshape(T, C * r * r)
+    return record(Tensor._wrap(out), fmaps, _roi_align_batch_bw, S, (C, H, W))
+
+
+def _roi_align_batch_bw(g, need, S, shape):
+    C, H, W = shape
+    gbins = g.reshape(g.shape[0], C, -1).transpose(0, 2, 1)
+    dF = S.T @ gbins.reshape(-1, C)                         # (P*H*W, C)
+    return tuple(np.ascontiguousarray(dF[p * H * W:(p + 1) * H * W].T)
+                 .reshape(shape) if n else None for p, n in enumerate(need))
 
 
 def image_rows(boxes: np.ndarray, page_ids: np.ndarray, rasters: list,

@@ -5,6 +5,14 @@ single reverse sweep visits parents after children. Activating a tape (as a
 context manager) makes every op executed inside record itself; with no active
 tape the same ops run as plain numpy forward computations.
 
+Every op ends in `record(out, parents, backward_fn, *saved)`. When a tape is
+active on this thread and some parent is tracked on it, `record` pushes one
+node holding the parents' ids, `backward_fn` and `saved`; the reverse sweep
+calls `backward_fn(g, need, *saved)`, where `need[i]` says whether parent i
+is tracked, and takes one gradient (or None) per parent back. Backward
+functions are named module-level functions, so no closure is built on an
+untaped call, and a node's op is its backward function's name.
+
 Tapes are thread-local, and each tape keeps its own map from requires_grad
 leaves to node ids, so two threads may record on the same parameters at once
 and look their gradients up with `tape.tracked_id(param)`.
@@ -63,19 +71,8 @@ class Tensor:
         t._tape = None
         return t
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), self.requires_grad)
 
     def __repr__(self):
         grad = ", requires_grad=True" if self.requires_grad else ""
@@ -87,11 +84,13 @@ def parameter(data) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("parents", "backward_fn")
+    __slots__ = ("parents", "backward_fn", "saved")
 
-    def __init__(self, parents: tuple, backward_fn: Optional[Callable]):
+    def __init__(self, parents: tuple, backward_fn: Optional[Callable],
+                 saved: tuple = ()):
         self.parents = parents
         self.backward_fn = backward_fn
+        self.saved = saved
 
 
 _ACTIVE = threading.local()  # one active tape per thread
@@ -152,11 +151,17 @@ class Tape:
             return t.node_id
         return -1
 
-    def push(self, out: Tensor, parent_ids: tuple, backward_fn: Callable) -> None:
-        nid = len(self.nodes)
-        self.nodes.append(_Node(parent_ids, backward_fn))
-        out._tape = self
-        out.node_id = nid
+
+def record(out: Tensor, parents, backward_fn: Callable, *saved) -> Tensor:
+    """Record `out` on this thread's tape if some parent is tracked there;
+    returns `out`. See the module docstring."""
+    tape = getattr(_ACTIVE, "tape", None)
+    if tape is not None:
+        ids = tuple(map(tape.tracked_id, parents))
+        if max(ids) >= 0:
+            out._tape, out.node_id = tape, len(tape.nodes)
+            tape.nodes.append(_Node(ids, backward_fn, saved))
+    return out
 
 
 def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
@@ -182,9 +187,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
         if nid in tape.leaves:
             grads[nid] = g  # keep leaf gradients for the result map
             continue
-        if node.backward_fn is None:
-            continue
-        for pid, pg in zip(node.parents, node.backward_fn(g)):
+        need = tuple(pid >= 0 for pid in node.parents)
+        for pid, pg in zip(node.parents,
+                           node.backward_fn(g, need, *node.saved)):
             if pid < 0 or pg is None:
                 continue
             acc = grads.get(pid)

@@ -1,15 +1,16 @@
 """Differentiable operations over tensorcore Tensors.
 
-Every op computes its forward value with numpy and, when a tape is active and
-at least one input is tracked, pushes a closure that maps the output gradient
-to per-parent gradients. Broadcasting is supported only where the model needs
-it (bias-style adds); everything else is shape-strict.
+Every op computes its forward value with numpy and hands it to
+`engine.record` with its parents, a named backward function
+`_<op>_bw(g, need, *saved)` and the `saved` values that function reads; the
+backward maps the output gradient to one gradient per parent, None where
+`need` says the parent is untracked. Broadcasting is supported only where
+the model needs it (bias-style adds); everything else is shape-strict.
 
-The encoder's row-wise ops (`linear`, `add`, `gelu`, `layer_norm`) and
-`attention` compute their forward values with one kernel each, over a part
-of the rows (or, for attention, of the heads) written into a preallocated
-output, so that `threads.run_halves` can run it whole or as two halves with
-the same bytes (see tensorcore.threads).
+`linear`, `gelu` and `attention` compute their forward values with one
+kernel each, over a part of the rows (or, for attention, of the heads)
+written into a preallocated output, so that `threads.run_halves` can run it
+whole or as two halves with the same bytes (see tensorcore.threads).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ielab.tensorcore.engine import (
     NumericError,
     ShapeError,
     Tensor,
-    active_tape,
+    record,
 )
 from ielab.tensorcore.threads import run_halves
 
@@ -68,49 +69,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear shapes incompatible: x{xd.shape} w{wd.shape} b{bd.shape}")
     out_data = np.empty(xd.shape[:-1] + wd.shape[1:])
     run_halves(_linear_rows, _rows(xd), out_data, xd, wd, bd)
-    out = Tensor._wrap(out_data)
-    tape = active_tape()
-    if tape is not None:
-        px, pw, pb = tape.tracked_id(x), tape.tracked_id(w), tape.tracked_id(b)
-        if px >= 0 or pw >= 0 or pb >= 0:
-            lead = xd.shape[:-1]
-            def bw(g, xd=xd, wd=wd, lead=lead,
-                   nx=px >= 0, nw=pw >= 0, nb=pb >= 0):
-                g2 = g.reshape(-1, g.shape[-1])
-                x2 = xd.reshape(-1, xd.shape[-1])
-                return (
-                    (g2 @ wd.T).reshape(*lead, wd.shape[0]) if nx else None,
-                    x2.T @ g2 if nw else None,
-                    g2.sum(axis=0) if nb else None,
-                )
-            tape.push(out, (px, pw, pb), bw)
-    return out
+    return record(Tensor._wrap(out_data), (x, w, b), _linear_bw, xd, wd)
 
 
-def _add_rows(out, ad, bd, part):
-    np.add(ad[part], bd[part], out=out[part])
+def _linear_bw(g, need, xd, wd):
+    g2 = g.reshape(-1, g.shape[-1])
+    x2 = xd.reshape(-1, xd.shape[-1])
+    return ((g2 @ wd.T).reshape(*xd.shape[:-1], -1) if need[0] else None,
+            x2.T @ g2 if need[1] else None,
+            g2.sum(axis=0) if need[2] else None)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with bias-style broadcasting."""
     ad, bd = a.data, b.data
     try:
-        out_data = np.empty(np.broadcast(ad, bd).shape)
+        out_data = np.asarray(ad + bd)   # 0-d operands sum to a scalar
     except ValueError as exc:
         raise ShapeError(f"add shapes {ad.shape} + {bd.shape}") from exc
-    run_halves(_add_rows, _rows(ad) if ad.shape == bd.shape else 0,
-               out_data, ad, bd)
-    out = Tensor._wrap(out_data)
-    tape = active_tape()
-    if tape is not None:
-        pa, pb = tape.tracked_id(a), tape.tracked_id(b)
-        if pa >= 0 or pb >= 0:
-            sa, sb = ad.shape, bd.shape
-            def bw(g, sa=sa, sb=sb, na=pa >= 0, nb=pb >= 0):
-                return (_unbroadcast(g, sa).copy() if na else None,
-                        _unbroadcast(g, sb).copy() if nb else None)
-            tape.push(out, (pa, pb), bw)
-    return out
+    return record(Tensor._wrap(out_data), (a, b), _add_bw, ad.shape, bd.shape)
+
+
+def _add_bw(g, need, sa, sb):
+    return (_unbroadcast(g, sa).copy() if need[0] else None,
+            _unbroadcast(g, sb).copy() if need[1] else None)
 
 
 def _gelu_rows(out, t, xd, part):
@@ -130,31 +112,27 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     t, out_data = np.empty_like(xd), np.empty_like(xd)
     run_halves(_gelu_rows, _rows(xd), out_data, t, xd)
-    out = Tensor._wrap(out_data)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            def bw(g, xd=xd, t=t):
-                # g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*du) with
-                # du = c*(1 + 3*0.044715*(x*x)), in place, with the same
-                # rounding as that expression
-                du = xd * xd
-                du *= 3 * 0.044715
-                du += 1.0
-                du *= GELU_TANH_COEFF
-                d = 0.5 * xd
-                tt = t * t
-                np.subtract(1.0, tt, out=tt)
-                d *= tt
-                d *= du
-                np.add(t, 1.0, out=tt)
-                tt *= 0.5
-                d += tt
-                d *= g
-                return (d,)
-            tape.push(out, (px,), bw)
-    return out
+    return record(Tensor._wrap(out_data), (x,), _gelu_bw, xd, t)
+
+
+def _gelu_bw(g, need, xd, t):
+    # g*(0.5*(1 + t) + ((0.5*x)*(1 - t*t))*du) with
+    # du = c*(1 + 3*0.044715*(x*x)), in place, with the same rounding as
+    # that expression
+    du = xd * xd
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= GELU_TANH_COEFF
+    d = 0.5 * xd
+    tt = t * t
+    np.subtract(1.0, tt, out=tt)
+    d *= tt
+    d *= du
+    np.add(t, 1.0, out=tt)
+    tt *= 0.5
+    d += tt
+    d *= g
+    return (d,)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -167,65 +145,46 @@ def softmax_rows(x: Tensor) -> Tensor:
     y = xd - xd.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(y)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            def bw(g, y=y):
-                return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-            tape.push(out, (px,), bw)
-    return out
+    return record(Tensor._wrap(y), (x,), _softmax_rows_bw, y)
 
 
-def _layer_norm_rows(out, xhat, inv, xd, gd, bd, eps, part):
-    x, xh, iv, y = xd[part], xhat[part], inv[part], out[part]
-    h = xd.shape[-1]
-    np.subtract(x, x.sum(axis=-1, keepdims=True) / h, out=xh)  # np.mean's bits
-    np.multiply(xh, xh, out=y)
-    np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps, out=iv)
-    np.divide(1.0, iv, out=iv)
-    xh *= iv
-    np.multiply(xh, gd, out=y)
-    y += bd
+def _softmax_rows_bw(g, need, y):
+    return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize each last-dimension slice to zero mean / unit variance, then
     apply the gamma/beta affine."""
-    xd = x.data
+    xd, gd = x.data, gamma.data
     h = xd.shape[-1]
-    if gamma.data.shape != (h,) or beta.data.shape != (h,):
+    if gd.shape != (h,) or beta.data.shape != (h,):
         raise ShapeError(f"layer_norm affine must have shape ({h},)")
-    y, xhat = np.empty_like(xd), np.empty_like(xd)
-    inv = np.empty(xd.shape[:-1] + (1,))
-    run_halves(_layer_norm_rows, _rows(xd), y, xhat, inv, xd, gamma.data,
-               beta.data, eps)
-    out = Tensor._wrap(y)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        pg = tape.tracked_id(gamma)
-        pb = tape.tracked_id(beta)
-        if px >= 0 or pg >= 0 or pb >= 0:
-            gd = gamma.data
-            def bw(g, xhat=xhat, inv=inv, gd=gd, h=h,
-                   nx=px >= 0, ng=pg >= 0, nb=pb >= 0):
-                lead = tuple(range(g.ndim - 1))
-                dx = None
-                if nx:      # inv*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
-                    dx = g * gd
-                    p = dx * xhat
-                    mp = p.sum(axis=-1, keepdims=True) / h
-                    dx -= dx.sum(axis=-1, keepdims=True) / h
-                    np.multiply(xhat, mp, out=p)
-                    dx -= p
-                    dx *= inv
-                return (dx,
-                        (g * xhat).sum(axis=lead) if ng else None,
-                        g.sum(axis=lead) if nb else None)
-            tape.push(out, (px, pg, pb), bw)
-    return out
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / h     # np.mean's bits
+    y = xhat * xhat
+    inv = np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += beta.data
+    return record(Tensor._wrap(y), (x, gamma, beta), _layer_norm_bw, xhat, inv,
+                  gd)
+
+
+def _layer_norm_bw(g, need, xhat, inv, gd):
+    lead = tuple(range(g.ndim - 1))
+    dx = None
+    if need[0]:     # inv*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
+        h = xhat.shape[-1]
+        dx = g * gd
+        p = dx * xhat
+        mp = p.sum(axis=-1, keepdims=True) / h
+        dx -= dx.sum(axis=-1, keepdims=True) / h
+        np.multiply(xhat, mp, out=p)
+        dx -= p
+        dx *= inv
+    return (dx,
+            (g * xhat).sum(axis=lead) if need[1] else None,
+            g.sum(axis=lead) if need[2] else None)
 
 
 def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
@@ -251,17 +210,12 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
     acc = tables[0].data[idxs[0]]
     for table, idx in zip(tables[1:], idxs[1:]):
         acc += table.data[idx]
-    out = Tensor._wrap(acc)
-    tape = active_tape()
-    if tape is not None:
-        pids = tuple(tape.tracked_id(t) for t in tables)
-        if any(p >= 0 for p in pids):
-            shapes = [t.data.shape for t in tables]
-            def bw(g, idxs=idxs, shapes=shapes, pids=pids):
-                return tuple(_scatter_add(shape, idx, g) if pid >= 0 else None
-                             for idx, shape, pid in zip(idxs, shapes, pids))
-            tape.push(out, pids, bw)
-    return out
+    return record(Tensor._wrap(acc), tables, _embedding_sum_bw, tables, idxs)
+
+
+def _embedding_sum_bw(g, need, tables, idxs):
+    return tuple(_scatter_add(t.data.shape, idx, g) if n else None
+                 for t, idx, n in zip(tables, idxs, need))
 
 
 def _heads(x, heads):
@@ -324,34 +278,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     probs = [np.empty((heads, hi - lo, hi - lo)) for lo, hi in spans]
     run_halves(_attention_heads, heads, out_data, probs, qd, kd, vd, spans,
                bias, heads)
-    out = Tensor._wrap(out_data)
-    tape = active_tape()
-    if tape is not None:
-        pq, pk, pv = (tape.tracked_id(t) for t in (q, k, v))
-        if pq >= 0 or pk >= 0 or pv >= 0:
-            inv = 1.0 / np.sqrt(h // heads)
+    return record(Tensor._wrap(out_data), (q, k, v), _attention_bw, qd, kd, vd,
+                  spans, probs, heads)
 
-            def merge(x):                          # (heads, n, dh) -> (n, h)
-                return x.transpose(1, 0, 2).reshape(x.shape[1], h)
 
-            def bw(g, spans=spans, probs=probs):
-                grads = []
-                for (lo, hi), a in zip(spans, probs):
-                    qh, kh, vh, gh = (_heads(x[lo:hi], heads)
-                                      for x in (qd, kd, vd, g))
-                    dv = a.transpose(0, 2, 1) @ gh
-                    ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
-                    ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]
-                    ds *= a                            # d(scores)
-                    ds *= inv
-                    dq = ds @ kh
-                    dk = ds.transpose(0, 2, 1) @ qh
-                    grads.append((merge(dq), merge(dk), merge(dv)))
-                if len(grads) == 1:
-                    return grads[0]
-                return tuple(np.concatenate(parts) for parts in zip(*grads))
-            tape.push(out, (pq, pk, pv), bw)
-    return out
+def _merge(x):
+    """(heads, n, dh) -> (n, heads * dh) rows."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _attention_bw(g, need, qd, kd, vd, spans, probs, heads):
+    inv = 1.0 / np.sqrt(qd.shape[1] // heads)
+    grads = []
+    for (lo, hi), a in zip(spans, probs):
+        qh, kh, vh, gh = (_heads(x[lo:hi], heads) for x in (qd, kd, vd, g))
+        dv = a.transpose(0, 2, 1) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)    # d(probabilities)
+        ds -= np.einsum("hij,hij->hi", ds, a)[:, :, None]
+        ds *= a                            # d(scores)
+        ds *= inv
+        dq = ds @ kh
+        dk = ds.transpose(0, 2, 1) @ qh
+        grads.append((_merge(dq), _merge(dk), _merge(dv)))
+    if len(grads) == 1:
+        return grads[0]
+    return tuple(np.concatenate(parts) for parts in zip(*grads))
 
 
 def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
@@ -373,19 +324,16 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     logsum = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsum
     loss = -logp[np.arange(T), tgt][msk].mean()
-    out = Tensor(loss)
-    tape = active_tape()
-    if tape is not None:
-        pl = tape.tracked_id(logits)
-        if pl >= 0:
-            def bw(g, logp=logp, tgt=tgt, msk=msk, n=n, T=T):
-                d = np.exp(logp)
-                d[np.arange(T), tgt] -= 1.0
-                d *= (msk / n)[:, None]
-                d *= g
-                return (d,)
-            tape.push(out, (pl,), bw)
-    return out
+    return record(Tensor(loss), (logits,), _cross_entropy_masked_bw, logp, tgt,
+                  msk, n)
+
+
+def _cross_entropy_masked_bw(g, need, logp, tgt, msk, n):
+    d = np.exp(logp)
+    d[np.arange(d.shape[0]), tgt] -= 1.0
+    d *= (msk / n)[:, None]
+    d *= g
+    return (d,)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -395,13 +343,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
     keep = rng.random(x.data.shape) >= rate
     factor = keep / (1.0 - rate)
-    out = Tensor(x.data * factor)
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            tape.push(out, (px,), lambda g, factor=factor: (g * factor,))
-    return out
+    return record(Tensor(x.data * factor), (x,), _dropout_bw, factor)
+
+
+def _dropout_bw(g, need, factor):
+    return (g * factor,)
 
 
 def _im2col(padded: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -443,55 +389,46 @@ def conv2d(input: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) ->
     padded = np.pad(xd, ((0, 0), (padding, padding), (padding, padding)))
     cols = _im2col(padded, k, stride, oh, ow)
     kmat = kd.reshape(c_out, c_in * k * k)
-    out = Tensor((kmat @ cols).reshape(c_out, oh, ow))
-    tape = active_tape()
-    if tape is not None:
-        px, pk = tape.tracked_id(input), tape.tracked_id(kernels)
-        if px >= 0 or pk >= 0:
-            hp, wp = padded.shape[1:]
-            def bw(g, cols=cols, kmat=kmat, nx=px >= 0, nk=pk >= 0):
-                g2 = g.reshape(c_out, oh * ow)
-                dk = (g2 @ cols.T).reshape(c_out, c_in, k, k) if nk else None
-                dx = None
-                if nx:
-                    dcols = kmat.T @ g2
-                    full = _col2im(dcols, c_in, k, stride, hp, wp, oh, ow)
-                    dx = full[:, padding:hp - padding, padding:wp - padding] \
-                        if padding else full
-                    dx = np.ascontiguousarray(dx)
-                return (dx, dk)
-            tape.push(out, (px, pk), bw)
-    return out
+    return record(Tensor((kmat @ cols).reshape(c_out, oh, ow)),
+                  (input, kernels), _conv2d_bw, cols, kmat, kd.shape,
+                  padded.shape, stride, padding)
+
+
+def _conv2d_bw(g, need, cols, kmat, kshape, pshape, stride, padding):
+    c_out, c_in, k, _ = kshape
+    _, hp, wp = pshape
+    _, oh, ow = g.shape
+    g2 = g.reshape(c_out, oh * ow)
+    dx = None
+    if need[0]:
+        full = _col2im(kmat.T @ g2, c_in, k, stride, hp, wp, oh, ow)
+        dx = full[:, padding:hp - padding, padding:wp - padding] \
+            if padding else full
+        dx = np.ascontiguousarray(dx)
+    return (dx, (g2 @ cols.T).reshape(kshape) if need[1] else None)
 
 
 def concat_cols(tensors: list[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
     if not tensors:
         raise ShapeError("concat_cols needs at least one tensor")
-    datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=-1))
-    tape = active_tape()
-    if tape is not None:
-        pids = tuple(tape.tracked_id(t) for t in tensors)
-        if any(p >= 0 for p in pids):
-            widths = [d.shape[-1] for d in datas]
-            def bw(g, widths=widths, pids=pids):
-                outs, pos = [], 0
-                for w, pid in zip(widths, pids):
-                    outs.append(np.ascontiguousarray(g[..., pos:pos + w])
-                                if pid >= 0 else None)
-                    pos += w
-                return tuple(outs)
-            tape.push(out, pids, bw)
-    return out
+    return record(Tensor(np.concatenate([t.data for t in tensors], axis=-1)),
+                  tensors, _concat_cols_bw, tensors)
+
+
+def _concat_cols_bw(g, need, tensors):
+    outs, pos = [], 0
+    for t, n in zip(tensors, need):
+        w = t.data.shape[-1]
+        outs.append(np.ascontiguousarray(g[..., pos:pos + w]) if n else None)
+        pos += w
+    return tuple(outs)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            orig = x.data.shape
-            tape.push(out, (px,), lambda g, orig=orig: (g.reshape(orig),))
-    return out
+    return record(Tensor(x.data.reshape(shape)), (x,), _reshape_bw,
+                  x.data.shape)
+
+
+def _reshape_bw(g, need, shape):
+    return (g.reshape(shape),)

@@ -13,28 +13,27 @@ import numpy as np
 
 from ielab.tensorcore.engine import ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state; step counts completed updates."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, Tensor], AdamState]:
-    """Apply one Adam update in place; returns the same params and state."""
+              state: AdamState) -> None:
+    """Apply one Adam update to `params` in place."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, p in params.items():
-        g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+        g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step: gradient shape {g.shape} does not match "
@@ -45,9 +44,8 @@ def adam_step(params: dict[str, Tensor], grads: Mapping[str, np.ndarray],
         m, v = state.m[name], state.v[name]
         if m.shape != p.data.shape:
             raise ShapeError(f"adam_step: stale state for parameter '{name}'")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -25,9 +25,9 @@ it itself if the worker has not begun it (its CPU is busy). `beside` is the
 only way work reaches the worker, and three kinds of work use it:
 - a training step of two shards runs shard 1 beside shard 0; each shard
   records its own tape, so its ops run whole on its own thread;
-- in an inference call the encoder (`split_rows`) runs each row-wise op
-  (`run_halves`: linear, add, gelu, layer_norm, and attention by heads) as
-  two halves, the second beside the first;
+- in an inference call the encoder (`split_rows`) runs each of its linear,
+  gelu and attention ops (`run_halves`: by rows, attention by heads) as two
+  halves, the second beside the first;
 - in an inference call IMAGE runs its image rows (page backbones, RoIAlign,
   projection) as one task beside the encoder. The op halves that the encoder
   hands over meanwhile wait behind it, so the calling thread takes them back

@@ -17,7 +17,6 @@ from ielab.errors import ContractError
 
 @dataclass
 class Chunk:
-    doc_id: str
     start: int
     end: int              # half-open token range in the source document
     inputs: ModelInput    # slice with pos1d re-based to 0
@@ -32,7 +31,7 @@ def _slice_input(inp: ModelInput, start: int, end: int) -> ModelInput:
     return ModelInput(**fields)
 
 
-def chunk_document(inp: ModelInput, cfg, doc_id: str = "") -> list[Chunk]:
+def chunk_document(inp: ModelInput, cfg) -> list[Chunk]:
     """Windows start at 0, stride, 2*stride, ... until the document is covered."""
     T = inp.length
     window = cfg.max_seq_len
@@ -40,7 +39,7 @@ def chunk_document(inp: ModelInput, cfg, doc_id: str = "") -> list[Chunk]:
     starts = [0]
     while starts[-1] + window < T:
         starts.append(starts[-1] + stride)
-    return [Chunk(doc_id=doc_id, start=s, end=min(s + window, T),
+    return [Chunk(start=s, end=min(s + window, T),
                   inputs=_slice_input(inp, s, min(s + window, T)))
             for s in starts]
 
@@ -68,8 +67,8 @@ def aggregate_chunk_predictions(chunks: list[Chunk],
     return out
 
 
-def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
-                        doc_id: str = "") -> np.ndarray:
+def predict_token_probs(model, inp: ModelInput, cfg,
+                        rasters=None) -> np.ndarray:
     """Chunked inference for one document; (T, label_count) probabilities.
 
     All chunks run as one packed forward, sharing the document's page
@@ -81,7 +80,7 @@ def predict_token_probs(model, inp: ModelInput, cfg, rasters=None,
     """
     if inp.length <= cfg.max_seq_len:       # one chunk: the document itself
         return model.predict_probs(inp, rasters)
-    chunks = chunk_document(inp, cfg, doc_id)
+    chunks = chunk_document(inp, cfg)
     probs = model.predict_probs([c.inputs for c in chunks],
                                 [rasters] * len(chunks))
     ends = np.cumsum([c.end - c.start for c in chunks])[:-1]

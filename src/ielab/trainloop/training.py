@@ -221,8 +221,8 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
                 x = augment_tokens(enc_train[di], cfg.token_replace_rate,
                                    aug_rng, vocabs.word.size)
                 x = augment_bboxes(x, cfg, aug_rng)
-                batch.append((di, [ch.inputs for ch in chunk_document(
-                    x, cfg, train_docs[di].id)]))
+                batch.append((di, [ch.inputs
+                                   for ch in chunk_document(x, cfg)]))
             loss, grads = _batch_grads(
                 model, params, batch, train_rasters, drop_rng,
                 [fold_seed, 12, epoch, bstart], cfg.max_seq_len)

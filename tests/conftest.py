@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from ielab import tensorcore as tc
-from ielab.tensorcore.engine import ShapeError, Tensor, active_tape
+from ielab.tensorcore.engine import ShapeError, Tensor, record
 from ielab.tensorcore.ops import _unbroadcast
 
 
@@ -23,29 +23,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out_data = ad * bd
     except ValueError as exc:
         raise ShapeError(f"mul shapes {ad.shape} * {bd.shape}") from exc
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        pa, pb = tape.tracked_id(a), tape.tracked_id(b)
-        if pa >= 0 or pb >= 0:
-            def bw(g, ad=ad, bd=bd, na=pa >= 0, nb=pb >= 0):
-                return (_unbroadcast(g * bd, ad.shape) if na else None,
-                        _unbroadcast(g * ad, bd.shape) if nb else None)
-            tape.push(out, (pa, pb), bw)
-    return out
+    return record(Tensor(out_data), (a, b), _mul_bw, ad, bd)
+
+
+def _mul_bw(g, need, ad, bd):
+    return (_unbroadcast(g * bd, ad.shape) if need[0] else None,
+            _unbroadcast(g * ad, bd.shape) if need[1] else None)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar Tensor recorded on the active tape."""
-    out = Tensor(x.data.sum())
-    tape = active_tape()
-    if tape is not None:
-        px = tape.tracked_id(x)
-        if px >= 0:
-            shape = x.data.shape
-            tape.push(out, (px,), lambda g, shape=shape:
-                      (np.full(shape, g, dtype=np.float64),))
-    return out
+    return record(Tensor(x.data.sum()), (x,), _sum_all_bw, x.data.shape)
+
+
+def _sum_all_bw(g, need, shape):
+    return (np.full(shape, g, dtype=np.float64),)
 
 
 def gradcheck(make_loss, named_params, h=1e-5, tol=1e-4, max_samples=24, seed=0):

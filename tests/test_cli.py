@@ -389,6 +389,19 @@ def test_params_accounts_every_mode_for_a_spec_without_style_features(
     assert outputs[0] == outputs[1]
 
 
+def test_params_accounts_the_position_table_train_builds(tmp_path, capsys):
+    """train_fold builds a train.max_seq_len x hidden position table, so
+    `params` counts that one; the model section has no max_seq_len."""
+    spec = write_spec(tmp_path, train={"max_seq_len": 64, "chunk_overlap": 16})
+    assert cli.main(["params", "--spec", str(spec)]) == 0
+    rows = [l.split()[1:] for l in capsys.readouterr().out.splitlines()
+            if l.startswith("embeddings.pos1d")]
+    assert rows == [["1,024"] * 4, ["393,216"] * 4]     # 64 x 16, 512 x 768
+    spec = write_spec(tmp_path, model={"max_seq_len": 64})
+    assert cli.main(["params", "--spec", str(spec)]) == 3
+    assert "unknown model keys: ['max_seq_len']" in capsys.readouterr().err
+
+
 def test_eval_on_all_o_corpus_reports_zero(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

@@ -322,7 +322,10 @@ def test_roi_align_batch_unreferenced_and_untracked_pages():
         out = sf.roi_align_batch([tracked, constant, unused], boxes[keep], 2,
                                  pages[keep])
         loss = sum_all(out)
-    node_grads = tape.nodes[out.node_id].backward_fn(np.ones_like(out.data))
+    node = tape.nodes[out.node_id]
+    need = tuple(pid >= 0 for pid in node.parents)
+    assert need == (True, False, True)
+    node_grads = node.backward_fn(np.ones_like(out.data), need, *node.saved)
     assert node_grads[1] is None
     grads = backward(loss, tape)
     assert np.array_equal(grads[unused.node_id].data, np.zeros((2, 5, 6)))

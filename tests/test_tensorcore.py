@@ -711,3 +711,26 @@ def test_every_public_op_is_used_by_the_library():
     unused = sorted(qual for name, qual in defined
                     if not name.startswith("_") and name not in used)
     assert unused == sorted(_KEPT_FOR_TESTS_AND_DEMOS)
+
+
+def test_only_the_engine_records_on_a_tape():
+    """Ops hand their outputs to `engine.record`: no src/ module but
+    tensorcore/engine.py calls a `.push(`, and only engine and threads name
+    `active_tape`."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ielab"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "push" and rel != "tensorcore/engine.py":
+                found.append(f"{rel}:{node.lineno} push")
+            names = [node.id] if isinstance(node, ast.Name) else \
+                [node.attr] if isinstance(node, ast.Attribute) else \
+                [a.name for a in node.names] \
+                if isinstance(node, ast.ImportFrom) else []
+            if "active_tape" in names and rel not in (
+                    "tensorcore/engine.py", "tensorcore/threads.py"):
+                found.append(f"{rel}:{node.lineno} active_tape")
+    assert found == []

@@ -98,7 +98,7 @@ def test_aggregate_every_token_exactly_once():
 
 
 def test_aggregate_detects_coverage_gap():
-    c = Chunk("d", 2, 4, tiny_input(T=2))
+    c = Chunk(2, 4, tiny_input(T=2))
     with pytest.raises(ContractError):
         aggregate_chunk_predictions([c], [np.zeros((2, 2))])
 
