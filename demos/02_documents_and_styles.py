@@ -50,6 +50,6 @@ print(f"label map: {vocabs.labels}")
 enc = encode_document(doc, vocabs, cfg)
 print(f"\nencoded: T={enc.length}")
 print(f"  word_ids[:8]  = {enc.word_ids[:8]}")
-print(f"  x1_ids[:8]    = {enc.x1_ids[:8]}")
+print(f"  coord_ids[:, :8] (x1, y1, x2, y2, w, h) =\n{enc.coord_ids[:, :8]}")
 print(f"  style_ids[:, :8] =\n{enc.style_ids[:, :8]}")
 print(f"  label_ids[:8] = {enc.label_ids[:8]}")

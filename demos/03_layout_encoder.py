@@ -1,4 +1,4 @@
-"""Inside the layout encoder: additive embeddings and padding invariance.
+"""Inside the layout encoder: additive embeddings and packing invariance.
 
 Run:  python demos/03_layout_encoder.py
 """
@@ -7,7 +7,8 @@ import numpy as np
 
 from ielab import layoutcore as lc
 from ielab import synthdocs
-from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
+from ielab.docstream import (BucketingConfig, build_vocabularies,
+                             encode_document, pack_inputs)
 from ielab.tensorcore import Tensor, ops
 
 docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
@@ -26,24 +27,29 @@ params = lc.init_parameters(cfg)
 e = lc.embed_tokens(inp, params)
 print(f"embedded {inp.length} tokens -> {e.data.shape}")
 
+x1, y1, x2, y2, w, h = inp.coord_ids[:, 0]
 direct = (params["word_table"].data[inp.word_ids[0]]
           + params["pos1d"].data[0]
-          + params["pos2d.x1"].data[inp.x1_ids[0]]
-          + params["pos2d.y1"].data[inp.y1_ids[0]]
-          + params["pos2d.x2"].data[inp.x2_ids[0]]
-          + params["pos2d.y2"].data[inp.y2_ids[0]]
-          + params["pos2d.w"].data[inp.w_ids[0]]
-          + params["pos2d.h"].data[inp.h_ids[0]])
+          + params["pos2d.x1"].data[x1]
+          + params["pos2d.y1"].data[y1]
+          + params["pos2d.x2"].data[x2]
+          + params["pos2d.y2"].data[y2]
+          + params["pos2d.w"].data[w]
+          + params["pos2d.h"].data[h])
 print("token 0 equals the eight-term sum:",
       np.allclose(e.data[0], direct, atol=1e-12))
 
-# The transformer stack never lets padded positions leak into real ones.
-L = lc.encoder_forward(e, inp.mask, params)
-padded = Tensor(np.vstack([e.data, np.ones((4, 32))]))
-mask = np.concatenate([inp.mask, np.zeros(4, dtype=bool)])
-L_padded = lc.encoder_forward(padded, mask, params)
-drift = np.abs(L.data - L_padded.data[:inp.length]).max()
-print(f"padding invariance: max drift {drift:.2e}")
+# Chunks are packed back to back, never padded: two documents in one forward
+# give the rows of two separate forwards, since attention never crosses a
+# chunk and positions restart at 0 in each.
+other = encode_document(docs[1], vocabs, bucket)
+lengths = [inp.length, other.length]
+packed = lc.encoder_forward(lc.embed_tokens(pack_inputs([inp, other]), params,
+                                            lengths), params, lengths)
+alone = np.vstack([lc.encoder_forward(lc.embed_tokens(x, params), params).data
+                   for x in (inp, other)])
+print(f"packing invariance over {lengths} tokens: max drift "
+      f"{np.abs(packed.data - alone).max():.2e}")
 
 # First-layer attention weights of head 0, read through the attention op
 # itself: with v one on a set of keys and zero elsewhere, every output is the

@@ -61,8 +61,7 @@ fmap = backbone_forward(Tensor(rasters[0]), model.image_params, spec.image)
 print(f"\nraster {rasters[0].shape} -> feature map {fmap.data.shape}")
 tok = docs[0].tokens[1]
 r = spec.image.roi_bins
-box = np.array([[inp.x1_ids[1], inp.y1_ids[1], inp.x2_ids[1], inp.y2_ids[1]]],
-               dtype=float)
+box = inp.coord_ids[:4, 1:2].T.astype(float)
 pooled = roi_align_batch(fmap, box, r).data.reshape(-1, r, r)
 print(f"RoIAlign over {tok.text!r} box {tuple(int(v) for v in box[0])} -> "
       f"{pooled.shape}; channel-0 bins (randomly initialized backbone):")

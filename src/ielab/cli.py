@@ -248,12 +248,36 @@ def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[
         raise CheckpointMismatchError(
             "checkpoint encoder dimensions do not match the spec")
     try:
-        return (model, Vocabularies.from_json(config["vocabularies"]),
-                BucketingConfig.from_json(config["bucketing"]),
-                TrainConfig.from_json(config["train"]))
+        vocabs = Vocabularies.from_json(config["vocabularies"])
+        bucketing = BucketingConfig.from_json(config["bucketing"])
+        train = TrainConfig.from_json(config["train"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatchError(
             f"{path}: unreadable checkpoint config: {exc}") from exc
+    _check_vocabularies(path, vocabs, model.spec)
+    return model, vocabs, bucketing, train
+
+
+def _check_vocabularies(path, vocabs: Vocabularies, spec: TaggerSpec) -> None:
+    """Each vocabulary numbers exactly the rows of the table it indexes."""
+    enc = spec.encoder
+    fonts = sorted(vocabs.style.font_index.values())
+    if sorted(vocabs.word.index.values()) != list(range(2, enc.word_vocab)):
+        problem = (f"word ids must be distinct and fill [2, {enc.word_vocab}),"
+                   " the word table's rows beside PAD and UNK")
+    elif sorted(vocabs.labels.values()) != list(range(enc.label_count)) \
+            or "O" not in vocabs.labels:
+        problem = (f"label ids must number 0..{enc.label_count - 1}, one per "
+                   "head output, and include O")
+    elif fonts != list(range(len(fonts))):
+        problem = f"font ids must number 0..{len(fonts) - 1}"
+    elif tuple(vocabs.style.size_list()) != tuple(spec.style_vocab_sizes):
+        problem = (f"style sizes {vocabs.style.size_list()} differ from the "
+                   f"model's {list(spec.style_vocab_sizes)}")
+    else:
+        return
+    raise CheckpointMismatchError(
+        f"{path}: checkpoint vocabularies do not fit its model: {problem}")
 
 
 def cmd_eval(spec: ExperimentSpec, checkpoint: str,

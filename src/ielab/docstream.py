@@ -143,21 +143,18 @@ class Vocabularies:
 class ModelInput:
     """Integer-encoded document ready for the encoder.
 
-    All sequences share length T. style_ids rows follow STYLE_FEATURES order.
-    page_ids carries each token's page so the image path can pick its raster.
+    Every array's last axis is the token axis, of length T. coord_ids holds
+    the quantized box rows (X1, Y1, X2, Y2, W, H) that `normalize_bbox`
+    gives; style_ids rows follow STYLE_FEATURES order; page_ids carries each
+    token's page so the image path can pick its raster. Every token is real:
+    chunks are packed back to back, never padded, and a token's 1-D position
+    is its index in its chunk (see layoutcore.embed_tokens).
     """
 
     word_ids: np.ndarray
-    x1_ids: np.ndarray
-    y1_ids: np.ndarray
-    x2_ids: np.ndarray
-    y2_ids: np.ndarray
-    w_ids: np.ndarray
-    h_ids: np.ndarray
-    pos1d_ids: np.ndarray
+    coord_ids: np.ndarray      # (6, T)
     style_ids: np.ndarray      # (5, T)
     label_ids: np.ndarray
-    mask: np.ndarray           # bool
     page_ids: np.ndarray
 
     @property
@@ -168,9 +165,7 @@ class ModelInput:
         return ModelInput(**{k: getattr(self, k).copy() for k in _INPUT_FIELDS})
 
 
-_INPUT_FIELDS = ("word_ids", "x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids",
-                 "h_ids", "pos1d_ids", "style_ids", "label_ids", "mask",
-                 "page_ids")
+_INPUT_FIELDS = ("word_ids", "coord_ids", "style_ids", "label_ids", "page_ids")
 
 
 def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
@@ -403,12 +398,8 @@ def encode_document(doc: DocumentRecord, vocabs: Vocabularies,
                     "vocabulary")
             label = vocabs.labels["O"]
         label_ids.append(label)
-    T = len(toks)
     return ModelInput(
         word_ids=np.array([vocabs.word.id_of(t.text) for t in toks],
                           dtype=np.int64),
-        x1_ids=coords[0], y1_ids=coords[1], x2_ids=coords[2], y2_ids=coords[3],
-        w_ids=coords[4], h_ids=coords[5],
-        pos1d_ids=np.arange(T, dtype=np.int64),
-        style_ids=style, label_ids=np.array(label_ids, dtype=np.int64),
-        mask=np.ones(T, dtype=bool), page_ids=pages)
+        coord_ids=coords, style_ids=style,
+        label_ids=np.array(label_ids, dtype=np.int64), page_ids=pages)

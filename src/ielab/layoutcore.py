@@ -22,7 +22,7 @@ from ielab.docstream import COORD_VOCAB, ModelInput
 from ielab.errors import ConfigError, ContractError
 from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import engine, ops, threads
-from ielab.tensorcore.engine import ShapeError, Tensor
+from ielab.tensorcore.engine import Tensor
 
 COORD_TABLES = ("x1", "y1", "x2", "y2", "w", "h")
 
@@ -117,51 +117,38 @@ def embed_tokens(inp: ModelInput, params: EncoderParameters,
     """Eight-table additive embedding; chunking must happen before this.
 
     `lengths` gives the token counts of the chunks packed back to back in
-    `inp` (default: one chunk); each chunk must fit max_seq_len.
+    `inp` (default: one chunk); each chunk must fit max_seq_len. A token's
+    1-D position is its index in its chunk, so positions restart at 0 with
+    every chunk; the six coordinate tables read the rows of `inp.coord_ids`.
     """
     cfg = params.config
-    longest = inp.length if lengths is None else max(lengths)
-    if longest > cfg.max_seq_len:
+    lengths = [inp.length] if lengths is None else lengths
+    if max(lengths) > cfg.max_seq_len:
         raise ContractError(
-            f"sequence of {longest} tokens exceeds max_seq_len "
+            f"sequence of {max(lengths)} tokens exceeds max_seq_len "
             f"{cfg.max_seq_len}; chunk the document first")
-    tables = [params["word_table"], params["pos1d"]]
-    ids = [inp.word_ids, inp.pos1d_ids]
-    coord_ids = (inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids,
-                 inp.w_ids, inp.h_ids)
-    for name, cid in zip(COORD_TABLES, coord_ids):
-        tables.append(params[f"pos2d.{name}"])
-        ids.append(cid)
-    return ops.embedding_sum(tables, ids)
-
-
-_MASK_BIAS = -1e9  # drives masked keys' attention weight to exact zero
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    tables = [params["word_table"], params["pos1d"],
+              *(params[f"pos2d.{name}"] for name in COORD_TABLES)]
+    return ops.embedding_sum(tables, [inp.word_ids, positions, *inp.coord_ids])
 
 
 @threads.split_rows()
-def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
+def encoder_forward(hidden_in: Tensor, params: EncoderParameters,
                     lengths: list[int] | None = None) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
 
     `hidden_in` holds the rows of the chunks whose token counts `lengths`
-    lists, packed back to back (default: one chunk of all rows). Each layer
-    runs one attention node over the chunk spans, where each query sees only
-    its own chunk's keys with `mask` True; every other op runs once over all
-    rows. A chunk with a masked key adds a -1e9 bias to that key's scores; a
-    chunk with none (every chunk that `encode_document` and packing produce)
-    adds no bias. In an inference call the ops may run as two halves on two
-    threads (see tensorcore.threads).
+    lists, packed back to back (default: one chunk of all rows). Every row
+    is a real token. Each layer runs one attention node over the chunk
+    spans, where each query sees every key of its own chunk and none of any
+    other; every other op runs once over all rows. In an inference call the
+    ops may run as two halves on two threads (see tensorcore.threads).
     """
     cfg = params.config
     T = hidden_in.data.shape[0]
-    msk = np.asarray(mask, dtype=bool)
-    if msk.shape != (T,):
-        raise ShapeError(f"mask length {msk.shape} does not match T={T}")
     bounds = [0, T] if lengths is None else np.cumsum([0, *lengths]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
-    biases = [None if msk[lo:hi].all()
-              else np.where(msk[lo:hi], 0.0, _MASK_BIAS)[None, :]
-              for lo, hi in spans]
 
     h = ops.layer_norm(hidden_in, params["embed_ln.gain"], params["embed_ln.bias"])
     for i in range(cfg.layers):
@@ -169,7 +156,7 @@ def encoder_forward(hidden_in: Tensor, mask, params: EncoderParameters,
         q = ops.linear(h, params[pre + "attn.q"], params[pre + "attn.q_bias"])
         k = ops.linear(h, params[pre + "attn.k"], params[pre + "attn.k_bias"])
         v = ops.linear(h, params[pre + "attn.v"], params[pre + "attn.v_bias"])
-        attn_out = ops.linear(ops.attention(q, k, v, biases, cfg.heads, spans),
+        attn_out = ops.linear(ops.attention(q, k, v, None, cfg.heads, spans),
                               params[pre + "attn.o"], params[pre + "attn.o_bias"])
         h = ops.layer_norm(ops.add(h, attn_out),
                            params[pre + "ln1.gain"], params[pre + "ln1.bias"])

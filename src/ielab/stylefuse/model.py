@@ -161,14 +161,12 @@ class TokenTagger:
         mode = self.spec.fusion
         if mode is FusionMode.IMAGE:
             page_ids, pages = _number_pages(inputs, rasters)
-            boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
-                             axis=1).astype(np.float64)
+            boxes = inp.coord_ids[:4].T.astype(np.float64)
             with threads.beside(image_rows, boxes, page_ids, pages,
                                 self.image_params, self.spec.image) as v:
-                L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params,
-                                               lengths)
+                L = layoutcore.encoder_forward(e, self.encoder_params, lengths)
                 return ops.add(L, v())
-        L = layoutcore.encoder_forward(e, inp.mask, self.encoder_params, lengths)
+        L = layoutcore.encoder_forward(e, self.encoder_params, lengths)
         if mode is FusionMode.BASELINE:
             return L
         if mode is FusionMode.STYLE_SUM:

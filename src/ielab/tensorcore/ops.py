@@ -225,13 +225,13 @@ def _heads(x, heads):
 
 def _attention_heads(out, probs, qd, kd, vd, spans, bias, heads, part):
     inv = 1.0 / np.sqrt(qd.shape[1] // heads)
-    for (lo, hi), b, a in zip(spans, bias, probs):
+    for (lo, hi), a in zip(spans, probs):
         a = a[part]                                # (heads, n, n) scores
         kh = _heads(kd[lo:hi], heads)[part]
         np.matmul(_heads(qd[lo:hi], heads)[part], kh.transpose(0, 2, 1), out=a)
         a *= inv
-        if b is not None:
-            a += b
+        if bias is not None:
+            a += bias
         a -= a.max(axis=2, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=2, keepdims=True)
@@ -239,7 +239,7 @@ def _attention_heads(out, probs, qd, kd, vd, spans, bias, heads, part):
                   out=_heads(out[lo:hi], heads)[part])
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
               heads: int, spans: list[tuple[int, int]] | None = None) -> Tensor:
     """Fused multi-head scaled dot-product attention (one tape node).
 
@@ -251,11 +251,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     two halves (see tensorcore.threads).
 
     With `spans`, a list of (lo, hi) row ranges that tile [0, T) in order,
-    the rows are chunks packed back to back: each span's queries see only
-    that span's keys, no score between two spans is computed, and `bias`
-    holds one entry per span, None or a constant broadcastable to that
-    span's (hi - lo, hi - lo) scores. Every span gets the bits of a separate
-    call on its own rows.
+    the rows are chunks packed back to back: each span's queries see every
+    key of that span and no other, no score between two spans is computed,
+    and `bias` must be None. Every span gets the bits of a separate call on
+    its own rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     T, h = qd.shape
@@ -265,15 +264,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | list | None,
     if h % heads != 0:
         raise ShapeError(f"width {h} not divisible by {heads} heads")
     if spans is None:
-        spans, bias = [(0, T)], [bias]
+        spans = [(0, T)]
     else:
         ends = [0] + [hi for _, hi in spans]
         if (not spans or ends[-1] != T or [lo for lo, _ in spans] != ends[:-1]
                 or any(lo >= hi for lo, hi in spans)):
             raise ShapeError(f"attention spans {spans} do not tile [0, {T})")
-        if len(bias) != len(spans):
-            raise ShapeError(f"attention needs one bias per span, got "
-                             f"{len(bias)} for {len(spans)} spans")
+        if bias is not None:
+            raise ShapeError("attention over spans takes no bias")
     out_data = np.empty((T, h))
     probs = [np.empty((heads, hi - lo, hi - lo)) for lo, hi in spans]
     run_halves(_attention_heads, heads, out_data, probs, qd, kd, vd, spans,

@@ -2,7 +2,7 @@
 
 Token replacement swaps word ids for random non-special vocabulary entries;
 geometry jitter applies one document-level shift and scale about the page
-center, then re-quantizes. Labels, styles, and masks are never touched.
+center, then re-quantizes. Labels and styles are never touched.
 """
 
 from __future__ import annotations
@@ -40,15 +40,8 @@ def augment_bboxes(inp: ModelInput, cfg, rng: np.random.Generator) -> ModelInput
     dx, dy = rng.integers(-cfg.bbox_shift_max, cfg.bbox_shift_max + 1, size=2)
     s = rng.uniform(s_lo, s_hi)
     out = inp.copy()
-
-    def jitter(arr, delta):
-        moved = np.rint(_CENTER + s * (arr - _CENTER) + delta)
-        return np.clip(moved, 0, 1000).astype(np.int64)
-
-    out.x1_ids = jitter(inp.x1_ids, dx)
-    out.x2_ids = jitter(inp.x2_ids, dx)
-    out.y1_ids = jitter(inp.y1_ids, dy)
-    out.y2_ids = jitter(inp.y2_ids, dy)
-    out.w_ids = out.x2_ids - out.x1_ids
-    out.h_ids = out.y2_ids - out.y1_ids
+    shift = np.array([dx, dy, dx, dy])[:, None]
+    moved = np.rint(_CENTER + s * (inp.coord_ids[:4] - _CENTER) + shift)
+    out.coord_ids[:4] = np.clip(moved, 0, 1000)
+    out.coord_ids[4:] = out.coord_ids[2:4] - out.coord_ids[:2]
     return out

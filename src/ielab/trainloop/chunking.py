@@ -19,16 +19,12 @@ from ielab.errors import ContractError
 class Chunk:
     start: int
     end: int              # half-open token range in the source document
-    inputs: ModelInput    # slice with pos1d re-based to 0
+    inputs: ModelInput
 
 
 def _slice_input(inp: ModelInput, start: int, end: int) -> ModelInput:
-    fields = {}
-    for name in _INPUT_FIELDS:
-        arr = getattr(inp, name)
-        fields[name] = arr[..., start:end].copy()
-    fields["pos1d_ids"] = np.arange(end - start, dtype=np.int64)
-    return ModelInput(**fields)
+    return ModelInput(**{name: getattr(inp, name)[..., start:end].copy()
+                         for name in _INPUT_FIELDS})
 
 
 def chunk_document(inp: ModelInput, cfg) -> list[Chunk]:

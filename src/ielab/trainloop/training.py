@@ -8,10 +8,10 @@ documents splits into two shards: contiguous groups of its documents, cut at
 the document boundary that best balances their row counts (the earlier cut
 on a tie). Every other batch is one shard. Each shard runs one packed
 forward over its chunks (see TokenTagger.fused_output) on its own tape,
-takes the cross-entropy over its unmasked tokens and runs its own backward.
-Its loss and gradients are weighted by its share of the batch's unmasked
-tokens and summed in shard order, so the step follows the mean loss over the
-whole batch; Adam then applies one update at a constant learning rate.
+takes the mean cross-entropy over its tokens and runs its own backward. Its
+loss and gradients are weighted by its share of the batch's tokens and
+summed in shard order, so the step follows the mean loss over the whole
+batch; Adam then applies one update at a constant learning rate.
 
 Shard 0 runs on the calling thread and draws dropout from the fold's
 dropout stream (fold_seed, 12), so a batch of one chunk's rows trains
@@ -141,9 +141,9 @@ def _shard_grads(model: TokenTagger, params: dict, inputs: list,
     with tape:
         tape.watch(*params.values())
         logits = model.forward_logits(inputs, rasters, training=True, rng=rng)
-        loss = ops.cross_entropy_masked(
-            logits, np.concatenate([i.label_ids for i in inputs]),
-            np.concatenate([i.mask for i in inputs]))
+        labels = np.concatenate([i.label_ids for i in inputs])
+        loss = ops.cross_entropy_masked(logits, labels,
+                                        np.ones(len(labels), dtype=bool))
     grads = backward(loss, tape)
     out = {name: grads[tape.tracked_id(t)].data for name, t in params.items()}
     if weight != 1.0:               # a batch's only shard keeps its bits
@@ -163,15 +163,14 @@ def _batch_grads(model: TokenTagger, params: dict, batch: list, rasters: list,
     """
     shards = _shards(batch, max_rows)
     inputs = [[c for _, chunks in sh for c in chunks] for sh in shards]
-    tokens = [sum(int(i.mask.sum()) for i in inp) for inp in inputs]
+    rows = [sum(i.length for i in inp) for inp in inputs]
     rngs = [drop_rng] if len(shards) == 1 else \
         [drop_rng, np.random.default_rng(second_seed)]
     jobs = [(model, params, inp,
              [rasters[di] for di, chunks in sh for _ in chunks], rng,
-             t / sum(tokens))
-            for sh, inp, rng, t in zip(shards, inputs, rngs, tokens)]
-    rows = sum(i.length for inp in inputs for i in inp)
-    with threads.one_blas_thread(rows > max_rows):
+             n / sum(rows))
+            for sh, inp, rng, n in zip(shards, inputs, rngs, rows)]
+    with threads.one_blas_thread(sum(rows) > max_rows):
         if len(jobs) == 1:
             return _shard_grads(*jobs[0])
         with threads.beside(_shard_grads, *jobs[1]) as second:

@@ -261,6 +261,49 @@ def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
         assert "bucketing" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A spec and the bytes of its trained fold-0 STYLE_CONCAT checkpoint."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    spec = write_spec(tmp_path)
+    cli.main(["generate", "--spec", str(spec)])
+    cli.main(["train", "--spec", str(spec)])
+    return spec, (tmp_path / "out" / "fold0.ckpt").read_bytes()
+
+
+def _renumber(mapping: dict, old: int, new: int) -> None:
+    """Give the entry numbered `old` the number `new`."""
+    mapping[next(k for k, i in mapping.items() if i == old)] = new
+
+
+@pytest.mark.parametrize("edit", [
+    lambda v: _renumber(v["word"]["index"], 2, -1),
+    lambda v: _renumber(v["word"]["index"], 2, 10 ** 6),
+    lambda v: _renumber(v["word"]["index"], 3, 2),
+    lambda v: v["labels"].pop("O"),
+    lambda v: _renumber(v["labels"], 0, 99),
+    lambda v: _renumber(v["style"]["font_index"], 0, 99),
+    lambda v: v["style"]["font_index"].update(
+        NotTrainedOn=len(v["style"]["font_index"]))],
+    ids=["word-id-negative", "word-id-past-table", "word-id-repeated",
+         "label-O-deleted", "label-O-past-head", "font-id-past-table",
+         "font-added"])
+def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
+        trained_checkpoint, tmp_path, capsys, edit):
+    """One edited vocabulary entry ends in exit 4 before anything is
+    encoded, not in an IndexError, a KeyError or silently wrong tags."""
+    spec, blob = trained_checkpoint
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    edit(header["config"]["vocabularies"])
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    assert "vocabularies do not fit its model" in capsys.readouterr().err
+
+
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

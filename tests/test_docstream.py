@@ -232,10 +232,9 @@ def test_encode_document_golden():
     assert list(enc.word_ids) == [pid, vocabs.word.index["12.50"],
                                   vocabs.word.index["usd"],
                                   vocabs.word.index["big"], pid]
-    assert list(enc.pos1d_ids) == [0, 1, 2, 3, 4]
-    assert list(enc.x1_ids) == [100, 210, 270, 100, 170]
-    assert list(enc.w_ids) == [100, 50, 30, 60, 60]
-    assert list(enc.h_ids) == [20, 20, 20, 25, 20]
+    assert list(enc.coord_ids[0]) == [100, 210, 270, 100, 170]   # x1
+    assert list(enc.coord_ids[4]) == [100, 50, 30, 60, 60]       # w
+    assert list(enc.coord_ids[5]) == [20, 20, 20, 25, 20]        # h
     # styles in order (bold, font, fontSize, inTable, color)
     helv = vocabs.style.font_index["Helvetica"]
     cour = vocabs.style.font_index["Courier"]
@@ -244,7 +243,6 @@ def test_encode_document_golden():
     assert list(enc.style_ids[:, 3]) == [0, helv, 2, 0, ds.NOT_BLACK]
     assert list(enc.label_ids) == [0, vocabs.labels["B-TRADE_PRICE"],
                                    vocabs.labels["I-TRADE_PRICE"], 0, 0]
-    assert enc.mask.all()
 
 
 def test_encode_unseen_word_maps_to_unk():
@@ -274,13 +272,12 @@ def test_encoded_lengths_and_ranges():
     T = enc.length
     sizes = vocabs.style.size_list()
     assert all(len(getattr(enc, f)) == T for f in
-               ("word_ids", "label_ids", "mask", "pos1d_ids", "page_ids"))
+               ("word_ids", "label_ids", "page_ids"))
     assert enc.style_ids.shape == (5, T)
     for m in range(5):
         assert enc.style_ids[m].max() < sizes[m]
-    for f in ("x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids", "h_ids"):
-        arr = getattr(enc, f)
-        assert arr.min() >= 0 and arr.max() <= 1000
+    assert enc.coord_ids.shape == (6, T)
+    assert enc.coord_ids.min() >= 0 and enc.coord_ids.max() <= 1000
 
 
 def test_vocabularies_json_roundtrip():

@@ -99,7 +99,13 @@ def raster_digest(docs) -> str:
 def encoding_digest(docs) -> str:
     """Encodings under two bucketings, a vocabulary from half the corpus (so
     unknown words and labels occur) and both the generated and a letter-size
-    page geometry."""
+    page geometry.
+
+    The digest hashes an encoding as twelve named arrays, the form in which
+    encodings were first pinned: the six coordinate rows of `coord_ids` under
+    the names x1_ids ... h_ids, and for `pos1d_ids` and `mask` the arange(T)
+    and all-True arrays that every such encoding held. So a pin that holds
+    shows every stored byte equal to that first form."""
     h = hashlib.sha256()
     for bucket in (BucketingConfig(),
                    BucketingConfig(fontsize_cluster_bounds=(1.4, 2.4),
@@ -107,10 +113,16 @@ def encoding_digest(docs) -> str:
         vocabs = build_vocabularies(docs[:max(1, len(docs) // 2)], bucket)
         for doc in docs + [_letter_page(d) for d in docs]:
             enc = encode_document(doc, vocabs, bucket, strict_labels=False)
-            for name in ("word_ids", "x1_ids", "y1_ids", "x2_ids", "y2_ids",
-                         "w_ids", "h_ids", "pos1d_ids", "style_ids",
-                         "label_ids", "mask", "page_ids"):
-                a = np.ascontiguousarray(getattr(enc, name))
+            T = enc.length
+            first_form = {
+                "word_ids": enc.word_ids,
+                **dict(zip(("x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids",
+                            "h_ids"), enc.coord_ids)),
+                "pos1d_ids": np.arange(T, dtype=np.int64),
+                "style_ids": enc.style_ids, "label_ids": enc.label_ids,
+                "mask": np.ones(T, dtype=bool), "page_ids": enc.page_ids}
+            for name, arr in first_form.items():
+                a = np.ascontiguousarray(arr)
                 h.update(repr((name, a.dtype.str, a.shape)).encode())
                 h.update(a.tobytes())
     return h.hexdigest()

@@ -340,7 +340,7 @@ def test_image_fuse_zero_path_is_identity():
         t.data[:] = 0.0
     inp = tiny_input(T=4, seed=1)
     L = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-    boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
+    boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(3).uniform(size=(1, 16, 16))]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
                                model.image_params, spec.image))
@@ -351,7 +351,7 @@ def test_image_fuse_linear_in_projection():
     spec = small_spec(sf.FusionMode.IMAGE)
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=4)
-    boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
+    boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(5).uniform(size=(1, 16, 16))]
     v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
                        spec.image).data
@@ -368,8 +368,7 @@ def test_image_fuse_composition_oracle():
     inp = tiny_input(T=5, seed=6)
     rng = np.random.default_rng(7)
     L = Tensor(rng.normal(size=(5, 8)))
-    boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids],
-                     1).astype(float)
+    boxes = inp.coord_ids[:4].T.astype(float)
     rasters = [rng.uniform(size=(1, 16, 16))]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
                                model.image_params, spec.image)).data
@@ -389,7 +388,7 @@ def test_image_fuse_missing_page_raster():
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=3, seed=8)
     inp.page_ids[:] = 2
-    boxes = np.stack([inp.x1_ids, inp.y1_ids, inp.x2_ids, inp.y2_ids], 1)
+    boxes = inp.coord_ids[:4].T
     with pytest.raises(ConfigError, match="page 2"):
         sf.image_rows(boxes, inp.page_ids, [np.zeros((1, 16, 16))],
                       model.image_params, spec.image)
@@ -420,7 +419,8 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
         tape = Tape()
         with tape:
             logits = model.forward_logits(inp)
-            loss = cross_entropy_masked(logits, inp.label_ids, inp.mask)
+            loss = cross_entropy_masked(logits, inp.label_ids,
+                                        np.ones(5, bool))
         g = backward(loss, tape)
         return logits.data, {n: g[t.node_id].data
                              for n, t in model.encoder_params.tensors.items()}
@@ -434,7 +434,7 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
     tape = Tape()
     with tape:
         loss = cross_entropy_masked(summ.forward_logits(inp),
-                                    inp.label_ids, inp.mask)
+                                    inp.label_ids, np.ones(5, bool))
     g = backward(loss, tape)
     bold_grad = g[summ.style.tables["bold"].node_id].data
     assert bold_grad.any()
@@ -478,18 +478,16 @@ def test_model_gradients_all_modes():
 
         def loss():
             return cross_entropy_masked(model.forward_logits(inp, rasters),
-                                        inp.label_ids, inp.mask)
+                                        inp.label_ids, np.ones(4, bool))
 
         named = model.parameters()
         probe = {k: named[k] for k in list(named)[:3] + ["head.weight"]}
         gradcheck(loss, probe, tol=1e-4, max_samples=4)
 
 
-def _chunk(T, seed, page_ids=None, masked_keys=0):
+def _chunk(T, seed, page_ids=None):
     inp = tiny_input(T=T, seed=seed)
     inp.label_ids = np.asarray(inp.label_ids) % 3
-    if masked_keys:
-        inp.mask[-masked_keys:] = False
     if page_ids is not None:
         inp.page_ids = np.asarray(page_ids, dtype=np.int64)
     return inp
@@ -517,15 +515,14 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
     doc_a = [rng.uniform(size=(1, 16, 16)) for _ in range(2)]
     doc_b = [rng.uniform(size=(1, 16, 16)) for _ in range(3)]
     inputs = [_chunk(5, 1, [0, 0, 1, 1, 1]),
-              _chunk(7, 2, [1] * 7, masked_keys=2),
+              _chunk(7, 2, [1] * 7),
               _chunk(16, 3, [0] * 8 + [2] * 8),
               _chunk(3, 4, [2, 2, 2])]
     rasters = [doc_a, doc_a, doc_b, doc_b]
     if mode is not sf.FusionMode.IMAGE:
         rasters = None
     labels = np.concatenate([i.label_ids for i in inputs])
-    mask = np.concatenate([i.mask for i in inputs])
-    total = int(mask.sum())
+    total = len(labels)
 
     seen = []
     original = sf.image.backbone_forward
@@ -539,7 +536,8 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
     def packed():
         logits = model.forward_logits(inputs, rasters, True,
                                       np.random.default_rng(5))
-        return logits, cross_entropy_masked(logits, labels, mask)
+        return logits, cross_entropy_masked(logits, labels,
+                                            np.ones(total, bool))
 
     def per_chunk():      # the oracle: one forward per chunk
         drop = np.random.default_rng(5)
@@ -547,8 +545,9 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
         for i, inp in enumerate(inputs):
             logits = model.forward_logits(inp, rasters and rasters[i], True,
                                           drop)
-            term = mul(cross_entropy_masked(logits, inp.label_ids, inp.mask),
-                       Tensor(int(inp.mask.sum()) / total))
+            term = mul(cross_entropy_masked(logits, inp.label_ids,
+                                            np.ones(inp.length, bool)),
+                       Tensor(inp.length / total))
             parts.append(logits.data)
             loss = term if loss is None else add(loss, term)
         return Tensor(np.concatenate(parts)), loss

@@ -625,20 +625,19 @@ def test_attention_spans_match_separate_calls_bit_for_bit():
     T = spans[-1][1]
     q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
     w = rng.normal(size=(T, h))
-    biases = [None, None, np.where(np.arange(7) < 5, 0.0, -1e9)[None, :]]
 
-    def run(q, k, v, bias, w, *spans):
+    def run(q, k, v, w, *spans):
         tape = tc.Tape()
         with tape:
-            out = tc.ops.attention(q, k, v, bias, heads, *spans)
+            out = tc.ops.attention(q, k, v, None, heads, *spans)
             loss = sum_all(mul(out, tc.Tensor(w)))
         grads = tc.backward(loss, tape)
         return [out.data] + [grads[tape.tracked_id(t)].data for t in (q, k, v)]
 
-    packed = run(q, k, v, biases, w, spans)
-    for (lo, hi), bias in zip(spans, biases):
+    packed = run(q, k, v, w, spans)
+    for lo, hi in spans:
         rows = [tc.parameter(t.data[lo:hi].copy()) for t in (q, k, v)]
-        alone = run(*rows, bias, w[lo:hi])
+        alone = run(*rows, w[lo:hi])
         for got, want in zip(packed, alone):
             assert got[lo:hi].tobytes() == want.tobytes(), (lo, hi)
 
@@ -648,10 +647,9 @@ def test_attention_spans_gradient():
     T, h, heads = 7, 6, 3
     q, k, v = (tc.parameter(rng.normal(size=(T, h))) for _ in range(3))
     w = tc.Tensor(rng.normal(size=(T, h)))
-    spans = [(0, 4), (4, 7)]
-    biases = [np.where(np.arange(4) < 3, 0.0, -1e9)[None, :], None]
     gradcheck(lambda: sum_all(mul(
-                  tc.ops.attention(q, k, v, biases, heads, spans), w)),
+                  tc.ops.attention(q, k, v, None, heads, [(0, 4), (4, 7)]),
+                  w)),
               {"q": q, "k": k, "v": v}, tol=1e-6)
 
 
@@ -662,13 +660,15 @@ def test_attention_spans_gradient():
 def test_attention_spans_must_tile_the_rows(spans):
     x = tc.Tensor(np.ones((6, 4)))
     with pytest.raises(tc.ShapeError, match="tile"):
-        tc.ops.attention(x, x, x, [None] * len(spans), 2, spans)
+        tc.ops.attention(x, x, x, None, 2, spans)
 
 
-def test_attention_needs_one_bias_per_span():
+@pytest.mark.parametrize("bias", [np.zeros((1, 6)), [None, None]],
+                         ids=["key-bias", "bias-list"])
+def test_attention_spans_take_no_bias(bias):
     x = tc.Tensor(np.ones((6, 4)))
-    with pytest.raises(tc.ShapeError, match="one bias per span"):
-        tc.ops.attention(x, x, x, [None], 2, [(0, 2), (2, 6)])
+    with pytest.raises(tc.ShapeError, match="spans takes no bias"):
+        tc.ops.attention(x, x, x, bias, 2, [(0, 2), (2, 6)])
 
 
 # Public src/ functions and methods kept although only tests, demos or

@@ -378,8 +378,7 @@ def test_each_split_op_has_the_bytes_of_one_call(two_cpus, T):
     x, x2, x3, g, b = t(T, 64), t(T, 64), t(T, 64), t(64), t(64)
     w64, w256, b256, w_back = t(64, 64), t(64, 256), t(256), t(256, 64)
     wide = t(T, 256)
-    cut = T // 3
-    mask = np.where(rng.random(T - cut) < 0.2, -1e9, 0.0)[None, :]
+    mask = np.where(rng.random(T) < 0.2, -1e9, 0.0)[None, :]
     cases = [
         lambda: ops.linear(x, w64, b),
         lambda: ops.linear(x, w256, b256),
@@ -388,8 +387,8 @@ def test_each_split_op_has_the_bytes_of_one_call(two_cpus, T):
         lambda: ops.gelu(wide),
         lambda: ops.layer_norm(x, g, b),
         lambda: ops.attention(x, x2, x3, None, 2),
-        lambda: ops.attention(x, x2, x3, [None, mask], 2,
-                              [(0, cut), (cut, T)]),
+        lambda: ops.attention(x, x2, x3, mask, 2),
+        lambda: ops.attention(x, x2, x3, None, 2, [(0, T // 3), (T // 3, T)]),
     ]
     for fn in cases:
         whole, split = _whole_and_split(fn, T)

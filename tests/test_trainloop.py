@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from conftest import t_two_sided_p_oracle
 
+from ielab import layoutcore as lc
 from ielab import pgm, synthdocs
-from ielab.docstream import BucketingConfig
+from ielab.docstream import BucketingConfig, pack_inputs
 from ielab.errors import ConfigError, ContractError
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
@@ -27,7 +28,7 @@ from ielab.trainloop import (
 )
 from ielab.trainloop import training
 from ielab.trainloop.chunking import Chunk
-from test_layoutcore import tiny_input
+from test_layoutcore import make_config, tiny_input
 
 CFG = TrainConfig()
 
@@ -44,7 +45,14 @@ def test_chunk_single_window():
 def test_chunk_stride_rule():
     chunks = chunk_document(tiny_input(T=900), CFG)
     assert [(c.start, c.end) for c in chunks] == [(0, 512), (412, 900)]
-    assert list(chunks[1].inputs.pos1d_ids[:3]) == [0, 1, 2]  # re-based
+
+
+def test_positions_restart_at_zero_in_each_packed_chunk():
+    a, b = (c.inputs for c in chunk_document(tiny_input(T=900), CFG))
+    params = lc.init_parameters(make_config(max_seq_len=CFG.max_seq_len))
+    packed = lc.embed_tokens(pack_inputs([a, b]), params, [a.length, b.length])
+    alone = [lc.embed_tokens(x, params).data for x in (a, b)]
+    assert packed.data.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_chunk_coverage_fuzz():
@@ -122,35 +130,32 @@ def test_augment_tokens_replacement_fraction():
     assert 0 not in out.word_ids and 1 not in out.word_ids
     assert np.array_equal(out.label_ids, inp.label_ids)
     assert np.array_equal(out.style_ids, inp.style_ids)
-    assert np.array_equal(out.x1_ids, inp.x1_ids)
+    assert np.array_equal(out.coord_ids, inp.coord_ids)
 
 
 def test_augment_bboxes_identity_config():
     cfg = TrainConfig(bbox_shift_max=0, bbox_scale_range=(1.0, 1.0))
     inp = tiny_input(T=30)
     out = augment_bboxes(inp, cfg, np.random.default_rng(0))
-    for f in ("x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids", "h_ids"):
-        assert np.array_equal(getattr(out, f), getattr(inp, f)), f
+    assert np.array_equal(out.coord_ids, inp.coord_ids)
 
 
 def test_augment_bboxes_bounds_and_order():
     inp = tiny_input(T=200, seed=8)
     for seed in range(5):
         out = augment_bboxes(inp, CFG, np.random.default_rng(seed))
-        for f in ("x1_ids", "y1_ids", "x2_ids", "y2_ids", "w_ids", "h_ids"):
-            arr = getattr(out, f)
-            assert arr.min() >= 0 and arr.max() <= 1000
-        assert (out.x1_ids <= out.x2_ids).all()
-        assert (out.y1_ids <= out.y2_ids).all()
-        assert np.array_equal(out.w_ids, out.x2_ids - out.x1_ids)
+        x1, y1, x2, y2, w, h = out.coord_ids
+        assert out.coord_ids.min() >= 0 and out.coord_ids.max() <= 1000
+        assert (x1 <= x2).all()
+        assert (y1 <= y2).all()
+        assert np.array_equal(w, x2 - x1)
 
 
 def test_augment_bboxes_deterministic():
     inp = tiny_input(T=40, seed=2)
     a = augment_bboxes(inp, CFG, np.random.default_rng(9))
     b = augment_bboxes(inp, CFG, np.random.default_rng(9))
-    assert np.array_equal(a.x1_ids, b.x1_ids)
-    assert np.array_equal(a.h_ids, b.h_ids)
+    assert np.array_equal(a.coord_ids, b.coord_ids)
 
 
 def corpus(n=14, seed=5, template="TRADECONF"):
@@ -317,7 +322,7 @@ def test_shards_cut_at_the_balanced_document_boundary():
 
 def test_sharded_steps_follow_the_whole_batch_loss(monkeypatch):
     # no dropout and no augmentation: a step's two shards, weighted by their
-    # unmasked tokens, give the whole batch's mean loss and gradient
+    # tokens, give the whole batch's mean loss and gradient
     docs = corpus(8)
     cfg = TrainConfig(lr=1e-3, epochs=2, max_seq_len=24, chunk_overlap=6,
                       token_replace_rate=0.0, bbox_shift_max=0,
