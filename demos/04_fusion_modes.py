@@ -23,7 +23,6 @@ from ielab.stylefuse import (
     roi_align_batch,
 )
 from ielab.stylefuse.model import with_resolved_sizes
-from ielab.tensorcore import Tensor
 
 docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
     template="INVOICE", n_docs=4, tokens_per_doc=(16, 24), seed=3))
@@ -51,14 +50,15 @@ for mode in FusionMode:
     print(f"{mode.value:13s} fused width {fused.data.shape[1]:4d}  "
           f"params {total:8,}  row0 sums to {probs[0].sum():.6f}")
 
-# The image path in slow motion: raster -> feature map -> one token's pooled
-# window. The pooled grid is what the projection layer sees.
+# The image path in slow motion: uint8 page -> feature map -> one token's
+# pooled window. The pooled grid is what the projection layer sees.
 spec = with_resolved_sizes(
     TaggerSpec(encoder=enc, fusion=FusionMode.IMAGE, image=ImagePathConfig()),
     vocabs.word.size, len(vocabs.labels), vocabs.style.size_list())
 model = TokenTagger.build(spec)
-fmap = backbone_forward(Tensor(rasters[0]), model.image_params, spec.image)
-print(f"\nraster {rasters[0].shape} -> feature map {fmap.data.shape}")
+fmap = backbone_forward(rasters[0], model.image_params, spec.image)
+print(f"\nraster {rasters[0].shape} {rasters[0].dtype} -> feature map "
+      f"{fmap.data.shape}")
 tok = docs[0].tokens[1]
 r = spec.image.roi_bins
 box = inp.coord_ids[:4, 1:2].T.astype(float)

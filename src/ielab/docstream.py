@@ -30,7 +30,7 @@ UNK_ID = 1
 COORD_VOCAB = 1001  # ids 0..1000 inclusive
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenRecord:
     text: str
     page: int

@@ -75,41 +75,43 @@ class EncoderParameters:
         return self.tensors[name]
 
 
-def init_parameters(config: EncoderConfig) -> EncoderParameters:
-    """Seeded N(0, init_std^2) weights, zero biases, unit layer-norm gains."""
-    rng = np.random.default_rng([config.seed, 0])
+def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder tensor, in init_parameters' order."""
     h, ff = config.hidden, config.ff
-
-    def weight(*shape):
-        return engine.parameter(rng.normal(0.0, config.init_std, size=shape))
-
-    def zeros(*shape):
-        return engine.parameter(np.zeros(shape))
-
-    def ones(*shape):
-        return engine.parameter(np.ones(shape))
-
-    t: dict[str, Tensor] = {}
-    t["word_table"] = weight(config.word_vocab, h)
-    t["pos1d"] = weight(config.max_seq_len, h)
+    shapes = {"word_table": (config.word_vocab, h),
+              "pos1d": (config.max_seq_len, h)}
     for name in COORD_TABLES:
-        t[f"pos2d.{name}"] = weight(COORD_VOCAB, h)
-    t["embed_ln.gain"] = ones(h)
-    t["embed_ln.bias"] = zeros(h)
+        shapes[f"pos2d.{name}"] = (COORD_VOCAB, h)
+    shapes["embed_ln.gain"] = shapes["embed_ln.bias"] = (h,)
     for i in range(config.layers):
         pre = f"layer.{i}."
         for part in ("q", "k", "v", "o"):
-            t[pre + f"attn.{part}"] = weight(h, h)
-            t[pre + f"attn.{part}_bias"] = zeros(h)
-        t[pre + "ln1.gain"] = ones(h)
-        t[pre + "ln1.bias"] = zeros(h)
-        t[pre + "ff.w1"] = weight(h, ff)
-        t[pre + "ff.b1"] = zeros(ff)
-        t[pre + "ff.w2"] = weight(ff, h)
-        t[pre + "ff.b2"] = zeros(h)
-        t[pre + "ln2.gain"] = ones(h)
-        t[pre + "ln2.bias"] = zeros(h)
-    return EncoderParameters(config, t)
+            shapes[pre + f"attn.{part}"] = (h, h)
+            shapes[pre + f"attn.{part}_bias"] = (h,)
+        shapes[pre + "ln1.gain"] = shapes[pre + "ln1.bias"] = (h,)
+        shapes[pre + "ff.w1"], shapes[pre + "ff.b1"] = (h, ff), (ff,)
+        shapes[pre + "ff.w2"], shapes[pre + "ff.b2"] = (ff, h), (h,)
+        shapes[pre + "ln2.gain"] = shapes[pre + "ln2.bias"] = (h,)
+    return shapes
+
+
+def initial_value(name: str, shape: tuple, rng: np.random.Generator,
+                  std: float) -> Tensor:
+    """Unit layer-norm gains, zero biases, N(0, std^2) weights and tables;
+    only weights and tables draw from `rng`."""
+    if name.endswith(".gain"):
+        return engine.parameter(np.ones(shape))
+    if name.endswith(("bias", ".b1", ".b2")):
+        return engine.parameter(np.zeros(shape))
+    return engine.parameter(rng.normal(0.0, std, size=shape))
+
+
+def init_parameters(config: EncoderConfig) -> EncoderParameters:
+    """Seeded N(0, init_std^2) weights, zero biases, unit layer-norm gains."""
+    rng = np.random.default_rng([config.seed, 0])
+    return EncoderParameters(config, {
+        name: initial_value(name, shape, rng, config.init_std)
+        for name, shape in parameter_shapes(config).items()})
 
 
 def embed_tokens(inp: ModelInput, params: EncoderParameters,

@@ -52,5 +52,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def raster_to_input(grid: np.ndarray) -> np.ndarray:
-    """(H, W) uint8 page -> (1, H, W) float64 ink intensity in [0, 1]."""
-    return ((255.0 - np.asarray(grid, dtype=np.float64)) / 255.0)[None, :, :]
+    """(H, W) uint8 page -> the (1, H, W) uint8 page the model reads.
+
+    The pixels stay uint8, one byte each; stylefuse.image.backbone_forward
+    forms their float64 ink intensity in [0, 1] as its first step.
+    """
+    return np.asarray(grid)[None, :, :]

@@ -1,11 +1,14 @@
 """Image-embedding path: tiny conv backbone, RoIAlign, linear projection.
 
-A page raster (grayscale grid over the page) runs through three strided
-conv+GELU stages to build a feature map; each token's quantized box is pooled
-from its page's map with RoIAlign (r x r bins, 2x2 averaged bilinear samples
-per bin, zero padding outside the map) and projected to the encoder width
-(`image_rows`); TokenTagger.fused_output sums these rows element-wise with
-the tokens' encoder output. RoIAlign is linear in the maps, so one sparse
+A page is its (C, H, W) uint8 pixel grid (pgm.raster_to_input) up to the
+backbone: `backbone_forward` forms the float64 ink map (255 - pixel) / 255,
+1 for black and 0 for white, as its first step, so a float page exists only
+while one backbone call runs. Three strided conv+GELU stages then build a
+feature map; each token's quantized box is pooled from its page's map with
+RoIAlign (r x r bins, 2x2 averaged bilinear samples per bin, zero padding
+outside the map) and projected to the encoder width (`image_rows`);
+TokenTagger.fused_output sums these rows element-wise with the tokens'
+encoder output. RoIAlign is linear in the maps, so one sparse
 interpolation matrix (a row per token bin, holding its corner weights on its
 own page) pools every token of a forward at once.
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ielab.errors import ConfigError
+from ielab.errors import ConfigError, ContractError
 from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import ops
 from ielab.tensorcore.engine import ShapeError, Tensor, record
@@ -57,14 +60,19 @@ class ImagePathConfig(JsonConfig):
         return self.feature_channels * self.roi_bins * self.roi_bins
 
 
-def backbone_forward(raster: Tensor, params: dict, config: ImagePathConfig) -> Tensor:
-    """Strided conv+GELU stages from the raster to the page feature map."""
-    if raster.data.shape[0] != config.raster_channels:
+def backbone_forward(raster: np.ndarray, params: dict,
+                     config: ImagePathConfig) -> Tensor:
+    """Strided conv+GELU stages from a (C, H, W) uint8 page to its feature
+    map; the page's float64 ink map lives only within this call."""
+    if raster.dtype != np.uint8:
+        raise ContractError(
+            f"a page raster is a uint8 pixel grid, got dtype {raster.dtype}")
+    if raster.shape[0] != config.raster_channels:
         raise ShapeError(
-            f"raster has {raster.data.shape[0]} channels, config expects "
+            f"raster has {raster.shape[0]} channels, config expects "
             f"{config.raster_channels}")
     pad = config.kernel_size // 2
-    x = raster
+    x = Tensor((255.0 - raster.astype(np.float64)) / 255.0)
     for i in range(len(config.backbone_channels)):
         kernel = params[f"image.backbone.{i}.kernel"]
         bias = params[f"image.backbone.{i}.bias"]
@@ -162,7 +170,7 @@ def image_rows(boxes: np.ndarray, page_ids: np.ndarray, rasters: list,
                params: dict, config: ImagePathConfig) -> Tensor:
     """v_i = proj(RoIAlign(feature_map(page_i), box_i)), one row per token.
 
-    `rasters` holds one (C, H, W) grid per page; each page that a token
+    `rasters` holds one (C, H, W) uint8 grid per page; each page that a token
     names runs through the backbone once. Backbone, projection, and the
     upstream encoder all train jointly through this path.
     """
@@ -171,12 +179,8 @@ def image_rows(boxes: np.ndarray, page_ids: np.ndarray, rasters: list,
         raise ConfigError(
             f"token references page {int(needed.max())} but only "
             f"{len(rasters)} rasters were provided")
-    fmaps = [backbone_forward(_as_tensor(rasters[int(p)]), params, config)
+    fmaps = [backbone_forward(rasters[int(p)], params, config)
              for p in needed]
     rows = roi_align_batch(fmaps, boxes, config.roi_bins, page_of_token)
     return ops.linear(rows, params["image.proj.weight"],
                       params["image.proj.bias"])
-
-
-def _as_tensor(raster) -> Tensor:
-    return raster if isinstance(raster, Tensor) else Tensor(raster)

@@ -28,7 +28,7 @@ from ielab.stylefuse.fusion import (
 )
 from ielab.stylefuse.image import ImagePathConfig, image_rows
 from ielab.tensorcore import checkpoint as ckpt
-from ielab.tensorcore import engine, ops, threads
+from ielab.tensorcore import ops, threads
 from ielab.tensorcore.engine import Tensor
 
 
@@ -80,48 +80,25 @@ class TokenTagger:
 
     @classmethod
     def build(cls, spec: TaggerSpec) -> "TokenTagger":
-        seed = spec.encoder.seed
-        std = spec.encoder.init_std
         enc = layoutcore.init_parameters(spec.encoder)
-
+        rngs = {group: np.random.default_rng([spec.encoder.seed, stream])
+                for group, stream in _STREAMS.items()}
+        params = {}
+        for name, shape in parameter_shapes(spec).items():
+            rng = rngs.get(name.split(".")[0])
+            if rng is not None:                   # not an encoder tensor
+                params[name] = layoutcore.initial_value(
+                    name, shape, rng, spec.encoder.init_std)
         style = None
         if spec.fusion in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
-            if len(spec.style_vocab_sizes) != len(STYLE_FEATURES):
-                raise ConfigError(
-                    "style modes need a vocab size per style feature; "
-                    "resolve the spec against a corpus first")
-            rng = np.random.default_rng([seed, 1])
-            tables = {}
-            for f in spec.style_features:
-                v = spec.style_vocab_sizes[STYLE_FEATURES.index(f)]
-                tables[f] = engine.parameter(
-                    rng.normal(0.0, std, size=(v, spec.style_width)))
-            style = StyleTables(features=spec.style_features, tables=tables,
-                                dim=spec.style_width)
-
-        image_params: dict = {}
-        if spec.fusion is FusionMode.IMAGE:
-            rng = np.random.default_rng([seed, 2])
-            icfg = spec.image
-            c_in = icfg.raster_channels
-            k = icfg.kernel_size
-            for i, c_out in enumerate(icfg.backbone_channels):
-                image_params[f"image.backbone.{i}.kernel"] = engine.parameter(
-                    rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-                image_params[f"image.backbone.{i}.bias"] = engine.parameter(
-                    np.zeros(c_out))
-                c_in = c_out
-            image_params["image.proj.weight"] = engine.parameter(
-                rng.normal(0.0, std, size=(icfg.roi_width, spec.encoder.hidden)))
-            image_params["image.proj.bias"] = engine.parameter(
-                np.zeros(spec.encoder.hidden))
-
-        rng = np.random.default_rng([seed, 3])
-        head = ClassifierHead(
-            weight=engine.parameter(rng.normal(
-                0.0, std, size=(spec.head_in_dim, spec.encoder.label_count))),
-            bias=engine.parameter(np.zeros(spec.encoder.label_count)),
-            dropout_rate=spec.dropout_rate)
+            style = StyleTables(
+                features=spec.style_features, dim=spec.style_width,
+                tables={f: params[f"style.{f}"] for f in spec.style_features})
+        head = ClassifierHead(weight=params["head.weight"],
+                              bias=params["head.bias"],
+                              dropout_rate=spec.dropout_rate)
+        image_params = {name: t for name, t in params.items()
+                        if name.startswith("image.")}
         return cls(spec=spec, encoder_params=enc, style=style,
                    image_params=image_params, head=head)
 
@@ -193,15 +170,8 @@ class TokenTagger:
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameters()
-        if set(arrays) != set(params):
-            missing = set(params) ^ set(arrays)
-            raise CheckpointMismatchError(
-                f"parameter names do not match the model: {sorted(missing)}")
+        _check_shapes(arrays, {n: t.data.shape for n, t in params.items()})
         for name, arr in arrays.items():
-            if params[name].data.shape != arr.shape:
-                raise CheckpointMismatchError(
-                    f"parameter {name!r}: shape {arr.shape} does not match "
-                    f"model shape {params[name].data.shape}")
             params[name].data[...] = arr
 
     def save(self, path, extra_config: dict | None = None) -> None:
@@ -214,9 +184,55 @@ class TokenTagger:
     def load(cls, path) -> tuple["TokenTagger", dict]:
         config, arrays = ckpt.load_checkpoint(path)
         spec = TaggerSpec.from_json(config["spec"])
+        _check_shapes(arrays, parameter_shapes(spec))   # before allocating
         model = cls.build(spec)
         model.restore(arrays)
         return model, config
+
+
+# the random stream of each parameter group beside the encoder's stream 0
+_STREAMS = {"style": 1, "image": 2, "head": 3}
+
+
+def parameter_shapes(spec: TaggerSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of the spec's model, in the order
+    each group draws them; allocates nothing."""
+    shapes = layoutcore.parameter_shapes(spec.encoder)
+    if spec.fusion in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
+        if len(spec.style_vocab_sizes) != len(STYLE_FEATURES):
+            raise ConfigError(
+                "style modes need a vocab size per style feature; "
+                "resolve the spec against a corpus first")
+        for f in spec.style_features:
+            v = spec.style_vocab_sizes[STYLE_FEATURES.index(f)]
+            shapes[f"style.{f}"] = (v, spec.style_width)
+    if spec.fusion is FusionMode.IMAGE:
+        icfg = spec.image
+        c_in, k = icfg.raster_channels, icfg.kernel_size
+        for i, c_out in enumerate(icfg.backbone_channels):
+            shapes[f"image.backbone.{i}.kernel"] = (c_out, c_in, k, k)
+            shapes[f"image.backbone.{i}.bias"] = (c_out,)
+            c_in = c_out
+        shapes["image.proj.weight"] = (icfg.roi_width, spec.encoder.hidden)
+        shapes["image.proj.bias"] = (spec.encoder.hidden,)
+    labels = spec.encoder.label_count
+    shapes["head.weight"] = (spec.head_in_dim, labels)
+    shapes["head.bias"] = (labels,)
+    return shapes
+
+
+def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict) -> None:
+    """CheckpointMismatchError unless `arrays` has exactly these names and
+    shapes."""
+    if set(arrays) != set(shapes):
+        raise CheckpointMismatchError(
+            "parameter names do not match the model: "
+            f"{sorted(set(shapes) ^ set(arrays))}")
+    for name, arr in arrays.items():
+        if arr.shape != shapes[name]:
+            raise CheckpointMismatchError(
+                f"parameter {name!r}: shape {arr.shape} does not match the "
+                f"model's {shapes[name]}")
 
 
 def _number_pages(inputs: list[ModelInput], rasters: list):

@@ -192,7 +192,8 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
 
     Gives the bits of table_0[ids_0] + table_1[ids_1] + ... added left to
     right; backward scatters the output gradient into each tracked table,
-    summing the rows of duplicate ids. Ids must have at least one dimension.
+    summing the rows of duplicate ids. Ids must have at least one dimension,
+    and every id array the first one's shape.
     """
     if len(tables) != len(ids_list) or not tables:
         raise ShapeError("embedding_sum needs one id sequence per table")
@@ -201,6 +202,9 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
         idx = np.asarray(ids, dtype=np.intp)
         if idx.ndim == 0:   # a scalar id gathers a view, which acc += alters
             raise ShapeError("embedding ids must have at least one dimension")
+        if idxs and idx.shape != idxs[0].shape:   # += would broadcast
+            raise ShapeError(f"embedding ids of shape {idx.shape} differ from "
+                             f"the first table's {idxs[0].shape}")
         V = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= V):
             bad = idx[(idx < 0) | (idx >= V)][0]

@@ -166,6 +166,19 @@ def test_generate_renders_at_the_spec_raster_size(tmp_path):
     assert cli.main(["train", "--spec", str(spec)]) == 0
 
 
+def test_corpus_pages_load_as_uint8_grids(tmp_path):
+    """Train and eval hold each page as its H*W pixel bytes."""
+    spec_path = write_spec(tmp_path, **_SMALL_IMAGE)
+    assert cli.main(["generate", "--spec", str(spec_path)]) == 0
+    spec = cli.load_spec(spec_path)
+    docs = cli._load_corpus(spec)
+    rasters = cli._load_rasters(spec, docs)
+    pages = [p for d in docs for p in rasters[d.id]]
+    assert len(pages) == sum(len(d.pages) for d in docs)
+    assert all(p.dtype == np.uint8 and p.shape == (1, 32, 32)
+               and p.nbytes == 32 * 32 for p in pages)
+
+
 @pytest.mark.parametrize("page", [
     b"P5\nab 2\n255\n" + bytes(64),
     b"P5\n2 2\n2.5\n" + bytes(4),
@@ -302,6 +315,28 @@ def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
     assert cli.main(["eval", "--spec", str(spec),
                      "--checkpoint", str(path)]) == 4
     assert "vocabularies do not fit its model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.update(style_dim=10 ** 9),
+    lambda s: s["encoder"].update(ff_dim=10 ** 9),
+    lambda s: s["encoder"].update(max_seq_len=10 ** 9),
+    lambda s: s["encoder"].update(layers=2)],
+    ids=["style-dim", "ff-dim", "max-seq-len", "layers"])
+def test_checkpoint_shapes_checked_against_its_spec_exit_4(
+        trained_checkpoint, tmp_path, capsys, edit):
+    """A spec edited to sizes its parameters do not have ends in exit 4
+    before the model is built, not in a MemoryError from allocating it."""
+    spec, blob = trained_checkpoint
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    edit(header["config"]["spec"])
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    assert "match the model" in capsys.readouterr().err
 
 
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):

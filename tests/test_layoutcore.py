@@ -5,7 +5,14 @@ from conftest import gradcheck
 from ielab import layoutcore as lc
 from ielab.docstream import ModelInput
 from ielab.errors import ConfigError, ContractError
-from ielab.tensorcore import Tape, Tensor, backward, cross_entropy_masked, ops
+from ielab.tensorcore import (
+    ShapeError,
+    Tape,
+    Tensor,
+    backward,
+    cross_entropy_masked,
+    ops,
+)
 
 
 def tiny_input(T=4, seed=0, max_coord=1000):
@@ -107,6 +114,14 @@ def test_embed_rejects_overlong_sequence():
     params = lc.init_parameters(cfg)
     with pytest.raises(ContractError, match="chunk"):
         lc.embed_tokens(tiny_input(T=4), params)
+
+
+def test_embed_rejects_lengths_that_miss_tokens():
+    """Chunk lengths that do not cover the input would put every token at
+    one position; they are refused, not broadcast."""
+    params = lc.init_parameters(make_config())
+    with pytest.raises(ShapeError, match="differ"):
+        lc.embed_tokens(tiny_input(T=5), params, [1])
 
 
 def test_forward_shape_preserved():

@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 from conftest import bilinear_point_oracle, gradcheck, mul, sum_all
 
+from ielab import pgm
 from ielab import stylefuse as sf
-from ielab.docstream import ModelInput
-from ielab.errors import ConfigError
+from ielab import synthdocs
+from ielab.docstream import (
+    BucketingConfig,
+    ModelInput,
+    build_vocabularies,
+    encode_document,
+)
+from ielab.errors import ConfigError, ContractError
 from ielab.layoutcore import EncoderConfig
-from ielab.tensorcore.ops import embedding_sum
+from ielab.tensorcore.ops import embedding_sum, reshape
 from ielab.tensorcore import (
     ShapeError,
     Tape,
     Tensor,
     add,
     backward,
+    conv2d,
     cross_entropy_masked,
+    gelu,
     parameter,
 )
 from test_layoutcore import tiny_input
@@ -165,7 +174,7 @@ def test_backbone_output_shape():
     cfg = sf.ImagePathConfig()     # 1x128x128, channels (8, 16, 32)
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
-    fmap = sf.backbone_forward(Tensor(np.zeros((1, 128, 128))),
+    fmap = sf.backbone_forward(np.zeros((1, 128, 128), np.uint8),
                                model.image_params, cfg)
     assert fmap.data.shape == (32, 16, 16)
 
@@ -174,8 +183,8 @@ def test_backbone_zero_raster_zero_biases_gives_zero_map():
     cfg = sf.ImagePathConfig(raster_size=16, backbone_channels=(4, 8))
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
-    fmap = sf.backbone_forward(Tensor(np.zeros((1, 16, 16))),
-                               model.image_params, cfg)
+    blank = np.full((1, 16, 16), 255, np.uint8)     # white: zero ink
+    fmap = sf.backbone_forward(blank, model.image_params, cfg)
     assert not fmap.data.any()
 
 
@@ -183,11 +192,10 @@ def test_backbone_gradients():
     cfg = sf.ImagePathConfig(raster_size=8, backbone_channels=(2, 3))
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
-    raster = parameter(np.random.default_rng(8).normal(size=(1, 8, 8)))
+    raster = np.random.default_rng(8).integers(0, 256, (1, 8, 8), np.uint8)
     named = dict(model.image_params)
     named.pop("image.proj.weight")
     named.pop("image.proj.bias")
-    named["raster"] = raster
 
     def loss():
         fmap = sf.backbone_forward(raster, model.image_params, cfg)
@@ -341,7 +349,7 @@ def test_image_fuse_zero_path_is_identity():
     inp = tiny_input(T=4, seed=1)
     L = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
     boxes = inp.coord_ids[:4].T
-    rasters = [np.random.default_rng(3).uniform(size=(1, 16, 16))]
+    rasters = [np.random.default_rng(3).integers(0, 256, (1, 16, 16), np.uint8)]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
                                model.image_params, spec.image))
     assert np.array_equal(out.data, L.data)
@@ -352,7 +360,7 @@ def test_image_fuse_linear_in_projection():
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=4)
     boxes = inp.coord_ids[:4].T
-    rasters = [np.random.default_rng(5).uniform(size=(1, 16, 16))]
+    rasters = [np.random.default_rng(5).integers(0, 256, (1, 16, 16), np.uint8)]
     v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
                        spec.image).data
     model.image_params["image.proj.weight"].data *= 2.0
@@ -362,6 +370,82 @@ def test_image_fuse_linear_in_projection():
     assert np.allclose(v2, 2.0 * v1, atol=1e-12)
 
 
+def _ink(grid):
+    """The float64 ink map a uint8 page meant before pages stayed uint8:
+    the expression pgm.raster_to_input used to apply."""
+    return (255.0 - np.asarray(grid, dtype=np.float64)) / 255.0
+
+
+def _backbone_on_ink(ink, params, config):
+    """The conv+GELU stages run straight on a float64 ink map."""
+    x = Tensor(ink)
+    for i in range(len(config.backbone_channels)):
+        kernel = params[f"image.backbone.{i}.kernel"]
+        x = conv2d(x, kernel, config.stride, config.kernel_size // 2)
+        bias = params[f"image.backbone.{i}.bias"]
+        x = gelu(add(x, reshape(bias, (kernel.data.shape[0], 1, 1))))
+    return x
+
+
+def test_backbone_forms_the_ink_of_every_byte(monkeypatch):
+    """Each pixel value 0-255 becomes the float64 bits of (255 - v) / 255."""
+    cfg = sf.ImagePathConfig(raster_size=16, backbone_channels=(4, 8))
+    model = sf.TokenTagger.build(small_spec(sf.FusionMode.IMAGE, image=cfg))
+    grid = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    seen = []
+    original = sf.image.ops.conv2d
+
+    def first_input(x, *args, **kwargs):
+        seen.append(x.data.copy())
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(sf.image.ops, "conv2d", first_input)
+    sf.backbone_forward(grid, model.image_params, cfg)
+    assert seen[0].dtype == np.float64
+    assert seen[0].tobytes() == _ink(grid).tobytes()
+
+
+def test_backbone_refuses_a_float_page():
+    model = sf.TokenTagger.build(small_spec(sf.FusionMode.IMAGE))
+    with pytest.raises(ContractError, match="uint8"):
+        sf.backbone_forward(np.zeros((1, 16, 16)), model.image_params,
+                            model.spec.image)
+
+
+def test_uint8_pages_give_the_bits_of_float_ink_maps(monkeypatch):
+    """On a multi-page document, image rows and probabilities from uint8
+    pages equal those the backbone gave on float64 ink maps."""
+    docs = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
+        template="TRADECONF", n_docs=2, tokens_per_doc=(300, 400), seed=4))
+    doc = max(docs, key=lambda d: len(d.pages))
+    assert len(doc.pages) >= 2
+    pages = [pgm.raster_to_input(p.grid)
+             for p in synthdocs.render_pages(doc, size=32)]
+    vocabs = build_vocabularies(docs, BucketingConfig())
+    inp = encode_document(doc, vocabs, BucketingConfig())
+    spec = sf.with_resolved_sizes(sf.TaggerSpec(
+        encoder=EncoderConfig(word_vocab=2, label_count=1, hidden=16,
+                              layers=1, heads=2),
+        fusion=sf.FusionMode.IMAGE,
+        image=sf.ImagePathConfig(raster_size=32, backbone_channels=(4, 8),
+                                 roi_bins=2)),
+        vocabs.word.size, len(vocabs.labels), vocabs.style.size_list())
+    model = sf.TokenTagger.build(spec)
+    rng = np.random.default_rng(6)
+    for t in model.parameters().values():     # O(1) weights: low bits show
+        t.data += rng.normal(0.0, 0.2, size=t.data.shape)
+    boxes = inp.coord_ids[:4].T.astype(np.float64)
+
+    def outputs(rasters):
+        return (sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
+                              spec.image).data.tobytes(),
+                model.predict_probs(inp, rasters).tobytes())
+
+    want = outputs(pages)
+    monkeypatch.setattr(sf.image, "backbone_forward", _backbone_on_ink)
+    assert outputs([_ink(p) for p in pages]) == want
+
+
 def test_image_fuse_composition_oracle():
     spec = small_spec(sf.FusionMode.IMAGE)
     model = sf.TokenTagger.build(spec)
@@ -369,10 +453,10 @@ def test_image_fuse_composition_oracle():
     rng = np.random.default_rng(7)
     L = Tensor(rng.normal(size=(5, 8)))
     boxes = inp.coord_ids[:4].T.astype(float)
-    rasters = [rng.uniform(size=(1, 16, 16))]
+    rasters = [rng.integers(0, 256, (1, 16, 16), np.uint8)]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
                                model.image_params, spec.image)).data
-    fmap = sf.backbone_forward(Tensor(rasters[0]), model.image_params,
+    fmap = sf.backbone_forward(rasters[0], model.image_params,
                                spec.image).data
     W = model.image_params["image.proj.weight"].data
     b = model.image_params["image.proj.bias"].data
@@ -473,7 +557,8 @@ def test_model_gradients_all_modes():
         model = sf.TokenTagger.build(spec)
         inp = tiny_input(T=4, seed=14)
         inp.label_ids = np.asarray(inp.label_ids) % 3
-        rasters = [np.random.default_rng(15).uniform(size=(1, 16, 16))] \
+        rasters = [np.random.default_rng(15).integers(
+            0, 256, (1, 16, 16), np.uint8)] \
             if mode is sf.FusionMode.IMAGE else None
 
         def loss():
@@ -512,8 +597,8 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
     model = sf.TokenTagger.build(spec)
     rng = np.random.default_rng(40)
     # two documents; IMAGE chunks of one document share its page list
-    doc_a = [rng.uniform(size=(1, 16, 16)) for _ in range(2)]
-    doc_b = [rng.uniform(size=(1, 16, 16)) for _ in range(3)]
+    doc_a = [rng.integers(0, 256, (1, 16, 16), np.uint8) for _ in range(2)]
+    doc_b = [rng.integers(0, 256, (1, 16, 16), np.uint8) for _ in range(3)]
     inputs = [_chunk(5, 1, [0, 0, 1, 1, 1]),
               _chunk(7, 2, [1] * 7),
               _chunk(16, 3, [0] * 8 + [2] * 8),
@@ -528,7 +613,7 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
     original = sf.image.backbone_forward
 
     def counting_backbone(raster, params, config):
-        seen.append(raster.data.tobytes())
+        seen.append(raster.tobytes())
         return original(raster, params, config)
 
     monkeypatch.setattr(sf.image, "backbone_forward", counting_backbone)

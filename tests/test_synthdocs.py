@@ -182,7 +182,8 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(pgm.read_pgm(path), grid)
     model_input = pgm.raster_to_input(grid)
     assert model_input.shape == (1, 128, 128)
-    assert model_input.min() >= 0.0 and model_input.max() <= 1.0
+    assert model_input.dtype == np.uint8 and model_input.nbytes == 128 * 128
+    assert np.array_equal(model_input[0], grid)
 
 
 def test_pgm_pixels_may_start_with_whitespace_values(tmp_path):

@@ -153,6 +153,17 @@ def test_embedding_sum_scalar_id_leaves_the_table_unchanged():
     assert np.array_equal(table.data, before)
 
 
+def test_embedding_sum_ids_of_another_length_are_refused():
+    """A length-1 id array would broadcast its row onto every output row."""
+    a = tc.Tensor(np.zeros((5, 2)))
+    b = tc.Tensor(np.ones((5, 2)))
+    for ids in ([np.arange(4), np.array([1])],
+                [np.arange(4), np.arange(3)],
+                [np.arange(4), np.arange(4).reshape(2, 2)]):
+        with pytest.raises(tc.ShapeError, match="differ"):
+            embedding_sum([a, b], ids)
+
+
 def test_cross_entropy_certain_prediction_is_zero():
     logits = tc.Tensor([[500.0, 0.0, 0.0]])
     loss = tc.cross_entropy_masked(logits, [0], [True])
