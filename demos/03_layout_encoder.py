@@ -20,11 +20,11 @@ inp = encode_document(docs[0], vocabs, bucket)
 cfg = lc.EncoderConfig(word_vocab=vocabs.word.size,
                        label_count=len(vocabs.labels),
                        hidden=32, layers=2, heads=2, seed=5)
-params = lc.init_parameters(cfg)
+params = lc.init_parameters(cfg)     # name -> Tensor, one entry per table
 
 # The per-token input embedding is the sum of eight tables: word identity,
 # 1-D position, and six quantized geometry tables (x1, y1, x2, y2, w, h).
-e = lc.embed_tokens(inp, params)
+e = lc.embed_tokens(inp, params, cfg)
 print(f"embedded {inp.length} tokens -> {e.data.shape}")
 
 x1, y1, x2, y2, w, h = inp.coord_ids[:, 0]
@@ -45,9 +45,9 @@ print("token 0 equals the eight-term sum:",
 other = encode_document(docs[1], vocabs, bucket)
 lengths = [inp.length, other.length]
 packed = lc.encoder_forward(lc.embed_tokens(pack_inputs([inp, other]), params,
-                                            lengths), params, lengths)
-alone = np.vstack([lc.encoder_forward(lc.embed_tokens(x, params), params).data
-                   for x in (inp, other)])
+                                            cfg, lengths), params, cfg, lengths)
+alone = np.vstack([lc.encoder_forward(lc.embed_tokens(x, params, cfg), params,
+                                      cfg).data for x in (inp, other)])
 print(f"packing invariance over {lengths} tokens: max drift "
       f"{np.abs(packed.data - alone).max():.2e}")
 

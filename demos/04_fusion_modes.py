@@ -3,7 +3,9 @@
 Builds the same document under each fusion mode and shows what each one adds:
 nothing (BASELINE), style rows summed into the hidden state (STYLE_SUM),
 style rows appended after it (STYLE_CONCAT), or RoIAlign-pooled visual
-features from a rendered page (IMAGE).
+features from a rendered page (IMAGE). Every model holds the same encoder
+tensors (`encoder_params`) plus the named tensors its mode adds beside the
+classifier head (`fusion_params`: `style.*`, `image.*`, `head.*`).
 
 Run:  python demos/04_fusion_modes.py
 """
@@ -48,7 +50,8 @@ for mode in FusionMode:
     probs = model.predict_probs(inp, rasters if mode is FusionMode.IMAGE else None)
     total = count_parameters(spec).total
     print(f"{mode.value:13s} fused width {fused.data.shape[1]:4d}  "
-          f"params {total:8,}  row0 sums to {probs[0].sum():.6f}")
+          f"params {total:8,}  fusion tensors {len(model.fusion_params):2d}  "
+          f"row0 sums to {probs[0].sum():.6f}")
 
 # The image path in slow motion: uint8 page -> feature map -> one token's
 # pooled window. The pooled grid is what the projection layer sees.
@@ -56,7 +59,7 @@ spec = with_resolved_sizes(
     TaggerSpec(encoder=enc, fusion=FusionMode.IMAGE, image=ImagePathConfig()),
     vocabs.word.size, len(vocabs.labels), vocabs.style.size_list())
 model = TokenTagger.build(spec)
-fmap = backbone_forward(rasters[0], model.image_params, spec.image)
+fmap = backbone_forward(rasters[0], model.fusion_params, spec.image)
 print(f"\nraster {rasters[0].shape} {rasters[0].dtype} -> feature map "
       f"{fmap.data.shape}")
 tok = docs[0].tokens[1]

@@ -243,8 +243,10 @@ def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[
         raise CheckpointMismatchError(
             f"checkpoint fusion {model.spec.fusion.value} does not match "
             f"spec fusion {spec.model.fusion.value}")
-    if model.spec.encoder.hidden != spec.model.encoder.hidden \
-            or model.spec.encoder.layers != spec.model.encoder.layers:
+    stored, wanted = model.spec.encoder, spec.model.encoder
+    if (stored.hidden, stored.layers, stored.heads) \
+            != (wanted.hidden, wanted.layers, wanted.heads):
+        # heads shape no parameter, so only the spec can catch them
         raise CheckpointMismatchError(
             "checkpoint encoder dimensions do not match the spec")
     try:

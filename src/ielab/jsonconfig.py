@@ -1,9 +1,9 @@
 """One JSON form for the frozen config dataclasses: tuples as lists, enums as
 their values, nested configs as objects. Decoding fills missing keys from the
-field defaults and rejects unknown keys or enum values, naming allowed ones,
-and values whose JSON type does not fit the field's annotation (an int field
-takes no bool or float, a float field takes an int, a tuple field a list of
-fitting items)."""
+field defaults and rejects missing keys without one, unknown keys or enum
+values, naming allowed ones, and values whose JSON type does not fit the
+field's annotation (an int field takes no bool or float, a float field takes
+an int, a tuple field a list of fitting items)."""
 
 from __future__ import annotations
 
@@ -80,6 +80,10 @@ class JsonConfig:
         if unknown:
             raise DataValidationError(
                 f"unknown {cls.__name__} keys: {unknown}; allowed: {allowed}")
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in obj
+                   and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise DataValidationError(f"{cls.__name__} lacks keys {missing}")
         kinds = typing.get_type_hints(cls)
         values = {}
         for key, value in obj.items():

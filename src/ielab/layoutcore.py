@@ -6,6 +6,10 @@ height). A single layer norm follows the sum, then a stack of post-norm
 transformer encoder layers with GELU feed-forwards produces the per-token
 hidden states the fusion heads consume.
 
+The parameters are a plain name -> Tensor dict, named as `parameter_shapes`
+lists them: `params = init_parameters(cfg)`, then
+`encoder_forward(embed_tokens(inp, params, cfg), params, cfg)`.
+
 Several chunks can run as one packed sequence: their rows sit back to back,
 every per-token op (embedding, layer norm, linear, GELU, residual add) runs
 once over all rows, and each layer's single attention node is told the chunk
@@ -64,17 +68,6 @@ class EncoderConfig(JsonConfig):
         return self.ff_dim if self.ff_dim is not None else 4 * self.hidden
 
 
-class EncoderParameters:
-    """Named encoder tensors, looked up by name."""
-
-    def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor]):
-        self.config = config
-        self.tensors = tensors
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every encoder tensor, in init_parameters' order."""
     h, ff = config.hidden, config.ff
@@ -106,16 +99,16 @@ def initial_value(name: str, shape: tuple, rng: np.random.Generator,
     return engine.parameter(rng.normal(0.0, std, size=shape))
 
 
-def init_parameters(config: EncoderConfig) -> EncoderParameters:
-    """Seeded N(0, init_std^2) weights, zero biases, unit layer-norm gains."""
+def init_parameters(config: EncoderConfig) -> dict[str, Tensor]:
+    """Name -> tensor, drawn from stream (seed, 0): N(0, init_std^2)
+    weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng([config.seed, 0])
-    return EncoderParameters(config, {
-        name: initial_value(name, shape, rng, config.init_std)
-        for name, shape in parameter_shapes(config).items()})
+    return {name: initial_value(name, shape, rng, config.init_std)
+            for name, shape in parameter_shapes(config).items()}
 
 
-def embed_tokens(inp: ModelInput, params: EncoderParameters,
-                 lengths: list[int] | None = None) -> Tensor:
+def embed_tokens(inp: ModelInput, params: dict[str, Tensor],
+                 cfg: EncoderConfig, lengths: list[int] | None = None) -> Tensor:
     """Eight-table additive embedding; chunking must happen before this.
 
     `lengths` gives the token counts of the chunks packed back to back in
@@ -123,7 +116,6 @@ def embed_tokens(inp: ModelInput, params: EncoderParameters,
     1-D position is its index in its chunk, so positions restart at 0 with
     every chunk; the six coordinate tables read the rows of `inp.coord_ids`.
     """
-    cfg = params.config
     lengths = [inp.length] if lengths is None else lengths
     if max(lengths) > cfg.max_seq_len:
         raise ContractError(
@@ -136,8 +128,8 @@ def embed_tokens(inp: ModelInput, params: EncoderParameters,
 
 
 @threads.split_rows()
-def encoder_forward(hidden_in: Tensor, params: EncoderParameters,
-                    lengths: list[int] | None = None) -> Tensor:
+def encoder_forward(hidden_in: Tensor, params: dict[str, Tensor],
+                    cfg: EncoderConfig, lengths: list[int] | None = None) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
 
     `hidden_in` holds the rows of the chunks whose token counts `lengths`
@@ -147,7 +139,6 @@ def encoder_forward(hidden_in: Tensor, params: EncoderParameters,
     other; every other op runs once over all rows. In an inference call the
     ops may run as two halves on two threads (see tensorcore.threads).
     """
-    cfg = params.config
     T = hidden_in.data.shape[0]
     bounds = [0, T] if lengths is None else np.cumsum([0, *lengths]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))

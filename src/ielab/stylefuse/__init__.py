@@ -1,9 +1,7 @@
 """Token-representation enrichment: style fusion, image path, classifier."""
 
 from ielab.stylefuse.fusion import (
-    ClassifierHead,
     FusionMode,
-    StyleTables,
     classify,
     fuse_style_concat,
     fuse_style_sum,
@@ -18,9 +16,7 @@ from ielab.stylefuse.image import (
 from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
 
 __all__ = [
-    "ClassifierHead", "FusionMode", "ImagePathConfig", "StyleTables",
-    "TaggerSpec", "TokenTagger", "backbone_forward", "classify",
-    "fuse_style_concat", "fuse_style_sum", "head_logits",
-    "image_rows", "roi_align_batch",
-    "with_resolved_sizes",
+    "FusionMode", "ImagePathConfig", "TaggerSpec", "TokenTagger",
+    "backbone_forward", "classify", "fuse_style_concat", "fuse_style_sum",
+    "head_logits", "image_rows", "roi_align_batch", "with_resolved_sizes",
 ]

@@ -1,5 +1,8 @@
 """Token tagger assembly: encoder + one fusion mode + classifier head.
 
+A model is its spec plus two name -> Tensor dicts whose names and shapes
+`parameter_shapes(spec)` lists: `encoder_params` (layoutcore) and
+`fusion_params` (the `style.*`, `image.*` and `head.*` tensors).
 Construction is seed-structured so that models differing only in fusion mode
 share bitwise-identical encoder initializations: the encoder draws from
 stream (seed, 0), style tables from (seed, 1), the image path from (seed, 2),
@@ -8,19 +11,17 @@ and the head from (seed, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ielab import layoutcore
 from ielab.docstream import STYLE_FEATURES, ModelInput, pack_inputs
-from ielab.errors import CheckpointMismatchError, ConfigError
+from ielab.errors import CheckpointMismatchError, ConfigError, DataValidationError
 from ielab.jsonconfig import JsonConfig
-from ielab.layoutcore import EncoderConfig, EncoderParameters
+from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse.fusion import (
-    ClassifierHead,
     FusionMode,
-    StyleTables,
     classify,
     fuse_style_concat,
     fuse_style_sum,
@@ -57,6 +58,10 @@ class TaggerSpec(JsonConfig):
         unknown = sorted(set(self.style_features) - set(STYLE_FEATURES))
         if unknown:
             raise ConfigError(f"unknown style features {unknown}")
+        if tuple(self.style_features) != tuple(
+                f for f in STYLE_FEATURES if f in self.style_features):
+            raise ConfigError("style features must be distinct and follow "
+                              f"canonical order {STYLE_FEATURES}")
 
     @property
     def style_width(self) -> int:
@@ -73,44 +78,24 @@ class TaggerSpec(JsonConfig):
 @dataclass
 class TokenTagger:
     spec: TaggerSpec
-    encoder_params: EncoderParameters
-    style: StyleTables | None = None
-    image_params: dict = field(default_factory=dict)
-    head: ClassifierHead | None = None
+    encoder_params: dict[str, Tensor]
+    fusion_params: dict[str, Tensor]
 
     @classmethod
     def build(cls, spec: TaggerSpec) -> "TokenTagger":
-        enc = layoutcore.init_parameters(spec.encoder)
         rngs = {group: np.random.default_rng([spec.encoder.seed, stream])
                 for group, stream in _STREAMS.items()}
-        params = {}
+        fusion_params = {}
         for name, shape in parameter_shapes(spec).items():
             rng = rngs.get(name.split(".")[0])
             if rng is not None:                   # not an encoder tensor
-                params[name] = layoutcore.initial_value(
+                fusion_params[name] = layoutcore.initial_value(
                     name, shape, rng, spec.encoder.init_std)
-        style = None
-        if spec.fusion in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
-            style = StyleTables(
-                features=spec.style_features, dim=spec.style_width,
-                tables={f: params[f"style.{f}"] for f in spec.style_features})
-        head = ClassifierHead(weight=params["head.weight"],
-                              bias=params["head.bias"],
-                              dropout_rate=spec.dropout_rate)
-        image_params = {name: t for name, t in params.items()
-                        if name.startswith("image.")}
-        return cls(spec=spec, encoder_params=enc, style=style,
-                   image_params=image_params, head=head)
+        return cls(spec, layoutcore.init_parameters(spec.encoder),
+                   fusion_params)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = dict(self.encoder_params.tensors)
-        if self.style is not None:
-            for f in self.style.features:
-                out[f"style.{f}"] = self.style.tables[f]
-        out.update(self.image_params)
-        out["head.weight"] = self.head.weight
-        out["head.bias"] = self.head.bias
-        return out
+        return {**self.encoder_params, **self.fusion_params}
 
     def fused_output(self, inputs, rasters=None) -> Tensor:
         """Encoder output enriched per the fusion mode (pre-head).
@@ -134,27 +119,28 @@ class TokenTagger:
         single = len(inputs) == 1
         inp = inputs[0] if single else pack_inputs(inputs)
         lengths = None if single else [i.length for i in inputs]
-        e = layoutcore.embed_tokens(inp, self.encoder_params, lengths)
-        mode = self.spec.fusion
-        if mode is FusionMode.IMAGE:
+        spec, enc, fus = self.spec, self.encoder_params, self.fusion_params
+        e = layoutcore.embed_tokens(inp, enc, spec.encoder, lengths)
+        if spec.fusion is FusionMode.IMAGE:
             page_ids, pages = _number_pages(inputs, rasters)
             boxes = inp.coord_ids[:4].T.astype(np.float64)
-            with threads.beside(image_rows, boxes, page_ids, pages,
-                                self.image_params, self.spec.image) as v:
-                L = layoutcore.encoder_forward(e, self.encoder_params, lengths)
+            with threads.beside(image_rows, boxes, page_ids, pages, fus,
+                                spec.image) as v:
+                L = layoutcore.encoder_forward(e, enc, spec.encoder, lengths)
                 return ops.add(L, v())
-        L = layoutcore.encoder_forward(e, self.encoder_params, lengths)
-        if mode is FusionMode.BASELINE:
+        L = layoutcore.encoder_forward(e, enc, spec.encoder, lengths)
+        if spec.fusion is FusionMode.BASELINE:
             return L
-        if mode is FusionMode.STYLE_SUM:
-            return fuse_style_sum(L, inp.style_ids, self.style)
-        return fuse_style_concat(L, inp.style_ids, self.style)
+        fuse = fuse_style_sum if spec.fusion is FusionMode.STYLE_SUM \
+            else fuse_style_concat
+        return fuse(L, inp.style_ids, fus, spec.style_features)
 
-    def forward_logits(self, inputs, rasters=None, training: bool = False,
+    def forward_logits(self, inputs, rasters=None,
                        rng: np.random.Generator | None = None) -> Tensor:
-        """Pre-softmax scores, one row per token; inputs as in fused_output."""
-        return head_logits(self.fused_output(inputs, rasters), self.head,
-                           training, rng)
+        """Pre-softmax scores, one row per token; inputs as in fused_output.
+        Training passes `rng`, which draws the head's dropout."""
+        return head_logits(self.fused_output(inputs, rasters),
+                           self.fusion_params, self.spec.dropout_rate, rng)
 
     def predict_probs(self, inputs, rasters=None) -> np.ndarray:
         """Inference-mode class probabilities, (total tokens, label_count);
@@ -163,7 +149,8 @@ class TokenTagger:
         rows = inputs.length if isinstance(inputs, ModelInput) \
             else sum(i.length for i in inputs)
         with threads.one_blas_thread(rows >= threads.SPLIT_MIN_ROWS):
-            return classify(self.fused_output(inputs, rasters), self.head).data
+            return classify(self.fused_output(inputs, rasters),
+                            self.fusion_params).data
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}
@@ -183,7 +170,14 @@ class TokenTagger:
     @classmethod
     def load(cls, path) -> tuple["TokenTagger", dict]:
         config, arrays = ckpt.load_checkpoint(path)
-        spec = TaggerSpec.from_json(config["spec"])
+        if "spec" not in config:
+            raise CheckpointMismatchError(
+                f"{path}: checkpoint config lacks the checkpoint spec")
+        try:
+            spec = TaggerSpec.from_json(config["spec"])
+        except (ConfigError, DataValidationError) as exc:
+            raise CheckpointMismatchError(
+                f"{path}: unreadable checkpoint spec: {exc}") from None
         _check_shapes(arrays, parameter_shapes(spec))   # before allocating
         model = cls.build(spec)
         model.restore(arrays)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,13 +177,6 @@ class GeneratorConfig(JsonConfig):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {v}")
-
-    def uninformative(self) -> "GeneratorConfig":
-        """Style draws become label-independent (equal to the noise rate)."""
-        return replace(self, p_bold_entity=self.noise_rate,
-                       p_table_amount=self.noise_rate,
-                       p_largefont_name=self.noise_rate,
-                       p_color_total=self.noise_rate)
 
 
 @dataclass

@@ -193,7 +193,8 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
     Gives the bits of table_0[ids_0] + table_1[ids_1] + ... added left to
     right; backward scatters the output gradient into each tracked table,
     summing the rows of duplicate ids. Ids must have at least one dimension,
-    and every id array the first one's shape.
+    every id array the first one's shape and every table the first one's
+    row width.
     """
     if len(tables) != len(ids_list) or not tables:
         raise ShapeError("embedding_sum needs one id sequence per table")
@@ -205,6 +206,10 @@ def embedding_sum(tables: list[Tensor], ids_list: list) -> Tensor:
         if idxs and idx.shape != idxs[0].shape:   # += would broadcast
             raise ShapeError(f"embedding ids of shape {idx.shape} differ from "
                              f"the first table's {idxs[0].shape}")
+        if table.data.shape[1:] != tables[0].data.shape[1:]:   # += broadcasts
+            raise ShapeError(f"embedding table rows of shape "
+                             f"{table.data.shape[1:]} differ from the first "
+                             f"table's {tables[0].data.shape[1:]}")
         V = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= V):
             bad = idx[(idx < 0) | (idx >= V)][0]

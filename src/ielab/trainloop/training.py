@@ -140,7 +140,7 @@ def _shard_grads(model: TokenTagger, params: dict, inputs: list,
     tape = Tape()
     with tape:
         tape.watch(*params.values())
-        logits = model.forward_logits(inputs, rasters, training=True, rng=rng)
+        logits = model.forward_logits(inputs, rasters, rng=rng)
         labels = np.concatenate([i.label_ids for i in inputs])
         loss = ops.cross_entropy_masked(logits, labels,
                                         np.ones(len(labels), dtype=bool))

@@ -1,5 +1,6 @@
 """Shared test oracles: finite-difference gradients and t-distribution tails,
-plus the two tape ops that only tests use, to reduce outputs to a scalar loss.
+plus the two tape ops that only tests use, to reduce outputs to a scalar loss,
+and the null-style generator config the corpus tests draw from.
 
 These stay independent of the library code paths they check: gradcheck only
 re-runs the caller's forward function, and the t tail integrates the density
@@ -7,11 +8,13 @@ formula directly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate
 
 from ielab import tensorcore as tc
+from ielab.synthdocs import GeneratorConfig
 from ielab.tensorcore.engine import ShapeError, Tensor, record
 from ielab.tensorcore.ops import _unbroadcast
 
@@ -110,3 +113,12 @@ def bilinear_point_oracle(fmap, y, x):
             if 0 <= rr < H and 0 <= cc < W and wr * wc != 0.0:
                 out += wr * wc * fmap[:, rr, cc]
     return out
+
+
+def uninformative(cfg: GeneratorConfig) -> GeneratorConfig:
+    """`cfg` with label-independent style draws: each style probability
+    equals the noise rate."""
+    return replace(cfg, p_bold_entity=cfg.noise_rate,
+                   p_table_amount=cfg.noise_rate,
+                   p_largefont_name=cfg.noise_rate,
+                   p_color_total=cfg.noise_rate)

@@ -13,10 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ielab import cli, pgm
-from ielab.docstream import BucketingConfig, parse_documents, serialize_documents
+from ielab.docstream import (
+    STYLE_FEATURES,
+    BucketingConfig,
+    parse_documents,
+    serialize_documents,
+)
 from ielab.errors import ConfigError, DataValidationError
-from ielab.layoutcore import init_parameters
-from ielab.stylefuse import ImagePathConfig
+from ielab.layoutcore import EncoderConfig, init_parameters
+from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
 from ielab.synthdocs import GeneratorConfig, generate_corpus
 from ielab.tensorcore import NumericError
 from ielab.trainloop import TrainConfig, make_fold_plan
@@ -276,12 +281,22 @@ def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
-    """A spec and the bytes of its trained fold-0 STYLE_CONCAT checkpoint."""
+    """A spec and the bytes of its trained fold-0 STYLE_CONCAT checkpoint,
+    trained long enough to tag some entities."""
     tmp_path = tmp_path_factory.mktemp("trained")
-    spec = write_spec(tmp_path)
+    spec = write_spec(tmp_path, train={"lr": 0.02, "epochs": 10},
+                      generator={"n_docs": 15})
     cli.main(["generate", "--spec", str(spec)])
     cli.main(["train", "--spec", str(spec)])
     return spec, (tmp_path / "out" / "fold0.ckpt").read_bytes()
+
+
+def _edited(blob: bytes, edit) -> bytes:
+    """Checkpoint `blob` with `edit` applied to its header config."""
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    edit(header["config"])
+    return json.dumps(header).encode() + blob[nl:]
 
 
 def _renumber(mapping: dict, old: int, new: int) -> None:
@@ -306,11 +321,8 @@ def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
     """One edited vocabulary entry ends in exit 4 before anything is
     encoded, not in an IndexError, a KeyError or silently wrong tags."""
     spec, blob = trained_checkpoint
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl])
-    edit(header["config"]["vocabularies"])
     path = tmp_path / "edited.ckpt"
-    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    path.write_bytes(_edited(blob, lambda c: edit(c["vocabularies"])))
     capsys.readouterr()
     assert cli.main(["eval", "--spec", str(spec),
                      "--checkpoint", str(path)]) == 4
@@ -328,15 +340,34 @@ def test_checkpoint_shapes_checked_against_its_spec_exit_4(
     """A spec edited to sizes its parameters do not have ends in exit 4
     before the model is built, not in a MemoryError from allocating it."""
     spec, blob = trained_checkpoint
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl])
-    edit(header["config"]["spec"])
     path = tmp_path / "edited.ckpt"
-    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    path.write_bytes(_edited(blob, lambda c: edit(c["spec"])))
     capsys.readouterr()
     assert cli.main(["eval", "--spec", str(spec),
                      "--checkpoint", str(path)]) == 4
     assert "match the model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.pop("spec"),
+    lambda c: c["spec"].update(style_dim="x"),
+    lambda c: c["spec"].update(fusion="NOPE"),
+    lambda c: c["spec"]["encoder"].update(hidden=None),
+    lambda c: c.update(spec=[c["spec"]])],
+    ids=["spec-missing", "style-dim-string", "fusion-unknown", "hidden-null",
+         "spec-a-list"])
+def test_missing_or_mistyped_checkpoint_spec_exits_4(
+        trained_checkpoint, tmp_path, capsys, edit):
+    """A checkpoint whose stored spec is missing or mistyped ends in exit 4,
+    as every other checkpoint defect does, not in a KeyError traceback or
+    in the exit 3 of a malformed corpus."""
+    spec, blob = trained_checkpoint
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_edited(blob, edit))
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    assert "checkpoint spec" in capsys.readouterr().err
 
 
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
@@ -465,6 +496,16 @@ def test_params_accounts_every_mode_for_a_spec_without_style_features(
                if l.startswith("component")]
     assert headers == [["BASELINE", "STYLE_CONCAT", "STYLE_SUM", "IMAGE"]] * 2
     assert outputs[0] == outputs[1]
+
+
+def test_style_features_out_of_canonical_order_exit_4(tmp_path, capsys):
+    """Style features follow bold, font, fontSize, inTable, color: the
+    order fixes the concatenated columns and the checkpoint's table order."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "model": {
+        "fusion": "STYLE_CONCAT", "style_features": ["font", "bold"]}}))
+    assert cli.main(["params", "--spec", str(spec)]) == 4
+    assert "canonical order" in capsys.readouterr().err
 
 
 def test_params_accounts_the_position_table_train_builds(tmp_path, capsys):
@@ -637,3 +678,78 @@ def test_spec_fuzz_returns_or_rejects(mutation):
         _use(cli.parse_spec(json.dumps(spec).encode()))
     except (DataValidationError, ConfigError):
         pass
+
+
+@pytest.fixture(scope="module")
+def eval_edited(trained_checkpoint):
+    """eval_edited(edit) -> (exit code, same): `ielab eval` of the trained
+    checkpoint with `edit` applied to its header config, and whether it
+    wrote the bytes the unedited checkpoint's eval writes."""
+    spec, blob = trained_checkpoint
+    out, path = spec.parent / "out", spec.parent / "fuzzed.ckpt"
+    written = [out / "predictions.jsonl", out / "eval_report.json"]
+
+    def run(edit):
+        path.write_bytes(_edited(blob, edit))
+        for p in written:
+            p.unlink(missing_ok=True)
+        code = cli.main(["eval", "--spec", str(spec), "--checkpoint", str(path)])
+        return code, [p.read_bytes() for p in written if p.exists()]
+
+    want = run(lambda config: None)
+    assert want[0] == 0 and b'"pred_label":"B-' in want[1][0]
+
+    def eval_edited(edit):
+        code, got = run(edit)
+        return code, got == want[1]
+
+    return eval_edited
+
+
+_DELETE = object()      # mutation value: remove the key
+# the keys edited: the config's own, the stored spec's and its encoder's.
+# Vocabularies, bucketing and train are replaced only whole: eval encodes
+# with their fields by design, so an edited field may tag differently (two
+# swapped label ids make a valid vocabulary; see also
+# test_eval_encodes_with_the_checkpoint_not_the_spec).
+_CKPT_KEYS = {
+    "config": ["spec", "vocabularies", "bucketing", "train", "bogus"],
+    "spec": [f.name for f in dataclasses.fields(TaggerSpec)] + ["bogus"],
+    "encoder": [f.name for f in dataclasses.fields(EncoderConfig)] + ["bogus"],
+}
+_CKPT_VALUES = _SPEC_VALUES | st.just(_DELETE) | st.sampled_from(
+    [10 ** 9, 1.5, float("nan"), *(m.value for m in FusionMode)]) \
+    | st.lists(st.sampled_from(STYLE_FEATURES), max_size=5)
+_CKPT_MUTATIONS = st.sampled_from(sorted(_CKPT_KEYS)).flatmap(
+    lambda section: st.tuples(st.just(section), st.dictionaries(
+        st.sampled_from(_CKPT_KEYS[section]), _CKPT_VALUES,
+        min_size=1, max_size=2)))
+
+
+def _mutate(config: dict, mutation) -> None:
+    section, values = mutation
+    target = {"config": config, "spec": config["spec"],
+              "encoder": config["spec"]["encoder"]}[section]
+    for key, value in values.items():
+        if value is _DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CKPT_MUTATIONS)
+@example(("config", {"spec": _DELETE}))
+@example(("config", {"spec": ["BASELINE"]}))
+@example(("spec", {"style_dim": "x"}))
+@example(("spec", {"fusion": "NOPE"}))
+@example(("encoder", {"hidden": None}))
+@example(("spec", {"style_dim": 10 ** 9}))
+@example(("spec", {"style_features": list(reversed(STYLE_FEATURES))}))
+@example(("spec", {"encoder": {}}))
+@example(("encoder", {"heads": 1}))
+def test_checkpoint_config_fuzz_exits_4_or_reproduces(eval_edited, mutation):
+    """A checkpoint whose header config has 1-2 values replaced or deleted
+    ends in exit 4, or in exit 0 with the unedited checkpoint's outputs."""
+    code, same = eval_edited(lambda config: _mutate(config, mutation))
+    assert code == 4 or (code == 0 and same)

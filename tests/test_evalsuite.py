@@ -216,7 +216,7 @@ def test_permute_feature_deterministic_and_validates():
 
 def test_permutation_importance_zero_for_constant_table():
     model, enc_docs, gold, vocabs = trained_style_model()
-    bold = model.style.tables["bold"]
+    bold = model.fusion_params["style.bold"]
     bold.data[:] = bold.data[0]  # identical rows: permuting ids changes nothing
     res = ev.permutation_importance(model, enc_docs, gold,
                                     vocabs.label_names(), "bold",

@@ -53,6 +53,15 @@ def test_from_json_rejects_unknown_key_and_enum_value():
     assert spec.image is None
 
 
+def test_from_json_rejects_missing_key_without_default():
+    """A dataclass would raise TypeError; decoding names the keys instead."""
+    with pytest.raises(DataValidationError,
+                       match=r"EncoderConfig lacks keys \['word_vocab'\]"):
+        EncoderConfig.from_json({"label_count": 3})
+    with pytest.raises(DataValidationError, match=r"lacks keys \['fusion'\]"):
+        TaggerSpec.from_json({"encoder": {"word_vocab": 9, "label_count": 3}})
+
+
 def test_from_json_checks_field_types():
     assert TrainConfig.from_json({"lr": 1}).lr == 1      # an int is a float
     assert TrainConfig.from_json({"bbox_scale_range": [1, 1.5]}) \

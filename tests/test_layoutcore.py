@@ -45,7 +45,7 @@ def test_init_deterministic_and_std():
     cfg = make_config()
     a = lc.init_parameters(cfg)
     b = lc.init_parameters(cfg)
-    for name in a.tensors:
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data), name
     big = lc.init_parameters(lc.EncoderConfig(word_vocab=2000, label_count=3,
                                               hidden=64, layers=1, heads=2,
@@ -63,8 +63,8 @@ def test_init_std_zero_gives_zero_weights():
 
 
 def test_embed_all_zero_tables_gives_zero():
-    params = lc.init_parameters(make_config(init_std=0.0))
-    out = lc.embed_tokens(tiny_input(), params)
+    cfg = make_config(init_std=0.0)
+    out = lc.embed_tokens(tiny_input(), lc.init_parameters(cfg), cfg)
     assert not out.data.any()
 
 
@@ -75,7 +75,7 @@ def test_embed_differs_only_by_word_embedding():
     inp.word_ids = np.array([3, 4])
     # same bbox for both tokens, and each is position 0 of its own chunk
     inp.coord_ids[:, 1] = inp.coord_ids[:, 0]
-    out = lc.embed_tokens(inp, params, [1, 1]).data
+    out = lc.embed_tokens(inp, params, cfg, [1, 1]).data
     wt = params["word_table"].data
     assert np.allclose(out[0] - out[1], wt[3] - wt[4], atol=1e-12)
 
@@ -84,7 +84,7 @@ def test_embed_matches_direct_sum_oracle():
     cfg = make_config()
     params = lc.init_parameters(cfg)
     inp = tiny_input(T=5, seed=3)
-    out = lc.embed_tokens(inp, params).data
+    out = lc.embed_tokens(inp, params, cfg).data
     for i in range(5):
         x1, y1, x2, y2, w, h = inp.coord_ids[:, i]
         expected = (params["word_table"].data[inp.word_ids[i]]
@@ -102,10 +102,10 @@ def test_embed_additivity_in_each_table():
     cfg = make_config()
     params = lc.init_parameters(cfg)
     inp = tiny_input(T=3, seed=9)
-    base = lc.embed_tokens(inp, params).data.copy()
+    base = lc.embed_tokens(inp, params, cfg).data.copy()
     contrib = params["pos2d.w"].data[inp.coord_ids[4]].copy()
     params["pos2d.w"].data *= 2.0
-    scaled = lc.embed_tokens(inp, params).data
+    scaled = lc.embed_tokens(inp, params, cfg).data
     assert np.allclose(scaled - base, contrib, atol=1e-12)
 
 
@@ -113,15 +113,15 @@ def test_embed_rejects_overlong_sequence():
     cfg = make_config(max_seq_len=3)
     params = lc.init_parameters(cfg)
     with pytest.raises(ContractError, match="chunk"):
-        lc.embed_tokens(tiny_input(T=4), params)
+        lc.embed_tokens(tiny_input(T=4), params, cfg)
 
 
 def test_embed_rejects_lengths_that_miss_tokens():
     """Chunk lengths that do not cover the input would put every token at
     one position; they are refused, not broadcast."""
-    params = lc.init_parameters(make_config())
+    cfg = make_config()
     with pytest.raises(ShapeError, match="differ"):
-        lc.embed_tokens(tiny_input(T=5), params, [1])
+        lc.embed_tokens(tiny_input(T=5), lc.init_parameters(cfg), cfg, [1])
 
 
 def test_forward_shape_preserved():
@@ -129,7 +129,7 @@ def test_forward_shape_preserved():
     params = lc.init_parameters(cfg)
     for T in (1, 4, 16):
         x = Tensor(np.random.default_rng(T).normal(size=(T, 8)))
-        out = lc.encoder_forward(x, params)
+        out = lc.encoder_forward(x, params, cfg)
         assert out.data.shape == (T, 8)
 
 
@@ -161,10 +161,10 @@ def test_full_encoder_differentiable():
     first_three = (Tensor(np.eye(cfg.hidden, 3)), Tensor(np.zeros(3)))
 
     def loss():
-        e = lc.embed_tokens(inp, params)
-        L = lc.encoder_forward(e, params)
+        e = lc.embed_tokens(inp, params, cfg)
+        L = lc.encoder_forward(e, params, cfg)
         return cross_entropy_masked(ops.linear(L, *first_three),
                                     inp.label_ids, np.ones(4, bool))
 
-    named = dict(sorted(params.tensors.items()))
+    named = dict(sorted(params.items()))
     gradcheck(loss, named, tol=1e-4, max_samples=6)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import uninformative
 
 from ielab import synthdocs as sg
 from ielab.docstream import (
@@ -35,9 +36,9 @@ CASES = {
         template="FEESCHEDULE", n_docs=2, tokens_per_doc=(450, 900), seed=11),
     "invoice-long": sg.GeneratorConfig(
         template="INVOICE", n_docs=2, tokens_per_doc=(450, 900), seed=13),
-    "invoice-uninformative-small-vocab": sg.GeneratorConfig(
+    "invoice-uninformative-small-vocab": uninformative(sg.GeneratorConfig(
         template="INVOICE", n_docs=4, tokens_per_doc=(60, 120), seed=21,
-        filler_vocab=40).uninformative(),
+        filler_vocab=40)),
 }
 
 # name -> (corpus digest, raster digest, encoding digest)

@@ -41,24 +41,23 @@ def small_spec(fusion, hidden=8, **over):
     return sf.TaggerSpec(**base)
 
 
-def style_tables(dim, seed=0, features=None):
+FEATURES = ("bold", "font", "fontSize", "inTable", "color")
+
+
+def style_tables(dim, seed=0):
+    """The `style.<feature>` tables of every feature, all of width `dim`."""
     rng = np.random.default_rng(seed)
-    features = features or ("bold", "font", "fontSize", "inTable", "color")
-    sizes = dict(zip(("bold", "font", "fontSize", "inTable", "color"),
-                     (2, 9, 3, 2, 2)))
-    return sf.StyleTables(
-        features=tuple(features),
-        tables={f: parameter(rng.normal(size=(sizes[f], dim))) for f in features},
-        dim=dim)
+    return {f"style.{f}": parameter(rng.normal(size=(v, dim)))
+            for f, v in zip(FEATURES, (2, 9, 3, 2, 2))}
 
 
 def test_fuse_sum_zero_tables_is_identity():
     L = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
     tables = style_tables(8)
-    for f in tables.features:
-        tables.tables[f].data[:] = 0.0
+    for t in tables.values():
+        t.data[:] = 0.0
     ids = np.zeros((5, 4), dtype=np.int64)
-    out = sf.fuse_style_sum(L, ids, tables)
+    out = sf.fuse_style_sum(L, ids, tables, FEATURES)
     assert np.array_equal(out.data, L.data)
 
 
@@ -67,10 +66,10 @@ def test_fuse_sum_additivity_per_table():
     L = Tensor(rng.normal(size=(3, 8)))
     tables = style_tables(8, seed=2)
     ids = rng.integers(0, 2, size=(5, 3))
-    base = sf.fuse_style_sum(L, ids, tables).data.copy()
-    contrib = tables.tables["bold"].data[ids[0]].copy()
-    tables.tables["bold"].data *= 2.0
-    out = sf.fuse_style_sum(L, ids, tables).data
+    base = sf.fuse_style_sum(L, ids, tables, FEATURES).data.copy()
+    contrib = tables["style.bold"].data[ids[0]].copy()
+    tables["style.bold"].data *= 2.0
+    out = sf.fuse_style_sum(L, ids, tables, FEATURES).data
     assert np.allclose(out - base, contrib, atol=1e-12)
 
 
@@ -79,11 +78,11 @@ def test_fuse_sum_matches_direct_sum_oracle():
     L = Tensor(rng.normal(size=(6, 8)))
     tables = style_tables(8, seed=4)
     ids = np.vstack([rng.integers(0, v, 6) for v in (2, 9, 3, 2, 2)])
-    out = sf.fuse_style_sum(L, ids, tables).data
+    out = sf.fuse_style_sum(L, ids, tables, FEATURES).data
     for i in range(6):
         expected = L.data[i].copy()
-        for m, f in enumerate(tables.features):
-            expected += tables.tables[f].data[ids[m, i]]
+        for m, f in enumerate(FEATURES):
+            expected += tables[f"style.{f}"].data[ids[m, i]]
         assert np.allclose(out[i], expected, atol=1e-12)
 
 
@@ -95,16 +94,16 @@ def test_fuse_sum_bits_match_an_add_chain():
     tables = style_tables(8, seed=6)
     ids = np.vstack([rng.integers(0, v, 7) for v in (2, 9, 3, 2, 2)])
     w = Tensor(rng.normal(size=(7, 8)))
-    leaves = [L, *tables.tables.values()]
+    leaves = [L, *tables.values()]
 
     def chain():
         e = L
-        for m, f in enumerate(tables.features):
-            e = add(e, embedding_sum([tables.tables[f]], [ids[m]]))
+        for m, f in enumerate(FEATURES):
+            e = add(e, embedding_sum([tables[f"style.{f}"]], [ids[m]]))
         return e
 
     runs = []
-    for fuse in (lambda: sf.fuse_style_sum(L, ids, tables), chain):
+    for fuse in (lambda: sf.fuse_style_sum(L, ids, tables, FEATURES), chain):
         tape = Tape()
         with tape:
             e = fuse()
@@ -117,19 +116,22 @@ def test_fuse_sum_bits_match_an_add_chain():
 
 def test_fuse_sum_dim_mismatch():
     L = Tensor(np.zeros((2, 8)))
-    with pytest.raises(ConfigError):
-        sf.fuse_style_sum(L, np.zeros((5, 2), dtype=int), style_tables(4))
+    with pytest.raises(ShapeError):
+        sf.fuse_style_sum(L, np.zeros((5, 2), dtype=int), style_tables(4),
+                          FEATURES)
 
 
 def test_fuse_concat_widths():
     # full-scale arithmetic: hidden 768 + 5*64 = 1088
     L = Tensor(np.zeros((2, 768)))
     tables = style_tables(64)
-    out = sf.fuse_style_concat(L, np.zeros((5, 2), dtype=int), tables)
+    out = sf.fuse_style_concat(L, np.zeros((5, 2), dtype=int), tables,
+                               FEATURES)
     assert out.data.shape == (2, 768 + 5 * 64)
     # small case: hidden 4 + 5*2 = 14
     out = sf.fuse_style_concat(Tensor(np.zeros((2, 4))),
-                               np.zeros((5, 2), dtype=int), style_tables(2))
+                               np.zeros((5, 2), dtype=int), style_tables(2),
+                               FEATURES)
     assert out.data.shape == (2, 14)
 
 
@@ -138,17 +140,17 @@ def test_fuse_concat_slice_layout():
     L = Tensor(rng.normal(size=(4, 8)))
     tables = style_tables(4, seed=6)
     ids = np.vstack([rng.integers(0, v, 4) for v in (2, 9, 3, 2, 2)])
-    out = sf.fuse_style_concat(L, ids, tables).data
+    out = sf.fuse_style_concat(L, ids, tables, FEATURES).data
     for i in range(4):
-        assert np.array_equal(out[i, 8:12], tables.tables["bold"].data[ids[0, i]])
-        assert np.array_equal(out[i, 12:16], tables.tables["font"].data[ids[1, i]])
-        assert np.array_equal(out[i, 24:28], tables.tables["color"].data[ids[4, i]])
+        assert np.array_equal(out[i, 8:12], tables["style.bold"].data[ids[0, i]])
+        assert np.array_equal(out[i, 12:16], tables["style.font"].data[ids[1, i]])
+        assert np.array_equal(out[i, 24:28], tables["style.color"].data[ids[4, i]])
 
 
 def test_classify_rows_sum_to_one_and_deterministic():
     rng = np.random.default_rng(7)
-    head = sf.ClassifierHead(weight=parameter(rng.normal(size=(8, 5))),
-                             bias=parameter(rng.normal(size=5)))
+    head = {"head.weight": parameter(rng.normal(size=(8, 5))),
+            "head.bias": parameter(rng.normal(size=5))}
     e = Tensor(rng.normal(size=(6, 8)))
     p1 = sf.classify(e, head).data
     p2 = sf.classify(e, head).data
@@ -157,16 +159,16 @@ def test_classify_rows_sum_to_one_and_deterministic():
 
 
 def test_classify_zero_head_is_uniform():
-    head = sf.ClassifierHead(weight=parameter(np.zeros((8, 4))),
-                             bias=parameter(np.zeros(4)))
+    head = {"head.weight": parameter(np.zeros((8, 4))),
+            "head.bias": parameter(np.zeros(4))}
     p = sf.classify(Tensor(np.random.default_rng(1).normal(size=(3, 8))), head).data
     assert np.allclose(p, 0.25, atol=1e-15)
 
 
 def test_classify_width_mismatch_names_wiring():
-    head = sf.ClassifierHead(weight=parameter(np.zeros((8, 4))),
-                             bias=parameter(np.zeros(4)))
-    with pytest.raises(ConfigError, match="wire"):
+    head = {"head.weight": parameter(np.zeros((8, 4))),
+            "head.bias": parameter(np.zeros(4))}
+    with pytest.raises(ShapeError, match="linear"):
         sf.classify(Tensor(np.zeros((3, 12))), head)
 
 
@@ -175,7 +177,7 @@ def test_backbone_output_shape():
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
     fmap = sf.backbone_forward(np.zeros((1, 128, 128), np.uint8),
-                               model.image_params, cfg)
+                               model.fusion_params, cfg)
     assert fmap.data.shape == (32, 16, 16)
 
 
@@ -184,7 +186,7 @@ def test_backbone_zero_raster_zero_biases_gives_zero_map():
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
     blank = np.full((1, 16, 16), 255, np.uint8)     # white: zero ink
-    fmap = sf.backbone_forward(blank, model.image_params, cfg)
+    fmap = sf.backbone_forward(blank, model.fusion_params, cfg)
     assert not fmap.data.any()
 
 
@@ -193,12 +195,11 @@ def test_backbone_gradients():
     spec = small_spec(sf.FusionMode.IMAGE, image=cfg)
     model = sf.TokenTagger.build(spec)
     raster = np.random.default_rng(8).integers(0, 256, (1, 8, 8), np.uint8)
-    named = dict(model.image_params)
-    named.pop("image.proj.weight")
-    named.pop("image.proj.bias")
+    named = {n: t for n, t in model.fusion_params.items()
+             if n.startswith("image.backbone.")}
 
     def loss():
-        fmap = sf.backbone_forward(raster, model.image_params, cfg)
+        fmap = sf.backbone_forward(raster, model.fusion_params, cfg)
         return sum_all(mul(fmap, fmap))
 
     gradcheck(loss, named, tol=1e-5, max_samples=8)
@@ -344,14 +345,15 @@ def test_roi_align_batch_unreferenced_and_untracked_pages():
 def test_image_fuse_zero_path_is_identity():
     spec = small_spec(sf.FusionMode.IMAGE)
     model = sf.TokenTagger.build(spec)
-    for name, t in model.image_params.items():
-        t.data[:] = 0.0
+    for name, t in model.fusion_params.items():
+        if name.startswith("image."):
+            t.data[:] = 0.0
     inp = tiny_input(T=4, seed=1)
     L = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
     boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(3).integers(0, 256, (1, 16, 16), np.uint8)]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
-                               model.image_params, spec.image))
+                               model.fusion_params, spec.image))
     assert np.array_equal(out.data, L.data)
 
 
@@ -361,11 +363,11 @@ def test_image_fuse_linear_in_projection():
     inp = tiny_input(T=4, seed=4)
     boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(5).integers(0, 256, (1, 16, 16), np.uint8)]
-    v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
+    v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.fusion_params,
                        spec.image).data
-    model.image_params["image.proj.weight"].data *= 2.0
-    model.image_params["image.proj.bias"].data *= 2.0
-    v2 = sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
+    model.fusion_params["image.proj.weight"].data *= 2.0
+    model.fusion_params["image.proj.bias"].data *= 2.0
+    v2 = sf.image_rows(boxes, inp.page_ids, rasters, model.fusion_params,
                        spec.image).data
     assert np.allclose(v2, 2.0 * v1, atol=1e-12)
 
@@ -400,7 +402,7 @@ def test_backbone_forms_the_ink_of_every_byte(monkeypatch):
         return original(x, *args, **kwargs)
 
     monkeypatch.setattr(sf.image.ops, "conv2d", first_input)
-    sf.backbone_forward(grid, model.image_params, cfg)
+    sf.backbone_forward(grid, model.fusion_params, cfg)
     assert seen[0].dtype == np.float64
     assert seen[0].tobytes() == _ink(grid).tobytes()
 
@@ -408,7 +410,7 @@ def test_backbone_forms_the_ink_of_every_byte(monkeypatch):
 def test_backbone_refuses_a_float_page():
     model = sf.TokenTagger.build(small_spec(sf.FusionMode.IMAGE))
     with pytest.raises(ContractError, match="uint8"):
-        sf.backbone_forward(np.zeros((1, 16, 16)), model.image_params,
+        sf.backbone_forward(np.zeros((1, 16, 16)), model.fusion_params,
                             model.spec.image)
 
 
@@ -437,8 +439,8 @@ def test_uint8_pages_give_the_bits_of_float_ink_maps(monkeypatch):
     boxes = inp.coord_ids[:4].T.astype(np.float64)
 
     def outputs(rasters):
-        return (sf.image_rows(boxes, inp.page_ids, rasters, model.image_params,
-                              spec.image).data.tobytes(),
+        return (sf.image_rows(boxes, inp.page_ids, rasters,
+                              model.fusion_params, spec.image).data.tobytes(),
                 model.predict_probs(inp, rasters).tobytes())
 
     want = outputs(pages)
@@ -455,11 +457,11 @@ def test_image_fuse_composition_oracle():
     boxes = inp.coord_ids[:4].T.astype(float)
     rasters = [rng.integers(0, 256, (1, 16, 16), np.uint8)]
     out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
-                               model.image_params, spec.image)).data
-    fmap = sf.backbone_forward(rasters[0], model.image_params,
+                               model.fusion_params, spec.image)).data
+    fmap = sf.backbone_forward(rasters[0], model.fusion_params,
                                spec.image).data
-    W = model.image_params["image.proj.weight"].data
-    b = model.image_params["image.proj.bias"].data
+    W = model.fusion_params["image.proj.weight"].data
+    b = model.fusion_params["image.proj.bias"].data
     for i in range(5):
         pooled = sf.roi_align_batch(Tensor(fmap), boxes[i:i + 1],
                                     spec.image.roi_bins).data[0]
@@ -475,7 +477,7 @@ def test_image_fuse_missing_page_raster():
     boxes = inp.coord_ids[:4].T
     with pytest.raises(ConfigError, match="page 2"):
         sf.image_rows(boxes, inp.page_ids, [np.zeros((1, 16, 16))],
-                      model.image_params, spec.image)
+                      model.fusion_params, spec.image)
 
 
 def test_baseline_ignores_styles_and_rasters():
@@ -494,8 +496,8 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
     sum_spec = small_spec(sf.FusionMode.STYLE_SUM)
     base = sf.TokenTagger.build(base_spec)
     summ = sf.TokenTagger.build(sum_spec)
-    for f in summ.style.features:
-        summ.style.tables[f].data[:] = 0.0
+    for f in sum_spec.style_features:
+        summ.fusion_params[f"style.{f}"].data[:] = 0.0
     inp = tiny_input(T=5, seed=10)
     inp.label_ids = np.asarray(inp.label_ids) % 3
 
@@ -507,7 +509,7 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
                                         np.ones(5, bool))
         g = backward(loss, tape)
         return logits.data, {n: g[t.node_id].data
-                             for n, t in model.encoder_params.tensors.items()}
+                             for n, t in model.encoder_params.items()}
 
     logits_b, g_b = grads_of(base)
     logits_s, g_s = grads_of(summ)
@@ -520,7 +522,7 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
         loss = cross_entropy_masked(summ.forward_logits(inp),
                                     inp.label_ids, np.ones(5, bool))
     g = backward(loss, tape)
-    bold_grad = g[summ.style.tables["bold"].node_id].data
+    bold_grad = g[summ.fusion_params["style.bold"].node_id].data
     assert bold_grad.any()
 
 
@@ -619,8 +621,8 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
     monkeypatch.setattr(sf.image, "backbone_forward", counting_backbone)
 
     def packed():
-        logits = model.forward_logits(inputs, rasters, True,
-                                      np.random.default_rng(5))
+        logits = model.forward_logits(inputs, rasters,
+                                      rng=np.random.default_rng(5))
         return logits, cross_entropy_masked(logits, labels,
                                             np.ones(total, bool))
 
@@ -628,8 +630,8 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
         drop = np.random.default_rng(5)
         parts, loss = [], None
         for i, inp in enumerate(inputs):
-            logits = model.forward_logits(inp, rasters and rasters[i], True,
-                                          drop)
+            logits = model.forward_logits(inp, rasters and rasters[i],
+                                          rng=drop)
             term = mul(cross_entropy_masked(logits, inp.label_ids,
                                             np.ones(inp.length, bool)),
                        Tensor(inp.length / total))

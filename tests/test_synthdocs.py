@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import uninformative
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
@@ -73,8 +74,8 @@ def test_boxes_within_page_and_non_overlapping():
 
 
 def test_uninformative_styles_independent_of_labels():
-    cfg = sg.GeneratorConfig(template="TRADECONF", n_docs=500,
-                             seed=8).uninformative()
+    cfg = uninformative(sg.GeneratorConfig(template="TRADECONF", n_docs=500,
+                                           seed=8))
     docs = sg.generate_corpus(cfg)
     bucket = BucketingConfig()
     vocabs = build_vocabularies(docs, bucket)

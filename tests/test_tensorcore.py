@@ -164,6 +164,14 @@ def test_embedding_sum_ids_of_another_length_are_refused():
             embedding_sum([a, b], ids)
 
 
+def test_embedding_sum_tables_of_another_width_are_refused():
+    """A width-1 table would broadcast its row over every column."""
+    a = tc.Tensor(np.zeros((5, 4)))
+    for b in (np.arange(5.0).reshape(5, 1), np.ones((5, 8))):
+        with pytest.raises(tc.ShapeError, match="rows of shape"):
+            embedding_sum([a, tc.Tensor(b)], [np.arange(5), np.arange(5)])
+
+
 def test_cross_entropy_certain_prediction_is_zero():
     logits = tc.Tensor([[500.0, 0.0, 0.0]])
     loss = tc.cross_entropy_masked(logits, [0], [True])
@@ -685,8 +693,6 @@ def test_attention_spans_take_no_bias(bias):
 # Public src/ functions and methods kept although only tests, demos or
 # fuzzers call them, each with its reason.
 _KEPT_FOR_TESTS_AND_DEMOS = {
-    "GeneratorConfig.uninformative":
-        "tests/test_setup_pins.py pins the corpus it generates",
     "paired_t_test": "the paper's significance test; demo 05 runs it",
 }
 

@@ -49,9 +49,11 @@ def test_chunk_stride_rule():
 
 def test_positions_restart_at_zero_in_each_packed_chunk():
     a, b = (c.inputs for c in chunk_document(tiny_input(T=900), CFG))
-    params = lc.init_parameters(make_config(max_seq_len=CFG.max_seq_len))
-    packed = lc.embed_tokens(pack_inputs([a, b]), params, [a.length, b.length])
-    alone = [lc.embed_tokens(x, params).data for x in (a, b)]
+    cfg = make_config(max_seq_len=CFG.max_seq_len)
+    params = lc.init_parameters(cfg)
+    packed = lc.embed_tokens(pack_inputs([a, b]), params, cfg,
+                             [a.length, b.length])
+    alone = [lc.embed_tokens(x, params, cfg).data for x in (a, b)]
     assert packed.data.tobytes() == np.concatenate(alone).tobytes()
 
 
