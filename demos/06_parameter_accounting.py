@@ -1,7 +1,7 @@
 """Trainable-parameter accounting across fusion modes.
 
-Closed-form counts (tables V x d, linears d_in x d_out + d_out, layer norms
-2h, convs C_out*C_in*k^2 + C_out) for the desk model and for a full-scale
+Counts per component, summed over the shape table that builds the model
+(`stylefuse.parameter_shapes`), for the desk model and for a full-scale
 configuration, plus the ratio arithmetic behind the published model sizes.
 
 Run:  python demos/06_parameter_accounting.py
@@ -10,9 +10,9 @@ Run:  python demos/06_parameter_accounting.py
 from dataclasses import replace
 
 from ielab.evalsuite import (
+    TABLE1_PARAMS_M,
     count_parameters,
     format_breakdowns,
-    style_sum_fullscale_delta,
     table1_consistency,
 )
 from ielab.layoutcore import EncoderConfig
@@ -30,20 +30,22 @@ full = replace(desk, encoder=EncoderConfig(word_vocab=30522, label_count=25,
                                            ff_dim=3072, seed=0))
 
 for title, base in (("desk scale", desk), ("full scale", full)):
-    rows = [count_parameters(replace(base, fusion=m))
+    rows = {m: count_parameters(replace(base, fusion=m))
             for m in (FusionMode.BASELINE, FusionMode.STYLE_CONCAT,
-                      FusionMode.STYLE_SUM, FusionMode.IMAGE)]
+                      FusionMode.STYLE_SUM, FusionMode.IMAGE)}
     print(f"=== {title} (hidden {base.encoder.hidden}) ===")
-    print(format_breakdowns(rows))
+    print(format_breakdowns(list(rows.values())))
     print()
 
-delta = style_sum_fullscale_delta(vocab_sizes=VOCAB_SIZES)
+# `rows` now holds the full-scale counts
+delta = rows[FusionMode.STYLE_SUM].components["style.tables"]
 print(f"sum-mode style tables at full scale: {sum(VOCAB_SIZES)} rows x 768 = "
-      f"+{delta['delta_params']:,} params, i.e. +{delta['delta_pct']:.4f}% "
+      f"+{delta:,} params, i.e. "
+      f"+{100 * delta / (TABLE1_PARAMS_M['style_concat'] * 1e6):.4f}% "
       "of the published base size")
 
 rep = table1_consistency()
-print(f"\npublished totals (millions): {rep['constants_m']}")
+print(f"\npublished totals (millions): {TABLE1_PARAMS_M}")
 print(f"image vs base:   +{rep['image_more_than_base_pct']:.2f}%  "
       f"(reported as ~{rep['prose_more_pct']}% more)")
 print(f"concat vs image: -{rep['concat_less_than_image_pct']:.2f}%  "

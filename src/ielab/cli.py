@@ -35,12 +35,12 @@ from ielab.errors import (
     DataValidationError,
 )
 from ielab.evalsuite import (
+    TABLE1_PARAMS_M,
     count_parameters,
     decode_iob,
     entity_scores,
     format_breakdowns,
     permutation_importance,
-    style_sum_fullscale_delta,
     table1_consistency,
 )
 from ielab.jsonconfig import decode
@@ -350,11 +350,11 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
 
 
 def cmd_params(spec: ExperimentSpec) -> int:
-    vocab_sizes = (2, spec.bucketing.font_top_k + 1, 3, 2, 2)
     # every mode is accounted, so the style modes need features even when
     # the spec's own (baseline or image) model lists none; train_fold sizes
     # the position table by the training window
-    model = replace(spec.model, style_vocab_sizes=vocab_sizes,
+    model = replace(spec.model,
+                    style_vocab_sizes=(2, spec.bucketing.font_top_k + 1, 3, 2, 2),
                     encoder=replace(spec.model.encoder,
                                     max_seq_len=spec.train.max_seq_len),
                     style_features=spec.model.style_features or STYLE_FEATURES,
@@ -366,16 +366,18 @@ def cmd_params(spec: ExperimentSpec) -> int:
                                           label_count=13))
     for title, base in (("desk configuration", desk),
                         ("full-scale accounting configuration", full)):
-        breakdowns = [count_parameters(replace(base, fusion=m))
+        breakdowns = {m: count_parameters(replace(base, fusion=m))
                       for m in (FusionMode.BASELINE, FusionMode.STYLE_CONCAT,
-                                FusionMode.STYLE_SUM, FusionMode.IMAGE)]
+                                FusionMode.STYLE_SUM, FusionMode.IMAGE)}
         print(f"# {title} (hidden={base.encoder.hidden})")
-        print(format_breakdowns(breakdowns))
+        print(format_breakdowns(list(breakdowns.values())))
         print()
-    delta = style_sum_fullscale_delta(vocab_sizes=vocab_sizes)
-    print(f"full-scale style-sum delta: +{delta['delta_params']:,} params = "
-          f"+{delta['delta_pct']:.3f}% of the published "
-          f"{delta['base_params'] / 1e6:.2f}M base")
+    # sum mode adds only its tables to the full-scale model
+    delta = breakdowns[FusionMode.STYLE_SUM].components["style.tables"]
+    base_m = TABLE1_PARAMS_M["style_concat"]
+    print(f"full-scale style-sum delta: +{delta:,} params = "
+          f"+{100.0 * delta / (base_m * 1e6):.3f}% of the published "
+          f"{base_m:.2f}M base")
     consistency = table1_consistency()
     print(f"published image model vs base: +{consistency['image_more_than_base_pct']:.2f}% "
           f"(prose: {consistency['prose_more_pct']}% more)")

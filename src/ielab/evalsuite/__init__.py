@@ -7,7 +7,6 @@ from ielab.evalsuite.accounting import (
     TABLE1_PARAMS_M,
     count_parameters,
     format_breakdowns,
-    style_sum_fullscale_delta,
     table1_consistency,
 )
 from ielab.evalsuite.importance import (
@@ -20,5 +19,5 @@ __all__ = [
     "ClassReport", "ClassScores", "EntitySpan", "ImportanceResult",
     "ParamBreakdown", "TABLE1_PARAMS_M", "count_parameters", "decode_iob",
     "entity_scores", "format_breakdowns", "permutation_importance",
-    "permute_feature", "style_sum_fullscale_delta", "table1_consistency",
+    "permute_feature", "table1_consistency",
 ]

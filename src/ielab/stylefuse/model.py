@@ -63,17 +63,6 @@ class TaggerSpec(JsonConfig):
             raise ConfigError("style features must be distinct and follow "
                               f"canonical order {STYLE_FEATURES}")
 
-    @property
-    def style_width(self) -> int:
-        return self.encoder.hidden if self.fusion is FusionMode.STYLE_SUM \
-            else self.style_dim
-
-    @property
-    def head_in_dim(self) -> int:
-        if self.fusion is FusionMode.STYLE_CONCAT:
-            return self.encoder.hidden + len(self.style_features) * self.style_dim
-        return self.encoder.hidden
-
 
 @dataclass
 class TokenTagger:
@@ -197,9 +186,11 @@ def parameter_shapes(spec: TaggerSpec) -> dict[str, tuple[int, ...]]:
             raise ConfigError(
                 "style modes need a vocab size per style feature; "
                 "resolve the spec against a corpus first")
+        width = spec.encoder.hidden if spec.fusion is FusionMode.STYLE_SUM \
+            else spec.style_dim
         for f in spec.style_features:
             v = spec.style_vocab_sizes[STYLE_FEATURES.index(f)]
-            shapes[f"style.{f}"] = (v, spec.style_width)
+            shapes[f"style.{f}"] = (v, width)
     if spec.fusion is FusionMode.IMAGE:
         icfg = spec.image
         c_in, k = icfg.raster_channels, icfg.kernel_size
@@ -209,8 +200,11 @@ def parameter_shapes(spec: TaggerSpec) -> dict[str, tuple[int, ...]]:
             c_in = c_out
         shapes["image.proj.weight"] = (icfg.roi_width, spec.encoder.hidden)
         shapes["image.proj.bias"] = (spec.encoder.hidden,)
+    head_in = spec.encoder.hidden
+    if spec.fusion is FusionMode.STYLE_CONCAT:
+        head_in += len(spec.style_features) * spec.style_dim
     labels = spec.encoder.label_count
-    shapes["head.weight"] = (spec.head_in_dim, labels)
+    shapes["head.weight"] = (head_in, labels)
     shapes["head.bias"] = (labels,)
     return shapes
 

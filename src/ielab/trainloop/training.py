@@ -33,6 +33,7 @@ earlier epochs winning ties.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +82,13 @@ class TrainConfig(JsonConfig):
             raise ConfigError("batch_size/epochs must be >= 1 and folds >= 2")
         if self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
+        if not 0 <= self.bbox_shift_max <= 1000:
+            raise ConfigError("bbox_shift_max must lie in the quantized grid "
+                              f"[0, 1000], got {self.bbox_shift_max}")
+        lo, hi = self.bbox_scale_range
+        if not 0 < lo <= hi <= sys.float_info.max:
+            raise ConfigError("bbox_scale_range must be finite with "
+                              f"0 < lo <= hi, got {[lo, hi]}")
 
 
 @dataclass
@@ -112,7 +120,6 @@ def make_fold_plan(doc_ids: list[str], k: int, val_fraction: float,
 class FoldResult:
     model: TokenTagger              # restored to the best epoch
     vocabs: Vocabularies
-    spec: TaggerSpec
     best_epoch: int
     best_val_f1: float
     val_f1_trace: list[float]
@@ -240,7 +247,7 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
         if f1 > best_f1:
             best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
     model.restore(best_snapshot)
-    return FoldResult(model=model, vocabs=vocabs, spec=spec,
+    return FoldResult(model=model, vocabs=vocabs,
                       best_epoch=best_epoch, best_val_f1=best_f1,
                       val_f1_trace=trace,
                       val_doc_ids=[d.id for d in val_docs],
@@ -312,7 +319,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         mean=float(np.mean(per_fold)),
         std=float(np.std(per_fold)),
         per_class=entity_scores(pooled_preds, pooled_gold),
-        params=count_parameters(outcomes[0]["result"].spec).total,
+        params=count_parameters(outcomes[0]["result"].model.spec).total,
         fold_details=details,
         plan=plan,
         fold_results=[o["result"] for o in outcomes])

@@ -16,6 +16,7 @@ from ielab import cli, pgm
 from ielab.docstream import (
     STYLE_FEATURES,
     BucketingConfig,
+    ModelInput,
     parse_documents,
     serialize_documents,
 )
@@ -24,7 +25,7 @@ from ielab.layoutcore import EncoderConfig, init_parameters
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
 from ielab.synthdocs import GeneratorConfig, generate_corpus
 from ielab.tensorcore import NumericError
-from ielab.trainloop import TrainConfig, make_fold_plan
+from ielab.trainloop import TrainConfig, augment_bboxes, make_fold_plan
 
 
 def write_spec(tmp_path, **over):
@@ -481,6 +482,19 @@ def test_params_reports_published_ratios(tmp_path, capsys):
     assert totals == sorted(totals)
 
 
+def test_params_delta_line_reads_its_own_sum_table(tmp_path, capsys):
+    """The full-scale style-sum delta is that table's style.tables cell:
+    only the listed features' tables."""
+    spec = write_spec(tmp_path, model={"fusion": "STYLE_CONCAT",
+                                       "style_features": ["bold", "inTable"]})
+    assert cli.main(["params", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    tables = [l.split()[1:] for l in out.splitlines()
+              if l.startswith("style.tables")][1]
+    assert tables[2] == "3,072"                   # (2 + 2) x 768
+    assert "style-sum delta: +3,072 params = +0.003%" in out
+
+
 def test_params_accounts_every_mode_for_a_spec_without_style_features(
         tmp_path, capsys):
     """A baseline spec that lists no style features still gets all four
@@ -569,6 +583,19 @@ def test_bad_generator_and_train_seeds_exit_4(tmp_path, capsys, over,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train, message", [
+    ({"bbox_shift_max": -1}, "bbox_shift_max must lie in the quantized grid"),
+    ({"bbox_scale_range": [0.95, float("nan")]},
+     "bbox_scale_range must be finite"),
+    ({"bbox_scale_range": [0.95, 1e400]}, "bbox_scale_range must be finite"),
+], ids=["negative-shift", "nan-scale", "infinite-scale"])
+def test_bad_augmentation_settings_exit_4(tmp_path, capsys, train, message):
+    assert cli.main(["generate", "--spec", str(write_spec(tmp_path))]) == 0
+    spec = write_spec(tmp_path, train=train)
+    assert cli.main(["train", "--spec", str(spec)]) == 4
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model, message", [
     ({"fusion": "IMAGE", "image": {"backbone_channels": []}},
      "backbone_channels must be a non-empty list"),
@@ -641,13 +668,21 @@ def _section_of(spec: dict, name: str) -> dict:
 def _use(spec: cli.ExperimentSpec) -> None:
     """Run what each section's values feed, at sizes that do not grow with
     them: parameter counts for every width, a tiny encoder for its seed and
-    init_std, a fold plan for the train seed, a one-document corpus for the
-    generator."""
+    init_std, a fold plan for the train seed, box augmentation of a
+    two-token input, a one-document corpus for the generator."""
     with contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_params(spec)
     init_parameters(dataclasses.replace(spec.model.encoder, hidden=2, heads=1,
                                         layers=1, ff_dim=2, max_seq_len=2))
     make_fold_plan(["a", "b"], 2, spec.train.val_fraction, spec.train.seed)
+    two_tokens = ModelInput(
+        word_ids=np.array([2, 3]),
+        coord_ids=np.array([[0, 500]] * 2 + [[1000, 500]] * 2
+                           + [[1000, 0]] * 2),
+        style_ids=np.zeros((5, 2), dtype=np.int64),
+        label_ids=np.zeros(2, dtype=np.int64),
+        page_ids=np.zeros(2, dtype=np.int64))
+    augment_bboxes(two_tokens, spec.train, np.random.default_rng(0))
     if spec.generator is not None:
         generate_corpus(dataclasses.replace(spec.generator, n_docs=1,
                                             tokens_per_doc=(8, 8)))
@@ -668,6 +703,10 @@ _MUTATIONS = st.sampled_from(sorted(_SECTION_KEYS)).flatmap(
 @example(("image", {"backbone_channels": []}))
 @example(("image", {"stride": 0}))
 @example(("model", {"style_dim": 0}))
+@example(("model", {"layers": 10 ** 30}))
+@example(("train", {"bbox_shift_max": -1}))
+@example(("train", {"bbox_scale_range": [0.95, float("nan")]}))
+@example(("train", {"bbox_scale_range": [0.95, 1e400]}))
 def test_spec_fuzz_returns_or_rejects(mutation):
     """A mutated spec is rejected with an exit-coded error (3 or 4), or it
     loads and every value it sets can be used."""

@@ -14,7 +14,7 @@ from ielab.errors import ConfigError, ContractError, DataValidationError
 from ielab.evalsuite import EntitySpan
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, TaggerSpec, TokenTagger
-from ielab.stylefuse.model import with_resolved_sizes
+from ielab.stylefuse.model import parameter_shapes, with_resolved_sizes
 from ielab.trainloop import TrainConfig, cross_validate
 
 
@@ -149,11 +149,30 @@ def test_count_parameters_single_table():
     assert ev.count_parameters(spec).components["embeddings.word"] == 40
 
 
+# the published full-scale encoder: BERT-base vocabulary, widths and depth
+FULL_SCALE = EncoderConfig(word_vocab=30522, label_count=25, hidden=768,
+                           layers=12, heads=12, ff_dim=3072, seed=0)
+
+
+def test_full_scale_baseline_count_closed_form():
+    """An oracle independent of the shape table that build and
+    count_parameters share: tables V x h, linears d_in x d_out + d_out,
+    layer norms 2h."""
+    h, ff = 768, 3072
+    layer = 4 * (h * h + h) + 2 * (2 * h) + (h * ff + ff) + (ff * h + h)
+    expected = (30522 * h + 512 * h + 6 * 1001 * h + 2 * h
+                + 12 * layer + (h * 25 + 25))
+    spec = TaggerSpec(encoder=FULL_SCALE, fusion=FusionMode.BASELINE)
+    assert ev.count_parameters(spec).total == expected == 113_521_945
+
+
 def test_style_sum_delta_full_scale():
-    delta = ev.style_sum_fullscale_delta()
-    assert delta["delta_params"] == (2 + 9 + 3 + 2 + 2) * 768 == 13824
-    assert delta["delta_pct"] == pytest.approx(0.0122, abs=0.0001)
-    assert 0.005 <= delta["delta_pct"] <= 0.05
+    spec = TaggerSpec(encoder=FULL_SCALE, fusion=FusionMode.STYLE_SUM,
+                      style_vocab_sizes=(2, 9, 3, 2, 2))
+    delta = ev.count_parameters(spec).components["style.tables"]
+    assert delta == (2 + 9 + 3 + 2 + 2) * 768 == 13824
+    pct = 100.0 * delta / (ev.TABLE1_PARAMS_M["style_concat"] * 1e6)
+    assert pct == pytest.approx(0.0122, abs=0.0001)
 
 
 def test_style_concat_deltas_closed_form():
@@ -240,10 +259,10 @@ def test_feature_subset_head_width():
     spec = TaggerSpec(encoder=enc, fusion=FusionMode.STYLE_CONCAT,
                       style_vocab_sizes=(2, 9, 3, 2, 2), style_dim=4,
                       style_features=("bold",))
-    assert spec.head_in_dim == 16 + 4
+    assert parameter_shapes(spec)["head.weight"] == (16 + 4, 5)
     full = TaggerSpec(encoder=enc, fusion=FusionMode.STYLE_CONCAT,
                       style_vocab_sizes=(2, 9, 3, 2, 2), style_dim=4)
-    assert full.head_in_dim == 16 + 5 * 4
+    assert parameter_shapes(full)["head.weight"] == (16 + 5 * 4, 5)
     # parameter count strictly increases with subset size
     totals = []
     for k in range(1, 6):
