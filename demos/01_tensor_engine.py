@@ -9,7 +9,8 @@ from ielab import tensorcore as tc
 
 # ---------------------------------------------------------------- recording
 # Ops run as plain numpy until a tape is active; inside a tape they record
-# themselves so one reverse sweep yields every parameter gradient.
+# themselves so one reverse sweep yields every parameter's gradient, keyed
+# by the parameter itself.
 
 rng = np.random.default_rng(0)
 w = tc.parameter(rng.normal(size=(4, 3)))
@@ -23,12 +24,12 @@ with tape:
                                    [True] * 8)
 grads = tc.backward(loss, tape)
 print(f"loss = {loss.item():.4f}")
-print(f"grad w shape {grads[w.node_id].data.shape}, grad b {grads[b.node_id].data}")
+print(f"grad w shape {grads[w].shape}, grad b {grads[b]}")
 
 # ------------------------------------------------- check against finite diffs
 h_step = 1e-5
 i = (2, 1)
-analytic = grads[w.node_id].data[i]
+analytic = grads[w][i]
 
 
 def loss_value():
@@ -61,7 +62,7 @@ def run_once():
         h = tc.dropout(tc.gelu(tc.linear(x, w, b)), 0.5,
                        np.random.default_rng(1))
         out = tc.cross_entropy_masked(h, [0, 1, 2, 0, 1, 2, 0, 1], [True] * 8)
-    return out.item(), tc.backward(out, t)[w.node_id].data
+    return out.item(), tc.backward(out, t)[w]
 
 
 v1, g1 = run_once()

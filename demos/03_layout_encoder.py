@@ -24,7 +24,7 @@ params = lc.init_parameters(cfg)     # name -> Tensor, one entry per table
 
 # The per-token input embedding is the sum of eight tables: word identity,
 # 1-D position, and six quantized geometry tables (x1, y1, x2, y2, w, h).
-e = lc.embed_tokens(inp, params, cfg)
+e = lc.embed_tokens(inp, params, cfg, [inp.length])
 print(f"embedded {inp.length} tokens -> {e.data.shape}")
 
 x1, y1, x2, y2, w, h = inp.coord_ids[:, 0]
@@ -39,15 +39,17 @@ direct = (params["word_table"].data[inp.word_ids[0]]
 print("token 0 equals the eight-term sum:",
       np.allclose(e.data[0], direct, atol=1e-12))
 
-# Chunks are packed back to back, never padded: two documents in one forward
-# give the rows of two separate forwards, since attention never crosses a
-# chunk and positions restart at 0 in each.
+# Chunks are packed back to back, never padded, and `lengths` lists their
+# token counts (one entry for one chunk): two documents in one forward give
+# the rows of two separate forwards, since attention never crosses a chunk
+# and positions restart at 0 in each.
 other = encode_document(docs[1], vocabs, bucket)
 lengths = [inp.length, other.length]
 packed = lc.encoder_forward(lc.embed_tokens(pack_inputs([inp, other]), params,
                                             cfg, lengths), params, cfg, lengths)
-alone = np.vstack([lc.encoder_forward(lc.embed_tokens(x, params, cfg), params,
-                                      cfg).data for x in (inp, other)])
+alone = np.vstack([lc.encoder_forward(lc.embed_tokens(x, params, cfg, [n]),
+                                      params, cfg, [n]).data
+                   for x, n in zip((inp, other), lengths)])
 print(f"packing invariance over {lengths} tokens: max drift "
       f"{np.abs(packed.data - alone).max():.2e}")
 

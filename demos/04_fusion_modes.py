@@ -46,8 +46,10 @@ for mode in FusionMode:
                    image=ImagePathConfig()),
         vocabs.word.size, len(vocabs.labels), vocabs.style.size_list())
     model = TokenTagger.build(spec)
-    fused = model.fused_output(inp, rasters if mode is FusionMode.IMAGE else None)
-    probs = model.predict_probs(inp, rasters if mode is FusionMode.IMAGE else None)
+    # a forward takes a list of chunks and, for IMAGE, a page list per chunk
+    pages = [rasters] if mode is FusionMode.IMAGE else None
+    fused = model.fused_output([inp], pages)
+    probs = model.predict_probs([inp], pages)
     total = count_parameters(spec).total
     print(f"{mode.value:13s} fused width {fused.data.shape[1]:4d}  "
           f"params {total:8,}  fusion tensors {len(model.fusion_params):2d}  "

@@ -23,14 +23,14 @@ corpus = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
 bucket = BucketingConfig()
 # constant learning rate + Adam, 2-document batches, augmentation on; the
 # rate is raised above the fine-tuning default because we train from scratch
-train_cfg = TrainConfig(lr=1e-3, epochs=8, seed=0)
+train_cfg = TrainConfig(lr=1e-3, epochs=8, seed=0, folds=3)
 encoder = EncoderConfig(word_vocab=2, label_count=1, hidden=48, layers=2,
                         heads=2, seed=0)
 
 results = {}
 for mode in (FusionMode.BASELINE, FusionMode.STYLE_CONCAT):
     spec = TaggerSpec(encoder=encoder, fusion=mode, style_dim=16)
-    results[mode] = cross_validate(corpus, spec, train_cfg, bucket, k=3)
+    results[mode] = cross_validate(corpus, spec, train_cfg, bucket)
     r = results[mode]
     print(f"{mode.value:13s} per-fold F1 {[f'{v:.3f}' for v in r.per_fold_f1]} "
           f"-> {r.mean:.3f} +/- {r.std:.3f}  ({r.params:,} params)")

@@ -207,7 +207,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = cross_validate(docs, spec.model, spec.train, spec.bucketing,
-                            k=spec.train.folds, rasters=rasters)
+                            rasters=rasters)
     metrics = result.to_metrics_json()
     metrics["manifest"] = _manifest(spec)
     _write_json(out / "metrics.json", metrics)

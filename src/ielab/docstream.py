@@ -28,6 +28,7 @@ STYLE_FEATURES = ("bold", "font", "fontSize", "inTable", "color")
 PAD_ID = 0
 UNK_ID = 1
 COORD_VOCAB = 1001  # ids 0..1000 inclusive
+MAX_WORDS = 5000    # word vocabulary size, PAD and UNK included
 
 
 @dataclass(slots=True)
@@ -345,8 +346,7 @@ def bucket_styles(tokens, median_size: float, cfg: BucketingConfig,
 
 
 def build_vocabularies(training_docs: list[DocumentRecord],
-                       cfg: BucketingConfig,
-                       max_words: int = 5000) -> Vocabularies:
+                       cfg: BucketingConfig) -> Vocabularies:
     """Word, style, and label maps from the training split only."""
     if not training_docs:
         raise ConfigError("cannot build vocabularies from an empty corpus")
@@ -359,7 +359,7 @@ def build_vocabularies(training_docs: list[DocumentRecord],
             font_freq[t.font] += 1
             labels.add(t.label)
     ranked_words = sorted(word_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = ranked_words[:max(0, max_words - 2)]
+    keep = ranked_words[:MAX_WORDS - 2]
     word_index = {w: i + 2 for i, (w, _) in enumerate(keep)}
     ranked_fonts = [f for f, _ in sorted(font_freq.items(),
                                          key=lambda kv: (-kv[1], kv[0]))]

@@ -9,11 +9,10 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ielab.stylefuse.fusion import FusionMode
-from ielab.stylefuse.model import TaggerSpec, parameter_shapes
+from ielab.stylefuse.model import TaggerSpec, parameter_counts
 
 # Published full-scale trainable-parameter totals (millions).
 TABLE1_PARAMS_M = {
@@ -47,16 +46,11 @@ class ParamBreakdown:
 
 
 def count_parameters(spec: TaggerSpec) -> ParamBreakdown:
-    """Elements per component, in parameter_shapes order. Every encoder
-    layer has the same shapes, so the table is read for one layer and that
-    layer counted `layers` times: a spec may ask for more layers than a
-    table can list."""
-    layers = spec.encoder.layers
-    one_layer = replace(spec, encoder=replace(spec.encoder, layers=1))
+    """Elements per component, in parameter_shapes order; reads one
+    encoder layer's shapes (see stylefuse.model.parameter_counts)."""
     comps: dict[str, int] = {}
-    for name, shape in parameter_shapes(one_layer).items():
+    for name, n in parameter_counts(spec).items():
         label = next(c for p, c in _COMPONENTS.items() if name.startswith(p))
-        n = math.prod(shape) * (layers if label == "encoder.layers" else 1)
         comps[label] = comps.get(label, 0) + n
     return ParamBreakdown(mode=spec.fusion, components=comps)
 

@@ -7,13 +7,13 @@ transformer encoder layers with GELU feed-forwards produces the per-token
 hidden states the fusion heads consume.
 
 The parameters are a plain name -> Tensor dict, named as `parameter_shapes`
-lists them: `params = init_parameters(cfg)`, then
-`encoder_forward(embed_tokens(inp, params, cfg), params, cfg)`.
-
-Several chunks can run as one packed sequence: their rows sit back to back,
-every per-token op (embedding, layer norm, linear, GELU, residual add) runs
-once over all rows, and each layer's single attention node is told the chunk
-spans, so no score between two chunks is ever computed.
+lists them. Chunks always run as one packed sequence, `inp` holding their
+rows back to back and `lengths` their token counts: `params =
+init_parameters(cfg)`, then `encoder_forward(embed_tokens(inp, params, cfg,
+lengths), params, cfg, lengths)`, with `lengths = [inp.length]` for one
+chunk. Every per-token op (embedding, layer norm, linear, GELU, residual add)
+runs once over all rows, and each layer's single attention node is told the
+chunk spans, so no score between two chunks is ever computed.
 """
 
 from __future__ import annotations
@@ -108,15 +108,14 @@ def init_parameters(config: EncoderConfig) -> dict[str, Tensor]:
 
 
 def embed_tokens(inp: ModelInput, params: dict[str, Tensor],
-                 cfg: EncoderConfig, lengths: list[int] | None = None) -> Tensor:
+                 cfg: EncoderConfig, lengths: list[int]) -> Tensor:
     """Eight-table additive embedding; chunking must happen before this.
 
     `lengths` gives the token counts of the chunks packed back to back in
-    `inp` (default: one chunk); each chunk must fit max_seq_len. A token's
-    1-D position is its index in its chunk, so positions restart at 0 with
-    every chunk; the six coordinate tables read the rows of `inp.coord_ids`.
+    `inp`; each chunk must fit max_seq_len. A token's 1-D position is its
+    index in its chunk, so positions restart at 0 with every chunk; the six
+    coordinate tables read the rows of `inp.coord_ids`.
     """
-    lengths = [inp.length] if lengths is None else lengths
     if max(lengths) > cfg.max_seq_len:
         raise ContractError(
             f"sequence of {max(lengths)} tokens exceeds max_seq_len "
@@ -129,18 +128,17 @@ def embed_tokens(inp: ModelInput, params: dict[str, Tensor],
 
 @threads.split_rows()
 def encoder_forward(hidden_in: Tensor, params: dict[str, Tensor],
-                    cfg: EncoderConfig, lengths: list[int] | None = None) -> Tensor:
+                    cfg: EncoderConfig, lengths: list[int]) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
 
     `hidden_in` holds the rows of the chunks whose token counts `lengths`
-    lists, packed back to back (default: one chunk of all rows). Every row
-    is a real token. Each layer runs one attention node over the chunk
-    spans, where each query sees every key of its own chunk and none of any
-    other; every other op runs once over all rows. In an inference call the
-    ops may run as two halves on two threads (see tensorcore.threads).
+    lists, packed back to back. Every row is a real token. Each layer runs
+    one attention node over the chunk spans, where each query sees every key
+    of its own chunk and none of any other; every other op runs once over
+    all rows. In an inference call the ops may run as two halves on two
+    threads (see tensorcore.threads).
     """
-    T = hidden_in.data.shape[0]
-    bounds = [0, T] if lengths is None else np.cumsum([0, *lengths]).tolist()
+    bounds = np.cumsum([0, *lengths]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
 
     h = ops.layer_norm(hidden_in, params["embed_ln.gain"], params["embed_ln.bias"])

@@ -2,7 +2,6 @@
 
 from ielab.stylefuse.fusion import (
     FusionMode,
-    classify,
     fuse_style_concat,
     fuse_style_sum,
     head_logits,
@@ -17,6 +16,6 @@ from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
 
 __all__ = [
     "FusionMode", "ImagePathConfig", "TaggerSpec", "TokenTagger",
-    "backbone_forward", "classify", "fuse_style_concat", "fuse_style_sum",
+    "backbone_forward", "fuse_style_concat", "fuse_style_sum",
     "head_logits", "image_rows", "roi_align_batch", "with_resolved_sizes",
 ]

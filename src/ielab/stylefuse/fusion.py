@@ -64,8 +64,3 @@ def head_logits(e: Tensor, params: dict[str, Tensor], dropout_rate: float,
         e = ops.dropout(e, dropout_rate, rng)
     return ops.linear(e, params["head.weight"], params["head.bias"])
 
-
-def classify(e: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Per-token class probabilities (softmax rows) at inference, without
-    dropout; training takes head_logits into the loss instead."""
-    return ops.softmax_rows(head_logits(e, params, 0.0))

@@ -39,8 +39,10 @@ class ImagePathConfig(JsonConfig):
     roi_bins: int = 3                         # r x r output bins
 
     def __post_init__(self):
-        for name in ("raster_channels", "raster_size", "kernel_size", "stride",
-                     "roi_bins"):
+        if self.raster_channels != 1:
+            raise ConfigError("raster_channels must be 1, as PGM pages have "
+                              f"one channel, got {self.raster_channels}")
+        for name in ("raster_size", "kernel_size", "stride", "roi_bins"):
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

@@ -11,6 +11,8 @@ and the head from (seed, 3).
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +24,6 @@ from ielab.jsonconfig import JsonConfig
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse.fusion import (
     FusionMode,
-    classify,
     fuse_style_concat,
     fuse_style_sum,
     head_logits,
@@ -72,6 +73,7 @@ class TokenTagger:
 
     @classmethod
     def build(cls, spec: TaggerSpec) -> "TokenTagger":
+        check_fits_in_memory(spec)
         rngs = {group: np.random.default_rng([spec.encoder.seed, stream])
                 for group, stream in _STREAMS.items()}
         fusion_params = {}
@@ -86,28 +88,23 @@ class TokenTagger:
     def parameters(self) -> dict[str, Tensor]:
         return {**self.encoder_params, **self.fusion_params}
 
-    def fused_output(self, inputs, rasters=None) -> Tensor:
+    def fused_output(self, inputs: list[ModelInput], rasters=None) -> Tensor:
         """Encoder output enriched per the fusion mode (pre-head).
 
-        `inputs` is one ModelInput with `rasters` its page list, or a list of
-        chunk inputs with `rasters` one page list per input. A list runs as
-        one packed sequence (see layoutcore): the output holds every input's
-        rows back to back, equal to per-input forwards. For IMAGE, each
-        distinct page list is numbered once, so a page's feature map is
-        computed once per call however many chunks show it.
+        `inputs` is a list of chunk inputs and, for IMAGE, `rasters` holds
+        one page list per input. The list runs as one packed sequence (see
+        layoutcore): the output holds every input's rows back to back, equal
+        to per-input forwards. For IMAGE, each distinct page list is
+        numbered once, so a page's feature map is computed once per call
+        however many chunks show it.
 
         IMAGE embeds the tokens and numbers the pages first, then computes
         the image rows (`image_rows`: backbones, RoIAlign, projection)
         `beside` the encoder (see tensorcore.threads) and adds them to the
         encoder output last.
         """
-        if isinstance(inputs, ModelInput):
-            inputs, rasters = [inputs], [rasters]
-        elif rasters is None:
-            rasters = [None] * len(inputs)
-        single = len(inputs) == 1
-        inp = inputs[0] if single else pack_inputs(inputs)
-        lengths = None if single else [i.length for i in inputs]
+        inp = pack_inputs(inputs)
+        lengths = [i.length for i in inputs]
         spec, enc, fus = self.spec, self.encoder_params, self.fusion_params
         e = layoutcore.embed_tokens(inp, enc, spec.encoder, lengths)
         if spec.fusion is FusionMode.IMAGE:
@@ -124,22 +121,21 @@ class TokenTagger:
             else fuse_style_concat
         return fuse(L, inp.style_ids, fus, spec.style_features)
 
-    def forward_logits(self, inputs, rasters=None,
+    def forward_logits(self, inputs: list[ModelInput], rasters=None,
                        rng: np.random.Generator | None = None) -> Tensor:
         """Pre-softmax scores, one row per token; inputs as in fused_output.
         Training passes `rng`, which draws the head's dropout."""
         return head_logits(self.fused_output(inputs, rasters),
                            self.fusion_params, self.spec.dropout_rate, rng)
 
-    def predict_probs(self, inputs, rasters=None) -> np.ndarray:
+    def predict_probs(self, inputs: list[ModelInput],
+                      rasters=None) -> np.ndarray:
         """Inference-mode class probabilities, (total tokens, label_count);
         inputs as in fused_output. One inference call, pinned from
         `threads.SPLIT_MIN_ROWS` rows up (see tensorcore.threads)."""
-        rows = inputs.length if isinstance(inputs, ModelInput) \
-            else sum(i.length for i in inputs)
+        rows = sum(i.length for i in inputs)
         with threads.one_blas_thread(rows >= threads.SPLIT_MIN_ROWS):
-            return classify(self.fused_output(inputs, rasters),
-                            self.fusion_params).data
+            return ops.softmax_rows(self.forward_logits(inputs, rasters)).data
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}
@@ -167,6 +163,7 @@ class TokenTagger:
         except (ConfigError, DataValidationError) as exc:
             raise CheckpointMismatchError(
                 f"{path}: unreadable checkpoint spec: {exc}") from None
+        check_fits_in_memory(spec)      # before listing every layer
         _check_shapes(arrays, parameter_shapes(spec))   # before allocating
         model = cls.build(spec)
         model.restore(arrays)
@@ -209,6 +206,28 @@ def parameter_shapes(spec: TaggerSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def parameter_counts(spec: TaggerSpec) -> dict[str, int]:
+    """Name -> element count, in parameter_shapes order, where each
+    `layer.0.*` entry counts its tensor in every encoder layer. Every layer
+    has the same shapes, so only one is listed: a spec may ask for more
+    layers than a table can list."""
+    layers = spec.encoder.layers
+    one_layer = replace(spec, encoder=replace(spec.encoder, layers=1))
+    return {n: math.prod(shape) * (layers if n.startswith("layer.") else 1)
+            for n, shape in parameter_shapes(one_layer).items()}
+
+
+def check_fits_in_memory(spec: TaggerSpec) -> None:
+    """ConfigError when the spec's parameters, at 8 bytes each, exceed
+    this machine's physical memory; lists one layer and allocates nothing."""
+    need = 8 * sum(parameter_counts(spec).values())
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"the model's parameters need {need / 2**30:.3g} GiB but this "
+            f"machine has {have / 2**30:.3g} GiB of memory; shrink the model")
+
+
 def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict) -> None:
     """CheckpointMismatchError unless `arrays` has exactly these names and
     shapes."""
@@ -223,16 +242,14 @@ def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict) -> None:
                 f"model's {shapes[name]}")
 
 
-def _number_pages(inputs: list[ModelInput], rasters: list):
+def _number_pages(inputs: list[ModelInput], rasters):
     """Page ids of the packed inputs and the page list they index.
 
     Each distinct page list (by identity) is appended once, and its inputs'
     page ids are offset by the number of pages listed before it.
     """
-    if any(r is None for r in rasters):
+    if rasters is None or any(r is None for r in rasters):
         raise ConfigError("IMAGE fusion needs page rasters")
-    if len(inputs) == 1:
-        return inputs[0].page_ids, rasters[0]
     first: dict[int, int] = {}
     pages: list = []
     page_ids = []

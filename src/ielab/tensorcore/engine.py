@@ -11,11 +11,13 @@ node holding the parents' ids, `backward_fn` and `saved`; the reverse sweep
 calls `backward_fn(g, need, *saved)`, where `need[i]` says whether parent i
 is tracked, and takes one gradient (or None) per parent back. Backward
 functions are named module-level functions, so no closure is built on an
-untaped call, and a node's op is its backward function's name.
+untaped call, and a node's op is its backward function's name. A
+requires_grad leaf gets a node with no backward function the first time the
+tape sees it.
 
-Tapes are thread-local, and each tape keeps its own map from requires_grad
-leaves to node ids, so two threads may record on the same parameters at once
-and look their gradients up with `tape.tracked_id(param)`.
+Tapes are thread-local, and each tape keeps its own map from leaves to
+nodes, so two threads may record on the same parameters at once.
+`backward(loss, tape)` returns each leaf's gradient keyed by the leaf.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ class TapeError(RuntimeError):
 class Tensor:
     """Dense n-dimensional float64 value, optionally tracked on a tape.
 
-    `data` is always a C-contiguous (row-major) float64 array. `node_id` is
-    the tensor's index on the tape it was last registered on, if any; for a
-    requires_grad leaf shared between threads only `Tape.tracked_id` is
-    reliable.
+    `data` is always a C-contiguous (row-major) float64 array. An op's
+    output records its tape and its `node_id` there; a requires_grad leaf
+    keeps neither, since several tapes may record on it at once.
     """
 
     __slots__ = ("data", "requires_grad", "node_id", "_tape")
@@ -107,12 +108,11 @@ class Tape:
     supports exactly one backward sweep per recording.
     """
 
-    __slots__ = ("nodes", "leaves", "leaf_ids", "consumed")
+    __slots__ = ("nodes", "leaves", "consumed")
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.leaves: dict[int, Tensor] = {}    # node id -> leaf
-        self.leaf_ids: dict[int, int] = {}     # id(leaf) -> node id
+        self.leaves: dict[Tensor, int] = {}   # leaf -> node id; keeps it alive
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -134,22 +134,16 @@ class Tape:
         """Node id of `t` on this tape; registers requires_grad leaves lazily.
 
         Returns -1 for constants that do not participate in differentiation.
-        Leaves are found through this tape's own map, never through fields of
-        the (possibly shared) leaf; `t.node_id` is still set for callers that
-        record on one thread.
+        Leaves are found through this tape's own map and nothing is written
+        into them, so a leaf may be recorded on several tapes at once.
         """
         if t.requires_grad:
-            nid = self.leaf_ids.get(id(t))
+            nid = self.leaves.get(t)
             if nid is None:
-                nid = len(self.nodes)
+                nid = self.leaves[t] = len(self.nodes)
                 self.nodes.append(_Node((), None))
-                self.leaves[nid] = t    # keeps id(t) unique while recorded
-                self.leaf_ids[id(t)] = nid
-                t.node_id = nid
             return nid
-        if t._tape is self and t.node_id is not None:
-            return t.node_id
-        return -1
+        return t.node_id if t._tape is self else -1
 
 
 def record(out: Tensor, parents, backward_fn: Callable, *saved) -> Tensor:
@@ -164,15 +158,15 @@ def record(out: Tensor, parents, backward_fn: Callable, *saved) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
+def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     """Reverse sweep from a scalar loss; one sweep per recording.
 
-    Returns {node_id: gradient Tensor} for every requires_grad leaf the tape
+    Returns {leaf: gradient array} for every requires_grad leaf the tape
     saw; leaves unreachable from the loss get zero gradients.
     """
     if loss.data.ndim != 0:
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
-    if loss._tape is not tape or loss.node_id is None:
+    if loss._tape is not tape:
         raise TapeError("loss was not recorded on this tape")
     if tape.consumed:
         raise TapeError("tape already consumed; re-record before backward")
@@ -180,12 +174,11 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones((), dtype=np.float64)}
     for nid in range(loss.node_id, -1, -1):
+        node = tape.nodes[nid]
+        if node.backward_fn is None:    # a leaf keeps its gradient
+            continue
         g = grads.pop(nid, None)
         if g is None:
-            continue
-        node = tape.nodes[nid]
-        if nid in tape.leaves:
-            grads[nid] = g  # keep leaf gradients for the result map
             continue
         need = tuple(pid >= 0 for pid in node.parents)
         for pid, pg in zip(node.parents,
@@ -198,15 +191,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
             else:
                 acc += pg
 
-    result: dict[int, Tensor] = {}
-    for nid, leaf in tape.leaves.items():
-        g = grads.get(nid)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        result[nid] = Tensor(np.broadcast_to(g, leaf.data.shape).copy()
-                             if g.shape != leaf.data.shape else g)
     tape.nodes = []  # release saved activations
-    return result
+    return {leaf: grads[nid] if nid in grads else np.zeros_like(leaf.data)
+            for leaf, nid in tape.leaves.items()}
 
 
 GELU_TANH_COEFF = math.sqrt(2.0 / math.pi)  # tanh-form approximation constant

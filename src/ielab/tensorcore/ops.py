@@ -28,6 +28,8 @@ from ielab.tensorcore.engine import (
 )
 from ielab.tensorcore.threads import run_halves
 
+LAYER_NORM_EPS = 1e-12    # added to each slice's variance
+
 
 def _scatter_add(shape, idx, g):
     """Rows of g summed into a zero table at rows idx: onehot(idx)^T @ g."""
@@ -152,7 +154,7 @@ def _softmax_rows_bw(g, need, y):
     return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each last-dimension slice to zero mean / unit variance, then
     apply the gamma/beta affine."""
     xd, gd = x.data, gamma.data
@@ -161,7 +163,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ShapeError(f"layer_norm affine must have shape ({h},)")
     xhat = xd - xd.sum(axis=-1, keepdims=True) / h     # np.mean's bits
     y = xhat * xhat
-    inv = np.sqrt(y.sum(axis=-1, keepdims=True) / h + eps)
+    inv = np.sqrt(y.sum(axis=-1, keepdims=True) / h + LAYER_NORM_EPS)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
     np.multiply(xhat, gd, out=y)

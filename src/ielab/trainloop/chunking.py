@@ -75,7 +75,7 @@ def predict_token_probs(model, inp: ModelInput, cfg,
     that.
     """
     if inp.length <= cfg.max_seq_len:       # one chunk: the document itself
-        return model.predict_probs(inp, rasters)
+        return model.predict_probs([inp], [rasters])
     chunks = chunk_document(inp, cfg)
     probs = model.predict_probs([c.inputs for c in chunks],
                                 [rasters] * len(chunks))

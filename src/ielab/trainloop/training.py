@@ -152,7 +152,7 @@ def _shard_grads(model: TokenTagger, params: dict, inputs: list,
         loss = ops.cross_entropy_masked(logits, labels,
                                         np.ones(len(labels), dtype=bool))
     grads = backward(loss, tape)
-    out = {name: grads[tape.tracked_id(t)].data for name, t in params.items()}
+    out = {name: grads[t] for name, t in params.items()}
     if weight != 1.0:               # a batch's only shard keeps its bits
         for g in out.values():
             g *= weight
@@ -279,11 +279,12 @@ class CVResult:
 
 def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
                    cfg: TrainConfig, bucket_cfg: BucketingConfig,
-                   k: int = 5, rasters: dict | None = None) -> CVResult:
-    if len(docs) < k:
-        raise ConfigError(f"corpus of {len(docs)} documents is smaller than k={k}")
+                   rasters: dict | None = None) -> CVResult:
+    """k-fold cross-validation with k = `cfg.folds`; make_fold_plan
+    refuses a corpus too small to fill the folds."""
     by_id = {d.id: d for d in docs}
-    plan = make_fold_plan([d.id for d in docs], k, cfg.val_fraction, cfg.seed)
+    plan = make_fold_plan([d.id for d in docs], cfg.folds, cfg.val_fraction,
+                          cfg.seed)
 
     def run_fold(f: int) -> dict:
         fold = plan.folds[f]
@@ -302,7 +303,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         return {"result": res, "preds": preds, "gold": gold,
                 "f1": entity_scores(preds, gold).weighted_f1}
 
-    outcomes = [run_fold(f) for f in range(k)]
+    outcomes = [run_fold(f) for f in range(plan.k)]
 
     per_fold = [o["f1"] for o in outcomes]
     pooled_preds = [p for o in outcomes for p in o["preds"]]
@@ -313,7 +314,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
                 "best_val_f1": outcomes[f]["result"].best_val_f1,
                 "val_f1_trace": outcomes[f]["result"].val_f1_trace,
                 **{key: plan.folds[f][key] for key in ("train", "val", "test")}}
-               for f in range(k)]
+               for f in range(plan.k)]
     return CVResult(
         per_fold_f1=per_fold,
         mean=float(np.mean(per_fold)),

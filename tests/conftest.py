@@ -59,7 +59,7 @@ def gradcheck(make_loss, named_params, h=1e-5, tol=1e-4, max_samples=24, seed=0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, p in named_params.items():
-        analytic = grads[p.node_id].data
+        analytic = grads[p]
         flat = p.data.ravel()
         n = flat.size
         idxs = np.arange(n) if n <= max_samples else rng.choice(n, max_samples, replace=False)

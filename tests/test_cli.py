@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ielab import cli, pgm
 from ielab.docstream import (
+    MAX_WORDS,
     STYLE_FEATURES,
     BucketingConfig,
     ModelInput,
@@ -23,6 +24,7 @@ from ielab.docstream import (
 from ielab.errors import ConfigError, DataValidationError
 from ielab.layoutcore import EncoderConfig, init_parameters
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
+from ielab.stylefuse.model import check_fits_in_memory, with_resolved_sizes
 from ielab.synthdocs import GeneratorConfig, generate_corpus
 from ielab.tensorcore import NumericError
 from ielab.trainloop import TrainConfig, augment_bboxes, make_fold_plan
@@ -330,23 +332,29 @@ def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
     assert "vocabularies do not fit its model" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda s: s.update(style_dim=10 ** 9),
-    lambda s: s["encoder"].update(ff_dim=10 ** 9),
-    lambda s: s["encoder"].update(max_seq_len=10 ** 9),
-    lambda s: s["encoder"].update(layers=2)],
+_TOO_BIG = ("GiB of memory", "match the model")
+
+
+@pytest.mark.parametrize("edit, messages", [
+    (lambda s: s.update(style_dim=10 ** 9), _TOO_BIG),
+    (lambda s: s["encoder"].update(ff_dim=10 ** 9), _TOO_BIG),
+    (lambda s: s["encoder"].update(max_seq_len=10 ** 9), _TOO_BIG),
+    (lambda s: s["encoder"].update(layers=2), ("match the model",))],
     ids=["style-dim", "ff-dim", "max-seq-len", "layers"])
 def test_checkpoint_shapes_checked_against_its_spec_exit_4(
-        trained_checkpoint, tmp_path, capsys, edit):
+        trained_checkpoint, tmp_path, capsys, edit, messages):
     """A spec edited to sizes its parameters do not have ends in exit 4
-    before the model is built, not in a MemoryError from allocating it."""
+    before the model is built, not in a MemoryError from allocating it.
+    The three edits of 10**9 need 119-492 GiB: the memory check refuses
+    them first on a machine with less, the shape check on one with more."""
     spec, blob = trained_checkpoint
     path = tmp_path / "edited.ckpt"
     path.write_bytes(_edited(blob, lambda c: edit(c["spec"])))
     capsys.readouterr()
     assert cli.main(["eval", "--spec", str(spec),
                      "--checkpoint", str(path)]) == 4
-    assert "match the model" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert any(m in err for m in messages), err
 
 
 @pytest.mark.parametrize("edit", [
@@ -605,18 +613,48 @@ def test_bad_augmentation_settings_exit_4(tmp_path, capsys, train, message):
     ({"fusion": "IMAGE", "image": {"raster_size": 0}},
      "raster_size must be >= 1"),
     ({"fusion": "IMAGE", "image": {"raster_channels": 0}},
-     "raster_channels must be >= 1"),
+     "raster_channels must be 1"),
+    ({"fusion": "IMAGE", "image": {"raster_channels": 3}},
+     "raster_channels must be 1"),
     ({"style_dim": 0}, "style_dim must be >= 1"),
     ({"style_features": ["bold", "italic"]}, "unknown style features"),
     ({"init_std": -0.5}, "init_std must be finite and >= 0"),
 ], ids=["no-backbone", "zero-backbone-width", "stride-0", "raster-size-0",
-        "raster-channels-0", "style-dim-0", "unknown-style-feature",
-        "negative-init-std"])
+        "raster-channels-0", "raster-channels-3", "style-dim-0",
+        "unknown-style-feature", "negative-init-std"])
 def test_image_and_style_widths_checked_before_use_exit_4(tmp_path, capsys,
                                                           model, message):
     spec = write_spec(tmp_path, model=model)
     assert cli.main(["params", "--spec", str(spec)]) == 4
     assert message in capsys.readouterr().err
+
+
+# `ielab train` in a child with 2 GiB of address space
+_LIMITED_TRAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from ielab.cli import main
+raise SystemExit(main(["train", "--spec", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("model", [{"layers": 10 ** 30}, {"ff_dim": 10 ** 11}],
+                         ids=["layers", "ff_dim"])
+def test_model_larger_than_memory_exits_4(tmp_path, capsys, model):
+    """Refused before anything is allocated. Training runs in a child with
+    a timeout and capped memory, so listing all 10**30 layers, or
+    allocating the tables, fails the test instead of hanging; `ielab
+    params` still prints the counts."""
+    assert cli.main(["generate", "--spec", str(write_spec(tmp_path))]) == 0
+    spec = write_spec(tmp_path, model={"fusion": "BASELINE", **model})
+    assert cli.main(["params", "--spec", str(spec)]) == 0
+    assert "total" in capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _LIMITED_TRAIN, str(spec)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 4, out.stderr[-2000:]
+    assert "GiB of memory" in out.stderr
 
 
 def test_numeric_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -667,11 +705,16 @@ def _section_of(spec: dict, name: str) -> dict:
 
 def _use(spec: cli.ExperimentSpec) -> None:
     """Run what each section's values feed, at sizes that do not grow with
-    them: parameter counts for every width, a tiny encoder for its seed and
-    init_std, a fold plan for the train seed, box augmentation of a
-    two-token input, a one-document corpus for the generator."""
+    them: parameter counts for every width, the memory check of the
+    unshrunk model, a tiny encoder for its seed and init_std, a fold plan
+    for the train seed, box augmentation of a two-token input, a
+    one-document corpus for the generator."""
     with contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_params(spec)
+    model = with_resolved_sizes(spec.model, MAX_WORDS, 13, (
+        2, spec.bucketing.font_top_k + 1, 3, 2, 2))
+    check_fits_in_memory(dataclasses.replace(model, encoder=dataclasses.replace(
+        model.encoder, max_seq_len=spec.train.max_seq_len)))
     init_parameters(dataclasses.replace(spec.model.encoder, hidden=2, heads=1,
                                         layers=1, ff_dim=2, max_seq_len=2))
     make_fold_plan(["a", "b"], 2, spec.train.val_fraction, spec.train.seed)
@@ -704,6 +747,8 @@ _MUTATIONS = st.sampled_from(sorted(_SECTION_KEYS)).flatmap(
 @example(("image", {"stride": 0}))
 @example(("model", {"style_dim": 0}))
 @example(("model", {"layers": 10 ** 30}))
+@example(("model", {"ff_dim": 10 ** 11}))
+@example(("image", {"raster_channels": 3}))
 @example(("train", {"bbox_shift_max": -1}))
 @example(("train", {"bbox_scale_range": [0.95, float("nan")]}))
 @example(("train", {"bbox_scale_range": [0.95, 1e400]}))

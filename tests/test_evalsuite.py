@@ -294,8 +294,8 @@ def test_feature_subset_run_trains_restricted_model():
                         heads=2, seed=0)
     spec = TaggerSpec(encoder=enc, fusion=FusionMode.STYLE_CONCAT, style_dim=4)
     res = cross_validate(docs, replace(spec, style_features=("bold", "inTable")),
-                         TrainConfig(lr=1e-3, epochs=1, seed=0),
-                         BucketingConfig(), k=2)
+                         TrainConfig(lr=1e-3, epochs=1, seed=0, folds=2),
+                         BucketingConfig())
     got = res.fold_results[0].model.spec
     assert got.style_features == ("bold", "inTable")
     assert "style.bold" in res.fold_results[0].model.parameters()

@@ -64,7 +64,8 @@ def test_init_std_zero_gives_zero_weights():
 
 def test_embed_all_zero_tables_gives_zero():
     cfg = make_config(init_std=0.0)
-    out = lc.embed_tokens(tiny_input(), lc.init_parameters(cfg), cfg)
+    inp = tiny_input()
+    out = lc.embed_tokens(inp, lc.init_parameters(cfg), cfg, [inp.length])
     assert not out.data.any()
 
 
@@ -84,7 +85,7 @@ def test_embed_matches_direct_sum_oracle():
     cfg = make_config()
     params = lc.init_parameters(cfg)
     inp = tiny_input(T=5, seed=3)
-    out = lc.embed_tokens(inp, params, cfg).data
+    out = lc.embed_tokens(inp, params, cfg, [5]).data
     for i in range(5):
         x1, y1, x2, y2, w, h = inp.coord_ids[:, i]
         expected = (params["word_table"].data[inp.word_ids[i]]
@@ -102,10 +103,10 @@ def test_embed_additivity_in_each_table():
     cfg = make_config()
     params = lc.init_parameters(cfg)
     inp = tiny_input(T=3, seed=9)
-    base = lc.embed_tokens(inp, params, cfg).data.copy()
+    base = lc.embed_tokens(inp, params, cfg, [3]).data.copy()
     contrib = params["pos2d.w"].data[inp.coord_ids[4]].copy()
     params["pos2d.w"].data *= 2.0
-    scaled = lc.embed_tokens(inp, params, cfg).data
+    scaled = lc.embed_tokens(inp, params, cfg, [3]).data
     assert np.allclose(scaled - base, contrib, atol=1e-12)
 
 
@@ -113,7 +114,7 @@ def test_embed_rejects_overlong_sequence():
     cfg = make_config(max_seq_len=3)
     params = lc.init_parameters(cfg)
     with pytest.raises(ContractError, match="chunk"):
-        lc.embed_tokens(tiny_input(T=4), params, cfg)
+        lc.embed_tokens(tiny_input(T=4), params, cfg, [4])
 
 
 def test_embed_rejects_lengths_that_miss_tokens():
@@ -129,7 +130,7 @@ def test_forward_shape_preserved():
     params = lc.init_parameters(cfg)
     for T in (1, 4, 16):
         x = Tensor(np.random.default_rng(T).normal(size=(T, 8)))
-        out = lc.encoder_forward(x, params, cfg)
+        out = lc.encoder_forward(x, params, cfg, [T])
         assert out.data.shape == (T, 8)
 
 
@@ -161,8 +162,8 @@ def test_full_encoder_differentiable():
     first_three = (Tensor(np.eye(cfg.hidden, 3)), Tensor(np.zeros(3)))
 
     def loss():
-        e = lc.embed_tokens(inp, params, cfg)
-        L = lc.encoder_forward(e, params, cfg)
+        e = lc.embed_tokens(inp, params, cfg, [4])
+        L = lc.encoder_forward(e, params, cfg, [4])
         return cross_entropy_masked(ops.linear(L, *first_three),
                                     inp.label_ids, np.ones(4, bool))
 

@@ -110,7 +110,7 @@ def test_fuse_sum_bits_match_an_add_chain():
             loss = sum_all(mul(e, w))
         grads = backward(loss, tape)
         runs.append([e.data.tobytes()] + [
-            grads[tape.tracked_id(t)].data.tobytes() for t in leaves])
+            grads[t].tobytes() for t in leaves])
     assert runs[0] == runs[1]
 
 
@@ -147,29 +147,31 @@ def test_fuse_concat_slice_layout():
         assert np.array_equal(out[i, 24:28], tables["style.color"].data[ids[4, i]])
 
 
-def test_classify_rows_sum_to_one_and_deterministic():
+def test_predict_probs_rows_sum_to_one_and_deterministic():
+    model = sf.TokenTagger.build(small_spec(sf.FusionMode.STYLE_CONCAT))
     rng = np.random.default_rng(7)
-    head = {"head.weight": parameter(rng.normal(size=(8, 5))),
-            "head.bias": parameter(rng.normal(size=5))}
-    e = Tensor(rng.normal(size=(6, 8)))
-    p1 = sf.classify(e, head).data
-    p2 = sf.classify(e, head).data
+    for t in model.parameters().values():     # O(1) weights: peaked rows
+        t.data += rng.normal(0.0, 0.5, size=t.data.shape)
+    inputs = [tiny_input(T=6, seed=7)]
+    p1 = model.predict_probs(inputs)
+    p2 = model.predict_probs(inputs)
+    assert p1.shape == (6, 3)
     assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(p1, p2)
 
 
-def test_classify_zero_head_is_uniform():
-    head = {"head.weight": parameter(np.zeros((8, 4))),
-            "head.bias": parameter(np.zeros(4))}
-    p = sf.classify(Tensor(np.random.default_rng(1).normal(size=(3, 8))), head).data
-    assert np.allclose(p, 0.25, atol=1e-15)
+def test_predict_probs_zero_head_is_uniform():
+    model = sf.TokenTagger.build(small_spec(sf.FusionMode.BASELINE))
+    model.fusion_params["head.weight"].data[:] = 0.0
+    p = model.predict_probs([tiny_input(T=3, seed=1)])
+    assert np.allclose(p, 1 / 3, atol=1e-15)
 
 
-def test_classify_width_mismatch_names_wiring():
+def test_head_width_mismatch_names_wiring():
     head = {"head.weight": parameter(np.zeros((8, 4))),
             "head.bias": parameter(np.zeros(4))}
     with pytest.raises(ShapeError, match="linear"):
-        sf.classify(Tensor(np.zeros((3, 12))), head)
+        sf.head_logits(Tensor(np.zeros((3, 12))), head, 0.0)
 
 
 def test_backbone_output_shape():
@@ -337,9 +339,9 @@ def test_roi_align_batch_unreferenced_and_untracked_pages():
     node_grads = node.backward_fn(np.ones_like(out.data), need, *node.saved)
     assert node_grads[1] is None
     grads = backward(loss, tape)
-    assert np.array_equal(grads[unused.node_id].data, np.zeros((2, 5, 6)))
+    assert np.array_equal(grads[unused], np.zeros((2, 5, 6)))
     assert constant.node_id is None
-    assert np.abs(grads[tracked.node_id].data).sum() > 0
+    assert np.abs(grads[tracked]).sum() > 0
 
 
 def test_image_fuse_zero_path_is_identity():
@@ -441,7 +443,7 @@ def test_uint8_pages_give_the_bits_of_float_ink_maps(monkeypatch):
     def outputs(rasters):
         return (sf.image_rows(boxes, inp.page_ids, rasters,
                               model.fusion_params, spec.image).data.tobytes(),
-                model.predict_probs(inp, rasters).tobytes())
+                model.predict_probs([inp], [rasters]).tobytes())
 
     want = outputs(pages)
     monkeypatch.setattr(sf.image, "backbone_forward", _backbone_on_ink)
@@ -484,10 +486,10 @@ def test_baseline_ignores_styles_and_rasters():
     spec = small_spec(sf.FusionMode.BASELINE)
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=9)
-    p1 = model.predict_probs(inp)
+    p1 = model.predict_probs([inp])
     inp2 = inp.copy()
     inp2.style_ids[:] = 1
-    p2 = model.predict_probs(inp2)
+    p2 = model.predict_probs([inp2])
     assert np.array_equal(p1, p2)
 
 
@@ -504,12 +506,11 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
     def grads_of(model):
         tape = Tape()
         with tape:
-            logits = model.forward_logits(inp)
+            logits = model.forward_logits([inp])
             loss = cross_entropy_masked(logits, inp.label_ids,
                                         np.ones(5, bool))
         g = backward(loss, tape)
-        return logits.data, {n: g[t.node_id].data
-                             for n, t in model.encoder_params.items()}
+        return logits.data, {n: g[t] for n, t in model.encoder_params.items()}
 
     logits_b, g_b = grads_of(base)
     logits_s, g_s = grads_of(summ)
@@ -519,10 +520,10 @@ def test_zero_style_sum_matches_baseline_logits_and_encoder_grads():
     # and the style tables receive gradient without any encoder involvement
     tape = Tape()
     with tape:
-        loss = cross_entropy_masked(summ.forward_logits(inp),
+        loss = cross_entropy_masked(summ.forward_logits([inp]),
                                     inp.label_ids, np.ones(5, bool))
     g = backward(loss, tape)
-    bold_grad = g[summ.fusion_params["style.bold"].node_id].data
+    bold_grad = g[summ.fusion_params["style.bold"]]
     assert bold_grad.any()
 
 
@@ -544,12 +545,12 @@ def test_checkpoint_roundtrip_restores_predictions(tmp_path):
     spec = small_spec(sf.FusionMode.STYLE_CONCAT)
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=13)
-    before = model.predict_probs(inp)
+    before = model.predict_probs([inp])
     path = tmp_path / "tagger.ckpt"
     model.save(path, extra_config={"note": "test"})
     loaded, config = sf.TokenTagger.load(path)
     assert config["note"] == "test"
-    assert np.array_equal(loaded.predict_probs(inp), before)
+    assert np.array_equal(loaded.predict_probs([inp]), before)
 
 
 def test_model_gradients_all_modes():
@@ -564,7 +565,7 @@ def test_model_gradients_all_modes():
             if mode is sf.FusionMode.IMAGE else None
 
         def loss():
-            return cross_entropy_masked(model.forward_logits(inp, rasters),
+            return cross_entropy_masked(model.forward_logits([inp], [rasters]),
                                         inp.label_ids, np.ones(4, bool))
 
         named = model.parameters()
@@ -588,7 +589,7 @@ def _logits_and_grads(model, forward):
         tape.watch(*params.values())
         logits, loss = forward()
     g = backward(loss, tape)
-    return logits.data, {n: g[t.node_id].data for n, t in params.items()}
+    return logits.data, {n: g[t] for n, t in params.items()}
 
 
 @pytest.mark.parametrize("mode", list(sf.FusionMode))
@@ -630,7 +631,7 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
         drop = np.random.default_rng(5)
         parts, loss = [], None
         for i, inp in enumerate(inputs):
-            logits = model.forward_logits(inp, rasters and rasters[i],
+            logits = model.forward_logits([inp], rasters and [rasters[i]],
                                           rng=drop)
             term = mul(cross_entropy_masked(logits, inp.label_ids,
                                             np.ones(inp.length, bool)),
@@ -651,8 +652,9 @@ def test_packed_forward_matches_per_chunk_forwards(mode, monkeypatch):
         else:
             assert err <= 1e-12 * np.abs(ref).max(), name
     probs = model.predict_probs(inputs, rasters)
-    ref_probs = np.concatenate([model.predict_probs(inp, rasters and rasters[i])
-                                for i, inp in enumerate(inputs)])
+    ref_probs = np.concatenate([
+        model.predict_probs([inp], rasters and [rasters[i]])
+        for i, inp in enumerate(inputs)])
     assert np.allclose(probs, ref_probs, rtol=1e-12, atol=0)
     if mode is sf.FusionMode.IMAGE:
         # once per distinct (document, page): pages 0,1 of a and 0,2 of b

@@ -81,7 +81,7 @@ def test_embedding_lookup_duplicate_ids_accumulate():
     with tape:
         out = embedding_sum([table], [[0, 0]])
         loss = sum_all(mul(out, tc.Tensor([[1.0, 2.0], [3.0, 4.0]])))
-    g = tc.backward(loss, tape)[table.node_id].data
+    g = tc.backward(loss, tape)[table]
     assert np.array_equal(g[0], [4.0, 6.0])  # both occurrences summed
     assert np.array_equal(g[1], [0.0, 0.0])
 
@@ -119,7 +119,7 @@ def test_embedding_sum_matches_per_table_lookups():
         for table, idx in zip(tables, ids):
             oracle = np.zeros_like(table.data)
             np.add.at(oracle, idx, w)
-            assert np.allclose(grads[table.node_id].data, oracle,
+            assert np.allclose(grads[table], oracle,
                                rtol=0, atol=1e-12)
 
 
@@ -253,7 +253,7 @@ def test_backward_square_sum():
     tape = tc.Tape()
     with tape:
         loss = sum_all(mul(x, x))
-    g = tc.backward(loss, tape)[x.node_id].data
+    g = tc.backward(loss, tape)[x]
     assert np.allclose(g, 2 * x.data, atol=1e-12)
 
 
@@ -265,7 +265,9 @@ def test_backward_unused_parameter_gets_zero():
         tape.watch(unused)
         loss = sum_all(x)
     g = tc.backward(loss, tape)
-    assert np.array_equal(g[unused.node_id].data, np.zeros((2, 2)))
+    assert set(g) == {x, unused}                  # keyed by the leaf itself
+    assert type(g[unused]) is np.ndarray
+    assert np.array_equal(g[unused], np.zeros((2, 2)))
 
 
 def test_backward_three_op_composite():
@@ -306,7 +308,7 @@ def test_tape_determinism():
             h = tc.gelu(tc.linear(x, x, tc.Tensor(np.zeros(4))))
             h = tc.dropout(h, 0.5, np.random.default_rng(1))
             loss = sum_all(h)
-        return loss.item(), tc.backward(loss, tape)[x.node_id].data.copy()
+        return loss.item(), tc.backward(loss, tape)[x].copy()
 
     l1, g1 = run()
     l2, g2 = run()
@@ -332,7 +334,7 @@ def test_tapes_on_two_threads_share_parameters():
                 h = tc.gelu(tc.linear(h, w, b))
             loss = sum_all(mul(h, h))
         grads = tc.backward(loss, tape)
-        return len(tape.leaves), [grads[tape.tracked_id(p)].data for p in params]
+        return len(tape.leaves), [grads[p] for p in params]
 
     serial = [record(x) for x in inputs]
     assert serial[0][0] == len(params)
@@ -398,7 +400,7 @@ def test_gelu_bits_match_the_tanh_formula():
         loss = sum_all(mul(out, tc.Tensor(upstream)))
         grads = tc.backward(loss, tape)
     assert out.data.tobytes() == want_out.tobytes()
-    assert grads[x.node_id].data.tobytes() == want_grad.tobytes()
+    assert grads[x].tobytes() == want_grad.tobytes()
 
 
 def test_adam_first_step_analytic():
@@ -633,7 +635,7 @@ def test_attention_without_a_bias_is_a_zero_bias_bit_for_bit():
             loss = sum_all(mul(out, w))
         grads = tc.backward(loss, tape)
         runs.append([out.data.tobytes()] + [
-            grads[tape.tracked_id(t)].data.tobytes() for t in (q, k, v)])
+            grads[t].tobytes() for t in (q, k, v)])
     assert runs[0] == runs[1]
 
 
@@ -651,7 +653,7 @@ def test_attention_spans_match_separate_calls_bit_for_bit():
             out = tc.ops.attention(q, k, v, None, heads, *spans)
             loss = sum_all(mul(out, tc.Tensor(w)))
         grads = tc.backward(loss, tape)
-        return [out.data] + [grads[tape.tracked_id(t)].data for t in (q, k, v)]
+        return [out.data] + [grads[t] for t in (q, k, v)]
 
     packed = run(q, k, v, w, spans)
     for lo, hi in spans:
@@ -750,4 +752,24 @@ def test_only_the_engine_records_on_a_tape():
             if "active_tape" in names and rel not in (
                     "tensorcore/engine.py", "tensorcore/threads.py"):
                 found.append(f"{rel}:{node.lineno} active_tape")
+    assert found == []
+
+
+def test_only_the_engine_names_node_ids():
+    """Gradients come back keyed by leaf: no src/ module but
+    tensorcore/engine.py names `node_id` or `tracked_id`."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ielab"
+    paths = sorted(src.rglob("*.py"))
+    assert paths, f"no sources under {src}"
+    found = []
+    for path in paths:
+        rel = path.relative_to(src).as_posix()
+        if rel == "tensorcore/engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.value if isinstance(node, ast.Constant) else None
+            if name in ("node_id", "tracked_id"):
+                found.append(f"{rel}:{node.lineno} {name}")
     assert found == []

@@ -53,7 +53,8 @@ def test_positions_restart_at_zero_in_each_packed_chunk():
     params = lc.init_parameters(cfg)
     packed = lc.embed_tokens(pack_inputs([a, b]), params, cfg,
                              [a.length, b.length])
-    alone = [lc.embed_tokens(x, params, cfg).data for x in (a, b)]
+    alone = [lc.embed_tokens(x, params, cfg, [x.length]).data
+             for x in (a, b)]
     assert packed.data.tobytes() == np.concatenate(alone).tobytes()
 
 
@@ -239,28 +240,28 @@ def test_train_fold_stops_on_a_non_finite_loss():
 
 def test_cross_validate_deterministic_and_partition():
     docs = corpus(10)
-    cfg = TrainConfig(lr=1e-3, epochs=1, seed=4)
-    r1 = cross_validate(docs, spec_template(), cfg, BucketingConfig(), k=5)
-    r2 = cross_validate(docs, spec_template(), cfg, BucketingConfig(), k=5)
+    cfg = TrainConfig(lr=1e-3, epochs=1, seed=4, folds=5)
+    r1 = cross_validate(docs, spec_template(), cfg, BucketingConfig())
+    r2 = cross_validate(docs, spec_template(), cfg, BucketingConfig())
     assert r1.per_fold_f1 == r2.per_fold_f1
     assert r1.mean == pytest.approx(float(np.mean(r1.per_fold_f1)))
     assert r1.std == pytest.approx(float(np.std(r1.per_fold_f1)))
     tests = [set(f["test"]) for f in r1.plan.folds]
     assert set().union(*tests) == {d.id for d in docs}
     with pytest.raises(ConfigError):
-        cross_validate(docs[:3], spec_template(), cfg, BucketingConfig(), k=5)
+        cross_validate(docs[:3], spec_template(), cfg, BucketingConfig())
 
 
 def test_cross_validate_same_on_one_or_two_workers(monkeypatch):
     docs = corpus(8)
     # 24-row chunks: every two-document batch splits into two shards
     cfg = TrainConfig(lr=1e-3, epochs=1, seed=4, max_seq_len=24,
-                      chunk_overlap=6)
+                      chunk_overlap=6, folds=4)
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         runs.append(cross_validate(docs, spec_template(), cfg,
-                                   BucketingConfig(), k=4))
+                                   BucketingConfig()))
     assert runs[0].per_fold_f1 == runs[1].per_fold_f1
     for a, b in zip(runs[0].fold_results, runs[1].fold_results):
         assert a.train_loss_trace == b.train_loss_trace
@@ -423,7 +424,7 @@ def test_chunking_identity_through_model():
                                len(vocabs.labels), vocabs.style.size_list())
     model = TokenTagger.build(spec)
     enc = encode_document(docs[0], vocabs, bucket)
-    direct = model.predict_probs(enc)
+    direct = model.predict_probs([enc])
     chunked = predict_token_probs(model, enc, CFG)
     assert np.array_equal(direct, chunked)
 
@@ -439,7 +440,7 @@ def test_predict_token_probs_at_the_chunk_boundary(T):
         with_resolved_sizes(spec_template(), 8, 3, (2, 2, 2, 2, 2)))
     inp = tiny_input(T=T)
     if T <= CFG.max_seq_len:
-        want = model.predict_probs(inp)
+        want = model.predict_probs([inp])
     else:
         chunks = chunk_document(inp, CFG)
         probs = model.predict_probs([c.inputs for c in chunks])
