@@ -30,7 +30,7 @@ from ielab.stylefuse.fusion import (
 )
 from ielab.stylefuse.image import ImagePathConfig, image_rows
 from ielab.tensorcore import checkpoint as ckpt
-from ielab.tensorcore import ops, threads
+from ielab.tensorcore import engine, ops, threads
 from ielab.tensorcore.engine import Tensor
 
 
@@ -164,10 +164,11 @@ class TokenTagger:
             raise CheckpointMismatchError(
                 f"{path}: unreadable checkpoint spec: {exc}") from None
         check_fits_in_memory(spec)      # before listing every layer
-        _check_shapes(arrays, parameter_shapes(spec))   # before allocating
-        model = cls.build(spec)
-        model.restore(arrays)
-        return model, config
+        shapes = parameter_shapes(spec)
+        _check_shapes(arrays, shapes)   # before any array becomes a tensor
+        enc = {n: engine.parameter(arrays[n]) for n in shapes}
+        fus = {n: enc.pop(n) for n in shapes if n.split(".")[0] in _STREAMS}
+        return cls(spec, enc, fus), config
 
 
 # the random stream of each parameter group beside the encoder's stream 0
@@ -219,7 +220,13 @@ def parameter_counts(spec: TaggerSpec) -> dict[str, int]:
 
 def check_fits_in_memory(spec: TaggerSpec) -> None:
     """ConfigError when the spec's parameters, at 8 bytes each, exceed
-    this machine's physical memory; lists one layer and allocates nothing."""
+    this machine's physical memory; lists one layer and allocates nothing.
+
+    A lower bound: it catches only models whose parameters alone do not
+    fit. Training also keeps gradients, Adam's two moments and a best-model
+    snapshot (about five times the parameters) plus activations, and a
+    process's cgroup memory limit is not read, so a model that passes can
+    still fail to allocate."""
     need = 8 * sum(parameter_counts(spec).values())
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -332,29 +332,45 @@ def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
     assert "vocabularies do not fit its model" in capsys.readouterr().err
 
 
-_TOO_BIG = ("GiB of memory", "match the model")
-
-
-@pytest.mark.parametrize("edit, messages", [
-    (lambda s: s.update(style_dim=10 ** 9), _TOO_BIG),
-    (lambda s: s["encoder"].update(ff_dim=10 ** 9), _TOO_BIG),
-    (lambda s: s["encoder"].update(max_seq_len=10 ** 9), _TOO_BIG),
-    (lambda s: s["encoder"].update(layers=2), ("match the model",))],
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(style_dim=s["style_dim"] + 1), "does not match"),
+    (lambda s: s["encoder"].update(ff_dim=8 * s["encoder"]["hidden"]),
+     "does not match"),     # twice the default 4 * hidden
+    (lambda s: s["encoder"].update(
+        max_seq_len=s["encoder"]["max_seq_len"] * 2), "does not match"),
+    (lambda s: s["encoder"].update(layers=2), "names do not match")],
     ids=["style-dim", "ff-dim", "max-seq-len", "layers"])
 def test_checkpoint_shapes_checked_against_its_spec_exit_4(
-        trained_checkpoint, tmp_path, capsys, edit, messages):
+        trained_checkpoint, tmp_path, capsys, edit, message):
     """A spec edited to sizes its parameters do not have ends in exit 4
-    before the model is built, not in a MemoryError from allocating it.
-    The three edits of 10**9 need 119-492 GiB: the memory check refuses
-    them first on a machine with less, the shape check on one with more."""
+    before the model is built: a changed width at the first tensor whose
+    shape differs, a changed layer count at the parameter names."""
     spec, blob = trained_checkpoint
     path = tmp_path / "edited.ckpt"
     path.write_bytes(_edited(blob, lambda c: edit(c["spec"])))
     capsys.readouterr()
     assert cli.main(["eval", "--spec", str(spec),
                      "--checkpoint", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert any(m in err for m in messages), err
+    assert f"{message} the model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoder", [{"layers": 10 ** 30},
+                                     {"ff_dim": 10 ** 15}],
+                         ids=["layers", "ff_dim"])
+def test_checkpoint_spec_larger_than_memory_exits_4(
+        trained_checkpoint, tmp_path, encoder):
+    """A stored spec whose parameters exceed any machine's memory (10**30
+    layers; 10**15 ff units, over 200 PiB) is refused before its layers are
+    listed or its tensors allocated. Eval runs in a child with a timeout
+    and capped memory, so a hang or an allocation fails the test."""
+    spec, blob = trained_checkpoint
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_edited(blob, lambda c: c["spec"]["encoder"].update(
+        encoder)))
+    out = _limited_main(["eval", "--spec", str(spec), "--checkpoint",
+                         str(path)])
+    assert out.returncode == 4, out.stderr[-2000:]
+    assert "GiB of memory" in out.stderr
 
 
 @pytest.mark.parametrize("edit", [
@@ -629,13 +645,21 @@ def test_image_and_style_widths_checked_before_use_exit_4(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-# `ielab train` in a child with 2 GiB of address space
-_LIMITED_TRAIN = """
+# `ielab` in a child with 2 GiB of address space
+_LIMITED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 from ielab.cli import main
-raise SystemExit(main(["train", "--spec", sys.argv[1]]))
+raise SystemExit(main(sys.argv[1:]))
 """
+
+
+def _limited_main(argv: list[str]) -> subprocess.CompletedProcess:
+    """`ielab argv` in a child with capped memory and a 60 s timeout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
 
 
 @pytest.mark.parametrize("model", [{"layers": 10 ** 30}, {"ff_dim": 10 ** 11}],
@@ -649,10 +673,7 @@ def test_model_larger_than_memory_exits_4(tmp_path, capsys, model):
     spec = write_spec(tmp_path, model={"fusion": "BASELINE", **model})
     assert cli.main(["params", "--spec", str(spec)]) == 0
     assert "total" in capsys.readouterr().out
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", _LIMITED_TRAIN, str(spec)],
-                         capture_output=True, text=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(src)})
+    out = _limited_main(["train", "--spec", str(spec)])
     assert out.returncode == 4, out.stderr[-2000:]
     assert "GiB of memory" in out.stderr
 
