@@ -48,10 +48,9 @@ enc_docs = [encode_document(d, fold.vocabs, bucket, strict_labels=False)
             for d in test_docs]
 gold = [[t.label for t in d.tokens] for d in test_docs]
 print("\npermutation importance (fold-0 model, fold-0 test split):")
-for feature in ("bold", "inTable", "color"):
-    res = permutation_importance(fold.model, enc_docs, gold,
-                                 fold.vocabs.label_names(), feature,
-                                 train_cfg, repeats=3,
-                                 rng=np.random.default_rng(1))
-    print(f"  {feature:8s} delta F1 {res.delta_mean:+.4f} "
-          f"+/- {res.delta_std:.4f}")
+for res in permutation_importance(fold.model, enc_docs, gold,
+                                  fold.vocabs.label_names(),
+                                  ["bold", "inTable", "color"], train_cfg,
+                                  3, np.random.default_rng(1)):
+    print(f"  {res['feature']:8s} delta F1 {res['delta_mean']:+.4f} "
+          f"+/- {res['delta_std']:.4f}")

@@ -37,8 +37,6 @@ from ielab.errors import (
 from ielab.evalsuite import (
     TABLE1_PARAMS_M,
     count_parameters,
-    decode_iob,
-    entity_scores,
     format_breakdowns,
     permutation_importance,
     table1_consistency,
@@ -47,7 +45,7 @@ from ielab.jsonconfig import decode
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
 from ielab.tensorcore import NumericError
-from ielab.trainloop import TrainConfig, cross_validate, predict_tags
+from ielab.trainloop import TrainConfig, cross_validate, score_documents
 from ielab.docstream import Vocabularies, STYLE_FEATURES
 
 EXIT_OK = 0
@@ -158,13 +156,16 @@ def _load_corpus(spec: ExperimentSpec,
     return docs
 
 
-def _load_rasters(spec: ExperimentSpec, docs) -> dict | None:
-    if spec.model.fusion is not FusionMode.IMAGE:
+def _load_rasters(spec: ExperimentSpec, model: TaggerSpec,
+                  docs) -> dict | None:
+    """The pages at spec.paths.rasters of each document, if `model` reads
+    pages; each must be as large as `model` reads them."""
+    if model.fusion is not FusionMode.IMAGE:
         return None
     raster_dir = spec.paths.get("rasters")
     if not raster_dir:
         raise FileNotFoundError("IMAGE fusion needs spec.paths.rasters")
-    size = spec.model.image.raster_size
+    size = model.image.raster_size
     rasters = {}
     for doc in docs:
         pages = []
@@ -174,7 +175,7 @@ def _load_rasters(spec: ExperimentSpec, docs) -> dict | None:
             if grid.shape != (size, size):
                 raise DataValidationError(
                     f"{p}: page is {grid.shape[1]}x{grid.shape[0]} pixels, "
-                    f"but image.raster_size is {size}")
+                    f"but the model's image.raster_size is {size}")
             pages.append(pgm.raster_to_input(grid))
         rasters[doc.id] = pages
     return rasters
@@ -203,7 +204,7 @@ def cmd_generate(spec: ExperimentSpec) -> int:
 
 def cmd_train(spec: ExperimentSpec) -> int:
     docs = _load_corpus(spec)
-    rasters = _load_rasters(spec, docs)
+    rasters = _load_rasters(spec, spec.model, docs)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = cross_validate(docs, spec.model, spec.train, spec.bucketing,
@@ -286,17 +287,15 @@ def cmd_eval(spec: ExperimentSpec, checkpoint: str,
              corpus_path: str | None) -> int:
     model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
     docs = _load_corpus(spec, corpus_path)
-    rasters = _load_rasters(spec, docs)
+    rasters = _load_rasters(spec, model.spec, docs)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    label_names = vocabs.label_names()
-    preds = []
-    for doc in docs:
-        enc = encode_document(doc, vocabs, bucketing, strict_labels=False)
-        doc_rasters = rasters.get(doc.id) if rasters else None
-        preds.append(predict_tags(model, enc, train, label_names, doc_rasters))
+    enc_docs = [encode_document(d, vocabs, bucketing, strict_labels=False)
+                for d in docs]
     gold = [[t.label for t in d.tokens] for d in docs]
-    report = entity_scores(preds, gold)
+    preds, report = score_documents(
+        model, enc_docs, gold, train, vocabs.label_names(),
+        [rasters[d.id] for d in docs] if rasters else None)
     lines = []
     for doc, tags in zip(docs, preds):
         obj = json.loads(serialize_documents([doc]).decode("utf-8"))
@@ -305,11 +304,10 @@ def cmd_eval(spec: ExperimentSpec, checkpoint: str,
         lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     (out / "predictions.jsonl").write_text("\n".join(lines) + "\n",
                                            encoding="utf-8")
-    gold_classes = sorted({s.cls for g in gold for s in decode_iob(g)})
+    no_gold = not any(s.support for s in report.per_class.values())
     report_obj = {"report": report.to_json(), "manifest": _manifest(spec),
                   "documents": len(docs),
-                  "note": ("no gold entities in corpus"
-                           if not gold_classes else "")}
+                  "note": "no gold entities in corpus" if no_gold else ""}
     _write_json(out / "eval_report.json", report_obj)
     print(f"weighted F1 {report.weighted_f1:.4f} on {len(docs)} documents")
     return EXIT_OK
@@ -324,25 +322,18 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
         raise ConfigError(f"--features must name distinct style features "
                           f"of {list(STYLE_FEATURES)}, got {features}")
     model, vocabs, bucketing, train = _load_checkpoint_model(spec, checkpoint)
-    if model.spec.fusion not in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
-        raise ContractError(
-            f"checkpoint is a {model.spec.fusion.value} model; permutation "
-            "importance needs a style fusion mode")
     docs = _load_corpus(spec)
     enc_docs = [encode_document(d, vocabs, bucketing, strict_labels=False)
                 for d in docs]
     gold = [[t.label for t in d.tokens] for d in docs]
-    label_names = vocabs.label_names()
+    results = permutation_importance(
+        model, enc_docs, gold, vocabs.label_names(), features, train,
+        repeats, np.random.default_rng([spec.seed, 77]))
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng([spec.seed, 77])
-    results = []
-    for feature in features:
-        res = permutation_importance(model, enc_docs, gold, label_names,
-                                     feature, train, repeats=repeats, rng=rng)
-        results.append(res.to_json())
-        print(f"{feature:10s} delta F1 {res.delta_mean:+.4f} "
-              f"+/- {res.delta_std:.4f}")
+    for res in results:
+        print(f"{res['feature']:10s} delta F1 {res['delta_mean']:+.4f} "
+              f"+/- {res['delta_std']:.4f}")
     _write_json(out / "ablation.json",
                 {"importance": results, "repeats": repeats,
                  "manifest": _manifest(spec)})

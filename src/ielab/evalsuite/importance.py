@@ -1,20 +1,18 @@
 """Feature-importance probes for style models.
 
-Permutation importance shuffles one bucketed style feature across the whole
-evaluation corpus and measures the F1 drop without retraining. A subset run
-needs no helper: cross-validate a TaggerSpec whose style_features name the
-subset.
+Permutation importance (Breiman 2001; Fisher, Rudin and Dominici 2019)
+shuffles one bucketed style feature across the whole evaluation corpus and
+measures the F1 drop without retraining. One call scores the intact corpus
+once, then each feature's shuffles in turn. A subset run needs no helper:
+cross-validate a TaggerSpec whose style_features name the subset.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ielab.docstream import STYLE_FEATURES, ModelInput
 from ielab.errors import ConfigError, ContractError
-from ielab.evalsuite.scoring import entity_scores
 from ielab.stylefuse.fusion import FusionMode
 
 
@@ -37,47 +35,30 @@ def permute_feature(encoded_docs: list[ModelInput], feature: str,
     return out
 
 
-@dataclass
-class ImportanceResult:
-    feature: str
-    intact_f1: float
-    permuted_f1: list[float]
-
-    @property
-    def delta_mean(self) -> float:
-        return self.intact_f1 - float(np.mean(self.permuted_f1))
-
-    @property
-    def delta_std(self) -> float:
-        return float(np.std(self.permuted_f1))
-
-    def to_json(self) -> dict:
-        return {"feature": self.feature, "intact_f1": self.intact_f1,
-                "permuted_f1": self.permuted_f1,
-                "delta_mean": self.delta_mean, "delta_std": self.delta_std}
-
-
 def permutation_importance(model, encoded_docs: list[ModelInput],
                            gold_tags: list[list[str]], label_names: list[str],
-                           feature: str, train_cfg, repeats: int = 5,
-                           rng: np.random.Generator | None = None,
-                           ) -> ImportanceResult:
-    """F1(intact) minus mean F1 with `feature` shuffled; no retraining."""
-    from ielab.trainloop.chunking import predict_tags  # local to avoid a cycle
+                           features: list[str], train_cfg, repeats: int,
+                           rng: np.random.Generator) -> list[dict]:
+    """Per feature, F1(intact) minus mean F1 over `repeats` shuffles of it,
+    the shuffles drawn from `rng` in feature order; no retraining."""
+    from ielab.trainloop.chunking import score_documents  # avoids a cycle
 
     if model.spec.fusion not in (FusionMode.STYLE_SUM, FusionMode.STYLE_CONCAT):
         raise ContractError(
-            f"{model.spec.fusion.value} models take no style input to permute")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    intact_pred = [predict_tags(model, e, train_cfg, label_names)
-                   for e in encoded_docs]
-    intact = entity_scores(intact_pred, gold_tags).weighted_f1
-    permuted = []
-    for _ in range(repeats):
-        shuffled = permute_feature(encoded_docs, feature, rng)
-        pred = [predict_tags(model, e, train_cfg, label_names) for e in shuffled]
-        permuted.append(entity_scores(pred, gold_tags).weighted_f1)
-    return ImportanceResult(feature=feature, intact_f1=intact,
-                            permuted_f1=permuted)
+            f"{model.spec.fusion.value} models take no style input; "
+            "permutation importance needs a style fusion mode")
 
+    def f1(docs: list[ModelInput]) -> float:
+        return score_documents(model, docs, gold_tags, train_cfg,
+                               label_names)[1].weighted_f1
+
+    intact = f1(encoded_docs)
+    results = []
+    for feature in features:
+        permuted = [f1(permute_feature(encoded_docs, feature, rng))
+                    for _ in range(repeats)]
+        results.append({"feature": feature, "intact_f1": intact,
+                        "permuted_f1": permuted,
+                        "delta_mean": intact - float(np.mean(permuted)),
+                        "delta_std": float(np.std(permuted))})
+    return results

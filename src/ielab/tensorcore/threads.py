@@ -190,13 +190,20 @@ def run_halves(kernel, parts: int, *args) -> None:
 
     Inside `split_rows`, for at least two `parts` (leading entries of the
     kernel's arrays), this thread runs kernel(*args, slice(0, cut)) with
-    kernel(*args, slice(cut, parts)) `beside` it, cut = parts // 2. The
-    kernel writes into preallocated arrays, each half into its own entries.
+    kernel(*args, slice(cut, parts)) `beside` it. The kernel writes into
+    preallocated arrays, each half into its own entries.
+
+    The cut is parts // 2 rounded down to a multiple of 8 (96 of 200 rows).
+    Some OpenBLAS cores (Haswell, Zen, Prescott) compute the last row of a
+    block whose row count is not a multiple of their unroll differently, so
+    only an aligned cut gives halves with the bytes of the whole product on
+    every core. Fewer than 16 parts (attention's heads, each its own
+    product) cut at parts // 2.
     """
     if parts < 2 or not getattr(_LOCAL, "split", False):
         kernel(*args, ...)
         return
-    cut = parts // 2
+    cut = parts // 2 if parts < 16 else parts // 16 * 8
     with beside(kernel, *args, slice(cut, parts)) as second:
         kernel(*args, slice(0, cut))
         second()

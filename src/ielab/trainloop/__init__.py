@@ -1,4 +1,5 @@
-"""Training protocol: chunking, augmentation, fold training, CV, t-test."""
+"""Training protocol: chunking, augmentation, fold training, CV, t-test,
+and `score_documents`, the one loop that tags and scores a corpus."""
 
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
 from ielab.trainloop.chunking import (
@@ -7,6 +8,7 @@ from ielab.trainloop.chunking import (
     chunk_document,
     predict_tags,
     predict_token_probs,
+    score_documents,
 )
 from ielab.trainloop.stats import paired_t_test
 from ielab.trainloop.training import (
@@ -23,5 +25,5 @@ __all__ = [
     "CVResult", "Chunk", "FoldPlan", "FoldResult", "TrainConfig",
     "aggregate_chunk_predictions", "augment_bboxes", "augment_tokens",
     "chunk_document", "cross_validate", "make_fold_plan", "paired_t_test",
-    "predict_tags", "predict_token_probs", "train_fold",
+    "predict_tags", "predict_token_probs", "score_documents", "train_fold",
 ]

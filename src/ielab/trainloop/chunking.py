@@ -1,8 +1,10 @@
-"""Overlapping-window chunking for long documents and prediction stitching.
+"""Overlapping-window chunking for long documents, prediction stitching and
+corpus scoring.
 
 Windows are max_seq_len long with a fixed overlap (stride = len - overlap);
 after per-chunk prediction every token takes its row from the chunk where it
 sits farthest from a window edge, ties going to the earlier chunk.
+`score_documents` is the one loop that tags a corpus and scores it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from ielab.docstream import ModelInput, _INPUT_FIELDS
 from ielab.errors import ContractError
+from ielab.evalsuite.scoring import ClassReport, entity_scores
 
 
 @dataclass
@@ -87,3 +90,17 @@ def predict_tags(model, inp: ModelInput, cfg, label_names: list[str],
                  rasters=None) -> list[str]:
     probs = predict_token_probs(model, inp, cfg, rasters)
     return [label_names[i] for i in probs.argmax(axis=1)]
+
+
+def score_documents(model, inputs: list[ModelInput], gold: list[list[str]],
+                    cfg, label_names: list[str], rasters=None,
+                    ) -> tuple[list[list[str]], ClassReport]:
+    """Each document's tags and their entity scores against `gold`.
+
+    `rasters` holds one page list per document, or is None for a model
+    that reads no pages.
+    """
+    rasters = rasters or [None] * len(inputs)
+    preds = [predict_tags(model, inp, cfg, label_names, r)
+             for inp, r in zip(inputs, rasters)]
+    return preds, entity_scores(preds, gold)

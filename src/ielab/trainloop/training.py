@@ -26,8 +26,8 @@ Training stops with a ConfigError at the first batch whose loss is not
 finite, naming the fold seed, epoch and batch start.
 
 After every epoch the validation split is scored with entity-level weighted
-F1 (no augmentation, no dropout) and the best epoch's parameters are kept,
-earlier epochs winning ties.
+F1 (score_documents: no augmentation, no dropout) and the best epoch's
+parameters are kept, earlier epochs winning ties.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ielab.jsonconfig import JsonConfig
 from ielab.stylefuse.model import TaggerSpec, TokenTagger, with_resolved_sizes
 from ielab.tensorcore import AdamState, Tape, adam_step, backward, ops, threads
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
-from ielab.trainloop.chunking import chunk_document, predict_tags
+from ielab.trainloop.chunking import chunk_document, score_documents
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,8 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
             epoch_losses.append(loss)
             adam_step(params, grads, state)
         loss_trace.append(float(np.mean(epoch_losses)))
-        preds = [predict_tags(model, enc, cfg, label_names, rast)
-                 for enc, rast in zip(enc_val, val_rasters)]
-        f1 = entity_scores(preds, gold_val).weighted_f1
+        f1 = score_documents(model, enc_val, gold_val, cfg, label_names,
+                             val_rasters)[1].weighted_f1
         trace.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch, best_snapshot = f1, epoch, model.snapshot()
@@ -286,41 +285,34 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
     plan = make_fold_plan([d.id for d in docs], cfg.folds, cfg.val_fraction,
                           cfg.seed)
 
-    def run_fold(f: int) -> dict:
-        fold = plan.folds[f]
-        train = [by_id[i] for i in fold["train"]]
-        val = [by_id[i] for i in fold["val"]]
-        test = [by_id[i] for i in fold["test"]]
+    results, per_fold, details, pooled_preds, pooled_gold = [], [], [], [], []
+    for f, fold in enumerate(plan.folds):
+        train, val, test = ([by_id[i] for i in fold[key]]
+                            for key in ("train", "val", "test"))
         res = train_fold(train, val, spec_template, cfg, bucket_cfg,
                          fold_seed=fold_seed_for(cfg.seed, f),
                          rasters=rasters)
         enc_test = [encode_document(d, res.vocabs, bucket_cfg,
                                     strict_labels=False) for d in test]
-        preds = [predict_tags(res.model, e, cfg, res.vocabs.label_names(),
-                              _doc_rasters(rasters, d))
-                 for e, d in zip(enc_test, test)]
         gold = [[t.label for t in d.tokens] for d in test]
-        return {"result": res, "preds": preds, "gold": gold,
-                "f1": entity_scores(preds, gold).weighted_f1}
-
-    outcomes = [run_fold(f) for f in range(plan.k)]
-
-    per_fold = [o["f1"] for o in outcomes]
-    pooled_preds = [p for o in outcomes for p in o["preds"]]
-    pooled_gold = [g for o in outcomes for g in o["gold"]]
-    details = [{"fold": f,
-                "f1": outcomes[f]["f1"],
-                "best_epoch": outcomes[f]["result"].best_epoch,
-                "best_val_f1": outcomes[f]["result"].best_val_f1,
-                "val_f1_trace": outcomes[f]["result"].val_f1_trace,
-                **{key: plan.folds[f][key] for key in ("train", "val", "test")}}
-               for f in range(plan.k)]
+        preds, report = score_documents(
+            res.model, enc_test, gold, cfg, res.vocabs.label_names(),
+            [_doc_rasters(rasters, d) for d in test])
+        results.append(res)
+        per_fold.append(report.weighted_f1)
+        pooled_preds += preds
+        pooled_gold += gold
+        details.append({"fold": f, "f1": report.weighted_f1,
+                        "best_epoch": res.best_epoch,
+                        "best_val_f1": res.best_val_f1,
+                        "val_f1_trace": res.val_f1_trace,
+                        **{key: fold[key] for key in ("train", "val", "test")}})
     return CVResult(
         per_fold_f1=per_fold,
         mean=float(np.mean(per_fold)),
         std=float(np.std(per_fold)),
         per_class=entity_scores(pooled_preds, pooled_gold),
-        params=count_parameters(outcomes[0]["result"].model.spec).total,
+        params=count_parameters(results[0].model.spec).total,
         fold_details=details,
         plan=plan,
-        fold_results=[o["result"] for o in outcomes])
+        fold_results=results)

@@ -180,7 +180,7 @@ def test_corpus_pages_load_as_uint8_grids(tmp_path):
     assert cli.main(["generate", "--spec", str(spec_path)]) == 0
     spec = cli.load_spec(spec_path)
     docs = cli._load_corpus(spec)
-    rasters = cli._load_rasters(spec, docs)
+    rasters = cli._load_rasters(spec, spec.model, docs)
     pages = [p for d in docs for p in rasters[d.id]]
     assert len(pages) == sum(len(d.pages) for d in docs)
     assert all(p.dtype == np.uint8 and p.shape == (1, 32, 32)
@@ -264,6 +264,23 @@ def test_eval_encodes_with_the_checkpoint_not_the_spec(tmp_path):
     (out / "predictions.jsonl").unlink()
     assert cli.main(["eval", "--spec", str(edited), "--checkpoint", ckpt]) == 0
     assert (out / "predictions.jsonl").read_bytes() == want
+
+
+def test_eval_reads_pages_at_the_checkpoint_raster_size(tmp_path, capsys):
+    """A checkpoint trained on 32-pixel pages reads 32-pixel pages whatever
+    the spec's raster_size; 16-pixel pages exit 3."""
+    spec = write_spec(tmp_path, **_SMALL_IMAGE)
+    assert cli.main(["generate", "--spec", str(spec)]) == 0
+    assert cli.main(["train", "--spec", str(spec)]) == 0
+    ckpt = str(tmp_path / "out" / "fold0.ckpt")
+    edited = write_spec(tmp_path, **{**_SMALL_IMAGE, "model": {
+        **_SMALL_IMAGE["model"], "image": {"raster_size": 16,
+                                           "backbone_channels": [4]}}})
+    assert cli.main(["eval", "--spec", str(edited), "--checkpoint", ckpt]) == 0
+    assert cli.main(["generate", "--spec", str(edited)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(edited), "--checkpoint", ckpt]) == 3
+    assert "image.raster_size is 32" in capsys.readouterr().err
 
 
 def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
@@ -477,6 +494,7 @@ def test_ablate_baseline_checkpoint_exits_5(tmp_path):
     rc = cli.main(["ablate", "--spec", str(spec),
                    "--checkpoint", str(tmp_path / "out" / "fold0.ckpt")])
     assert rc == 5
+    assert not (tmp_path / "out" / "ablation.json").exists()
 
 
 def test_ablate_all_features(tmp_path):

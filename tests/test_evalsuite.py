@@ -15,7 +15,7 @@ from ielab.evalsuite import EntitySpan
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, TaggerSpec, TokenTagger
 from ielab.stylefuse.model import parameter_shapes, with_resolved_sizes
-from ielab.trainloop import TrainConfig, cross_validate
+from ielab.trainloop import TrainConfig, chunking, cross_validate
 
 
 def test_decode_basic_span():
@@ -237,12 +237,12 @@ def test_permutation_importance_zero_for_constant_table():
     model, enc_docs, gold, vocabs = trained_style_model()
     bold = model.fusion_params["style.bold"]
     bold.data[:] = bold.data[0]  # identical rows: permuting ids changes nothing
-    res = ev.permutation_importance(model, enc_docs, gold,
-                                    vocabs.label_names(), "bold",
-                                    TrainConfig(), repeats=3,
-                                    rng=np.random.default_rng(0))
-    assert res.delta_mean == 0.0
-    assert res.permuted_f1 == [res.intact_f1] * 3
+    [res] = ev.permutation_importance(model, enc_docs, gold,
+                                      vocabs.label_names(), ["bold"],
+                                      TrainConfig(), 3,
+                                      np.random.default_rng(0))
+    assert res["feature"] == "bold" and res["delta_mean"] == 0.0
+    assert res["permuted_f1"] == [res["intact_f1"]] * 3
 
 
 def test_permutation_importance_rejects_baseline():
@@ -250,7 +250,31 @@ def test_permutation_importance_rejects_baseline():
         fusion=FusionMode.BASELINE)
     with pytest.raises(ContractError):
         ev.permutation_importance(model, enc_docs, gold, vocabs.label_names(),
-                                  "bold", TrainConfig())
+                                  ["bold"], TrainConfig(), 1,
+                                  np.random.default_rng(0))
+
+
+def test_permutation_importance_scores_the_intact_corpus_once(monkeypatch):
+    """F features and R repeats tag the corpus 1 + F * R times."""
+    model, enc_docs, gold, vocabs = trained_style_model()
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    real = chunking.predict_tags
+    monkeypatch.setattr(chunking, "predict_tags", counting)
+    features, repeats = ["bold", "font", "color"], 2
+    results = ev.permutation_importance(model, enc_docs, gold,
+                                        vocabs.label_names(), features,
+                                        TrainConfig(), repeats,
+                                        np.random.default_rng(0))
+    assert [r["feature"] for r in results] == features
+    assert len({r["intact_f1"] for r in results}) == 1
+    assert all(len(r["permuted_f1"]) == repeats for r in results)
+    assert len(calls) == len(enc_docs) * (1 + len(features) * repeats)
+    assert all(a is b for a, b in zip(calls, enc_docs))  # intact corpus first
 
 
 def test_feature_subset_head_width():

@@ -150,6 +150,46 @@ def test_split_inference_has_the_bytes_of_a_whole_one_thread_forward(
     assert two_cpus.calls == 4 * (8 + (mode is FusionMode.IMAGE))
 
 
+def _core_name() -> str:
+    """The CPU core whose kernels numpy's OpenBLAS runs, or ''."""
+    import ctypes
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                      None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return ""
+
+
+# the bit-identity cases of this module that an unaligned row cut fails on
+# cores other than SkylakeX
+_BIT_IDENTITY = ("split_inference_has_the_bytes or image_rows_run_on_the_worker"
+                 " or busy_worker_leaves_the_image_rows or each_split_op")
+
+
+def test_split_bytes_hold_on_the_haswell_core():
+    """The bit-identity cases, rerun in a child process whose OpenBLAS runs
+    its AVX2 (Haswell) kernels instead of the ones it picks for this CPU."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    core = subprocess.run(
+        [sys.executable, "-c", "import test_threads as t; print(t._core_name())"],
+        capture_output=True, text=True, check=True, env=env).stdout.strip()
+    if core != "Haswell":
+        pytest.skip(f"OpenBLAS does not run Haswell kernels here ({core!r})")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(Path(__file__)), "-k", _BIT_IDENTITY],
+        capture_output=True, text=True, env=env, cwd=tests.parent)
+    assert child.returncode == 0, child.stdout[-3000:]
+    assert " passed" in child.stdout and "skipped" not in child.stdout
+
+
 class _Record(list):
     """Names of the threads that ran each image-rows task, appended as each
     ends; `started` is set as one begins."""
@@ -409,7 +449,8 @@ def test_a_failing_half_fails_the_op_after_both_halves_end(two_cpus):
     with threads.one_blas_thread(True), threads.split_rows():
         with pytest.raises(RuntimeError, match="second half failed"):
             threads.run_halves(kernel, 200, out)
-    assert done == [slice(0, 100)] and out[:100].all() and not out[100:].any()
+    # the cut is 200 // 2 rounded down to a multiple of 8
+    assert done == [slice(0, 96)] and out[:96].all() and not out[96:].any()
 
 
 def test_a_busy_worker_leaves_both_halves_to_the_caller(two_cpus):
@@ -429,7 +470,7 @@ def test_a_busy_worker_leaves_both_halves_to_the_caller(two_cpus):
         release.set()
     busy.result(timeout=60)
     me = threading.current_thread().name
-    assert ran_on == [(me, slice(0, 100)), (me, slice(100, 200))]
+    assert ran_on == [(me, slice(0, 96)), (me, slice(96, 200))]
     assert out.all()
 
 
