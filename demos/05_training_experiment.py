@@ -13,10 +13,14 @@ import numpy as np
 
 from ielab import synthdocs
 from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
-from ielab.evalsuite import permutation_importance
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, TaggerSpec
-from ielab.trainloop import TrainConfig, cross_validate, paired_t_test
+from ielab.trainloop import (
+    TrainConfig,
+    cross_validate,
+    paired_t_test,
+    permutation_importance,
+)
 
 corpus = synthdocs.generate_corpus(synthdocs.GeneratorConfig(
     template="TRADECONF", n_docs=60, tokens_per_doc=(18, 30), seed=11))
@@ -42,7 +46,7 @@ print(f"\npaired t-test over folds: t = {t:.3f}, two-sided p = {p:.4f}")
 # Permutation importance: shuffle one bucketed feature corpus-wide and watch
 # the F1 drop. Bold marks entity starts in this template, color is noise.
 fold = results[FusionMode.STYLE_CONCAT].fold_results[0]
-test_ids = set(results[FusionMode.STYLE_CONCAT].plan.folds[0]["test"])
+test_ids = set(results[FusionMode.STYLE_CONCAT].folds[0]["test"])
 test_docs = [d for d in corpus if d.id in test_ids]
 enc_docs = [encode_document(d, fold.vocabs, bucket, strict_labels=False)
             for d in test_docs]

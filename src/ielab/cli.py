@@ -38,14 +38,18 @@ from ielab.evalsuite import (
     TABLE1_PARAMS_M,
     count_parameters,
     format_breakdowns,
-    permutation_importance,
     table1_consistency,
 )
 from ielab.jsonconfig import decode
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
 from ielab.tensorcore import NumericError
-from ielab.trainloop import TrainConfig, cross_validate, score_documents
+from ielab.trainloop import (
+    TrainConfig,
+    cross_validate,
+    permutation_importance,
+    score_documents,
+)
 from ielab.docstream import Vocabularies, STYLE_FEATURES
 
 EXIT_OK = 0

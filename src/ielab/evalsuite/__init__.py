@@ -1,7 +1,8 @@
-"""Entity decoding, scoring, parameter accounting, and permutation importance.
+"""Entity decoding, scoring and parameter accounting.
 
 The loop that tags a corpus and scores it is trainloop.score_documents,
-which validation, CV test scoring, `ielab eval` and the ablation share.
+which validation, CV test scoring, `ielab eval` and the ablation
+(trainloop.permutation_importance) share.
 """
 
 from ielab.evalsuite.iob import EntitySpan, decode_iob
@@ -13,11 +14,9 @@ from ielab.evalsuite.accounting import (
     format_breakdowns,
     table1_consistency,
 )
-from ielab.evalsuite.importance import permutation_importance, permute_feature
 
 __all__ = [
     "ClassReport", "ClassScores", "EntitySpan",
     "ParamBreakdown", "TABLE1_PARAMS_M", "count_parameters", "decode_iob",
-    "entity_scores", "format_breakdowns", "permutation_importance",
-    "permute_feature", "table1_consistency",
+    "entity_scores", "format_breakdowns", "table1_consistency",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from ielab.docstream import COORD_VOCAB, ModelInput
 from ielab.errors import ConfigError, ContractError
 from ielab.jsonconfig import JsonConfig
-from ielab.tensorcore import engine, ops, threads
+from ielab.tensorcore import engine, ops
 from ielab.tensorcore.engine import Tensor
 
 COORD_TABLES = ("x1", "y1", "x2", "y2", "w", "h")
@@ -126,7 +126,6 @@ def embed_tokens(inp: ModelInput, params: dict[str, Tensor],
     return ops.embedding_sum(tables, [inp.word_ids, positions, *inp.coord_ids])
 
 
-@threads.split_rows()
 def encoder_forward(hidden_in: Tensor, params: dict[str, Tensor],
                     cfg: EncoderConfig, lengths: list[int]) -> Tensor:
     """Post-norm transformer stack over the summed embeddings.
@@ -135,8 +134,8 @@ def encoder_forward(hidden_in: Tensor, params: dict[str, Tensor],
     lists, packed back to back. Every row is a real token. Each layer runs
     one attention node over the chunk spans, where each query sees every key
     of its own chunk and none of any other; every other op runs once over
-    all rows. In an inference call the ops may run as two halves on two
-    threads (see tensorcore.threads).
+    all rows. The ops of a pinned inference call may run as two halves on
+    two threads, as that call's other ops do (see tensorcore.threads).
     """
     bounds = np.cumsum([0, *lengths]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))

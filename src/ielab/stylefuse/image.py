@@ -12,8 +12,8 @@ encoder output. RoIAlign is linear in the maps, so one sparse
 interpolation matrix (a row per token bin, holding its corner weights on its
 own page) pools every token of a forward at once.
 
-The image rows do not depend on the encoder, so they may run beside it (see
-tensorcore.threads).
+The image rows do not depend on the encoder, so an inference call may run
+them beside it (see tensorcore.threads).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ielab.docstream import ModelInput
 from ielab.errors import ConfigError, ContractError
 from ielab.jsonconfig import JsonConfig
 from ielab.tensorcore import ops
@@ -168,21 +169,37 @@ def _roi_align_batch_bw(g, need, S, shape):
                  .reshape(shape) if n else None for p, n in enumerate(need))
 
 
-def image_rows(boxes: np.ndarray, page_ids: np.ndarray, rasters: list,
-               params: dict, config: ImagePathConfig) -> Tensor:
+def image_rows(inputs: list[ModelInput], rasters, params: dict,
+               config: ImagePathConfig) -> Tensor:
     """v_i = proj(RoIAlign(feature_map(page_i), box_i)), one row per token.
 
-    `rasters` holds one (C, H, W) uint8 grid per page; each page that a token
-    names runs through the backbone once. Backbone, projection, and the
-    upstream encoder all train jointly through this path.
+    `inputs` and `rasters` take the forward's calling form: chunk inputs,
+    whose rows come out back to back, and one page list per input, each
+    page a (C, H, W) uint8 grid. Each distinct page list (by identity) is
+    numbered once, each token's page is checked once, and each page that
+    some token reads runs through the backbone once per call, however many
+    chunks show it. Backbone, projection, and the upstream encoder all
+    train jointly through this path.
     """
-    needed, page_of_token = np.unique(np.asarray(page_ids), return_inverse=True)
-    if len(needed) and needed.max() >= len(rasters):
-        raise ConfigError(
-            f"token references page {int(needed.max())} but only "
-            f"{len(rasters)} rasters were provided")
-    fmaps = [backbone_forward(rasters[int(p)], params, config)
-             for p in needed]
-    rows = roi_align_batch(fmaps, boxes, config.roi_bins, page_of_token)
+    if rasters is None or any(r is None for r in rasters):
+        raise ConfigError("IMAGE fusion needs page rasters")
+    first: dict[int, int] = {}
+    pages: list = []
+    page_ids = []
+    for inp, r in zip(inputs, rasters):
+        if inp.page_ids.max() >= len(r):
+            raise ConfigError(
+                f"token references page {int(inp.page_ids.max())} but only "
+                f"{len(r)} rasters were provided")
+        if id(r) not in first:
+            first[id(r)] = len(pages)
+            pages.extend(r)
+        page_ids.append(inp.page_ids + first[id(r)])
+    needed, page_of_token = np.unique(np.concatenate(page_ids),
+                                      return_inverse=True)
+    fmaps = [backbone_forward(pages[p], params, config) for p in needed]
+    boxes = np.concatenate([inp.coord_ids[:4] for inp in inputs], axis=1)
+    rows = roi_align_batch(fmaps, boxes.T.astype(np.float64),
+                           config.roi_bins, page_of_token)
     return ops.linear(rows, params["image.proj.weight"],
                       params["image.proj.bias"])

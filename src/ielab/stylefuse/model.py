@@ -94,12 +94,10 @@ class TokenTagger:
         `inputs` is a list of chunk inputs and, for IMAGE, `rasters` holds
         one page list per input. The list runs as one packed sequence (see
         layoutcore): the output holds every input's rows back to back, equal
-        to per-input forwards. For IMAGE, each distinct page list is
-        numbered once, so a page's feature map is computed once per call
-        however many chunks show it.
+        to per-input forwards.
 
-        IMAGE embeds the tokens and numbers the pages first, then computes
-        the image rows (`image_rows`: backbones, RoIAlign, projection)
+        IMAGE embeds the tokens first, then computes the image rows
+        (`image_rows`: page numbering, backbones, RoIAlign, projection)
         `beside` the encoder (see tensorcore.threads) and adds them to the
         encoder output last.
         """
@@ -108,9 +106,7 @@ class TokenTagger:
         spec, enc, fus = self.spec, self.encoder_params, self.fusion_params
         e = layoutcore.embed_tokens(inp, enc, spec.encoder, lengths)
         if spec.fusion is FusionMode.IMAGE:
-            page_ids, pages = _number_pages(inputs, rasters)
-            boxes = inp.coord_ids[:4].T.astype(np.float64)
-            with threads.beside(image_rows, boxes, page_ids, pages, fus,
+            with threads.beside(image_rows, inputs, rasters, fus,
                                 spec.image) as v:
                 L = layoutcore.encoder_forward(e, enc, spec.encoder, lengths)
                 return ops.add(L, v())
@@ -247,29 +243,6 @@ def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict) -> None:
             raise CheckpointMismatchError(
                 f"parameter {name!r}: shape {arr.shape} does not match the "
                 f"model's {shapes[name]}")
-
-
-def _number_pages(inputs: list[ModelInput], rasters):
-    """Page ids of the packed inputs and the page list they index.
-
-    Each distinct page list (by identity) is appended once, and its inputs'
-    page ids are offset by the number of pages listed before it.
-    """
-    if rasters is None or any(r is None for r in rasters):
-        raise ConfigError("IMAGE fusion needs page rasters")
-    first: dict[int, int] = {}
-    pages: list = []
-    page_ids = []
-    for inp, r in zip(inputs, rasters):
-        if inp.page_ids.max() >= len(r):
-            raise ConfigError(
-                f"token references page {int(inp.page_ids.max())} but only "
-                f"{len(r)} rasters were provided")
-        if id(r) not in first:
-            first[id(r)] = len(pages)
-            pages.extend(r)
-        page_ids.append(inp.page_ids + first[id(r)])
-    return np.concatenate(page_ids), pages
 
 
 def with_resolved_sizes(spec: TaggerSpec, word_vocab: int, label_count: int,

@@ -18,16 +18,18 @@ work computed whole on one thread, so the bits depend neither on how work is
 spread over the two threads nor on the process's BLAS thread count, which
 changes the low bits of large products.
 
-Hand-off. Inside a pin, with two usable CPUs, on a thread other than the
-worker and with no tape recording, `beside(fn, *args)` starts fn on the
-worker while the calling thread goes on; the caller takes fn back and runs
-it itself if the worker has not begun it (its CPU is busy). `beside` is the
-only way work reaches the worker, and three kinds of work use it:
+Hand-off. One rule decides where work may go: inside a pin, with two usable
+CPUs, on a thread other than the worker and with no tape recording. There,
+`beside(fn, *args)` starts fn on the worker while the calling thread goes
+on; the caller takes fn back and runs it itself if the worker has not begun
+it (its CPU is busy). `beside` is the only way work reaches the worker, and
+three kinds of work use it:
 - a training step of two shards runs shard 1 beside shard 0; each shard
   records its own tape, so its ops run whole on its own thread;
-- in an inference call the encoder (`split_rows`) runs each of its linear,
-  gelu and attention ops (`run_halves`: by rows, attention by heads) as two
-  halves, the second beside the first;
+- every linear, gelu and attention op of a pinned inference call runs as
+  two halves (`run_halves`: by rows, attention by heads), the second beside
+  the first: the encoder's, the classifier head's and the image rows' when
+  the calling thread runs them (on the worker they run whole);
 - in an inference call IMAGE runs its image rows (page backbones, RoIAlign,
   projection) as one task beside the encoder. The op halves that the encoder
   hands over meanwhile wait behind it, so the calling thread takes them back
@@ -67,7 +69,7 @@ _OPENBLAS_SYMBOLS = (
 )
 
 # per thread: is_worker, two_cpus (inside `one_blas_thread` with a second
-# CPU at hand), split (inside `split_rows` as well, with no active tape)
+# CPU at hand)
 _LOCAL = threading.local()
 
 
@@ -141,17 +143,6 @@ def _may_split() -> bool:
     return getattr(_LOCAL, "two_cpus", False) and active_tape() is None
 
 
-@contextlib.contextmanager
-def split_rows():
-    """Where `beside` may hand work over, let `run_halves` split."""
-    outer = getattr(_LOCAL, "split", False)
-    _LOCAL.split = _may_split()
-    try:
-        yield
-    finally:
-        _LOCAL.split = outer
-
-
 class beside:
     """`with beside(fn, *args) as result:` gives a zero-argument function
     that returns fn(*args).
@@ -162,8 +153,8 @@ class beside:
     else fn runs only when `result` is called, on this thread. The block
     does not end before a run of fn that the worker has begun ends, also
     when the block raises, so the worker is idle again and fn ran with
-    OpenBLAS pinned. A class, not a generator: split encoder ops enter one
-    each, and this form adds the least to their hand-off.
+    OpenBLAS pinned. A class, not a generator: split ops enter one each,
+    and this form adds the least to their hand-off.
     """
 
     def __init__(self, fn, *args):
@@ -188,10 +179,11 @@ class beside:
 def run_halves(kernel, parts: int, *args) -> None:
     """kernel(*args, part) over everything, with `part` the Ellipsis.
 
-    Inside `split_rows`, for at least two `parts` (leading entries of the
-    kernel's arrays), this thread runs kernel(*args, slice(0, cut)) with
-    kernel(*args, slice(cut, parts)) `beside` it. The kernel writes into
-    preallocated arrays, each half into its own entries.
+    Where `beside` may hand work over, for at least two `parts` (leading
+    entries of the kernel's arrays), this thread runs
+    kernel(*args, slice(0, cut)) with kernel(*args, slice(cut, parts))
+    `beside` it. The kernel writes into preallocated arrays, each half into
+    its own entries.
 
     The cut is parts // 2 rounded down to a multiple of 8 (96 of 200 rows).
     Some OpenBLAS cores (Haswell, Zen, Prescott) compute the last row of a
@@ -200,7 +192,7 @@ def run_halves(kernel, parts: int, *args) -> None:
     every core. Fewer than 16 parts (attention's heads, each its own
     product) cut at parts // 2.
     """
-    if parts < 2 or not getattr(_LOCAL, "split", False):
+    if parts < 2 or not _may_split():
         kernel(*args, ...)
         return
     cut = parts // 2 if parts < 16 else parts // 16 * 8

@@ -1,11 +1,14 @@
 """Training protocol: chunking, augmentation, fold training, CV, t-test,
-and `score_documents`, the one loop that tags and scores a corpus."""
+`score_documents`, the one loop that tags and scores a corpus, and the
+permutation importance built on it."""
 
 from ielab.trainloop.augment import augment_bboxes, augment_tokens
 from ielab.trainloop.chunking import (
     Chunk,
     aggregate_chunk_predictions,
     chunk_document,
+    permutation_importance,
+    permute_feature,
     predict_tags,
     predict_token_probs,
     score_documents,
@@ -13,7 +16,6 @@ from ielab.trainloop.chunking import (
 from ielab.trainloop.stats import paired_t_test
 from ielab.trainloop.training import (
     CVResult,
-    FoldPlan,
     FoldResult,
     TrainConfig,
     cross_validate,
@@ -22,8 +24,9 @@ from ielab.trainloop.training import (
 )
 
 __all__ = [
-    "CVResult", "Chunk", "FoldPlan", "FoldResult", "TrainConfig",
+    "CVResult", "Chunk", "FoldResult", "TrainConfig",
     "aggregate_chunk_predictions", "augment_bboxes", "augment_tokens",
     "chunk_document", "cross_validate", "make_fold_plan", "paired_t_test",
-    "predict_tags", "predict_token_probs", "score_documents", "train_fold",
+    "permutation_importance", "permute_feature", "predict_tags",
+    "predict_token_probs", "score_documents", "train_fold",
 ]

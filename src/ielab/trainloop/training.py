@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,29 +91,22 @@ class TrainConfig(JsonConfig):
                               f"0 < lo <= hi, got {[lo, hi]}")
 
 
-@dataclass
-class FoldPlan:
-    k: int
-    seed: int
-    folds: list[dict] = field(default_factory=list)  # train/val/test id lists
-
-
 def make_fold_plan(doc_ids: list[str], k: int, val_fraction: float,
-                   seed: int) -> FoldPlan:
+                   seed: int) -> list[dict]:
+    """One dict of train/val/test id lists per fold."""
     if len(doc_ids) < k:
         raise ConfigError(f"{len(doc_ids)} documents cannot fill {k} folds")
     shuffled = list(np.random.default_rng([seed, 1]).permutation(doc_ids))
     test_folds = [list(part) for part in np.array_split(shuffled, k)]
-    plan = FoldPlan(k=k, seed=seed)
+    folds = []
     for f in range(k):
         test = test_folds[f]
         pool = [i for i in shuffled if i not in set(test)]
         n_val = max(1, int(round(val_fraction * len(pool))))
         pool_perm = list(np.random.default_rng([seed, 2, f]).permutation(pool))
-        plan.folds.append({"val": pool_perm[:n_val],
-                           "train": pool_perm[n_val:],
-                           "test": test})
-    return plan
+        folds.append({"val": pool_perm[:n_val], "train": pool_perm[n_val:],
+                      "test": test})
+    return folds
 
 
 @dataclass
@@ -266,7 +259,7 @@ class CVResult:
     per_class: ClassReport
     params: int
     fold_details: list[dict]
-    plan: FoldPlan
+    folds: list[dict]               # make_fold_plan's train/val/test ids
     fold_results: list[FoldResult]
 
     def to_metrics_json(self) -> dict:
@@ -282,11 +275,11 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
     """k-fold cross-validation with k = `cfg.folds`; make_fold_plan
     refuses a corpus too small to fill the folds."""
     by_id = {d.id: d for d in docs}
-    plan = make_fold_plan([d.id for d in docs], cfg.folds, cfg.val_fraction,
-                          cfg.seed)
+    folds = make_fold_plan([d.id for d in docs], cfg.folds, cfg.val_fraction,
+                           cfg.seed)
 
     results, per_fold, details, pooled_preds, pooled_gold = [], [], [], [], []
-    for f, fold in enumerate(plan.folds):
+    for f, fold in enumerate(folds):
         train, val, test = ([by_id[i] for i in fold[key]]
                             for key in ("train", "val", "test"))
         res = train_fold(train, val, spec_template, cfg, bucket_cfg,
@@ -314,5 +307,5 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         per_class=entity_scores(pooled_preds, pooled_gold),
         params=count_parameters(results[0].model.spec).total,
         fold_details=details,
-        plan=plan,
+        folds=folds,
         fold_results=results)

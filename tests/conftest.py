@@ -1,16 +1,24 @@
 """Shared test oracles: finite-difference gradients and t-distribution tails,
 plus the two tape ops that only tests use, to reduce outputs to a scalar loss,
-and the null-style generator config the corpus tests draw from.
+the null-style generator config the corpus tests draw from, the name of the
+OpenBLAS core whose kernels numpy runs, and a pytest run under another core.
 
 These stay independent of the library code paths they check: gradcheck only
 re-runs the caller's forward function, and the t tail integrates the density
 formula directly.
 """
 
+import ctypes
+import glob
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from ielab import tensorcore as tc
@@ -122,3 +130,38 @@ def uninformative(cfg: GeneratorConfig) -> GeneratorConfig:
                    p_table_amount=cfg.noise_rate,
                    p_largefont_name=cfg.noise_rate,
                    p_color_total=cfg.noise_rate)
+
+
+def openblas_core() -> str:
+    """The CPU core whose kernels numpy's OpenBLAS runs, as
+    `scipy_openblas_get_corename64_` reports it, or '' without that symbol.
+    OPENBLAS_CORETYPE, read when OpenBLAS loads, can force another core."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                      None)
+        if get is not None:
+            get.argtypes, get.restype = (), ctypes.c_char_p
+            return get().decode()
+    return ""
+
+
+def run_on_core(core: str, path, select: str) -> subprocess.CompletedProcess:
+    """`pytest -k select` on the test file `path`, run in a child process
+    whose OpenBLAS runs `core`'s kernels (forced with OPENBLAS_CORETYPE)
+    instead of the ones it picks for this CPU; skips the calling test when
+    OpenBLAS does not run them here."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    ran = subprocess.run(
+        [sys.executable, "-c",
+         "from conftest import openblas_core; print(openblas_core())"],
+        capture_output=True, text=True, check=True, env=env).stdout.strip()
+    if ran != core:
+        pytest.skip(f"OpenBLAS does not run {core} kernels here ({ran!r})")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(path), "-k", select],
+        capture_output=True, text=True, env=env, cwd=tests.parent)

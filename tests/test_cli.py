@@ -215,6 +215,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", [
+    "ielab.tensorcore", "ielab.layoutcore", "ielab.stylefuse",
+    "ielab.evalsuite", "ielab.trainloop", "ielab.cli"])
+def test_each_package_imports_first_in_a_fresh_interpreter(module):
+    """No import cycle: whichever of these a process imports first, the
+    import succeeds."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", f"import {module}"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+
+
 def test_eval_reproduces_stored_val_f1(tmp_path):
     spec = write_spec(tmp_path)
     cli.main(["generate", "--spec", str(spec)])

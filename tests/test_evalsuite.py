@@ -15,7 +15,13 @@ from ielab.evalsuite import EntitySpan
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, TaggerSpec, TokenTagger
 from ielab.stylefuse.model import parameter_shapes, with_resolved_sizes
-from ielab.trainloop import TrainConfig, chunking, cross_validate
+from ielab.trainloop import (
+    TrainConfig,
+    chunking,
+    cross_validate,
+    permutation_importance,
+    permute_feature,
+)
 
 
 def test_decode_basic_span():
@@ -212,7 +218,7 @@ def trained_style_model(n_docs=10, fusion=FusionMode.STYLE_CONCAT):
 def test_permute_feature_preserves_multiset():
     _, enc_docs, _, _ = trained_style_model()
     rng = np.random.default_rng(1)
-    shuffled = ev.permute_feature(enc_docs, "bold", rng)
+    shuffled = permute_feature(enc_docs, "bold", rng)
     before = np.concatenate([d.style_ids[0] for d in enc_docs])
     after = np.concatenate([d.style_ids[0] for d in shuffled])
     assert sorted(before) == sorted(after)
@@ -225,22 +231,21 @@ def test_permute_feature_preserves_multiset():
 
 def test_permute_feature_deterministic_and_validates():
     _, enc_docs, _, _ = trained_style_model()
-    a = ev.permute_feature(enc_docs, "color", np.random.default_rng(5))
-    b = ev.permute_feature(enc_docs, "color", np.random.default_rng(5))
+    a = permute_feature(enc_docs, "color", np.random.default_rng(5))
+    b = permute_feature(enc_docs, "color", np.random.default_rng(5))
     for da, db in zip(a, b):
         assert np.array_equal(da.style_ids, db.style_ids)
     with pytest.raises(ConfigError):
-        ev.permute_feature(enc_docs, "weight", np.random.default_rng(0))
+        permute_feature(enc_docs, "weight", np.random.default_rng(0))
 
 
 def test_permutation_importance_zero_for_constant_table():
     model, enc_docs, gold, vocabs = trained_style_model()
     bold = model.fusion_params["style.bold"]
     bold.data[:] = bold.data[0]  # identical rows: permuting ids changes nothing
-    [res] = ev.permutation_importance(model, enc_docs, gold,
-                                      vocabs.label_names(), ["bold"],
-                                      TrainConfig(), 3,
-                                      np.random.default_rng(0))
+    [res] = permutation_importance(model, enc_docs, gold,
+                                   vocabs.label_names(), ["bold"],
+                                   TrainConfig(), 3, np.random.default_rng(0))
     assert res["feature"] == "bold" and res["delta_mean"] == 0.0
     assert res["permuted_f1"] == [res["intact_f1"]] * 3
 
@@ -249,9 +254,9 @@ def test_permutation_importance_rejects_baseline():
     model, enc_docs, gold, vocabs = trained_style_model(
         fusion=FusionMode.BASELINE)
     with pytest.raises(ContractError):
-        ev.permutation_importance(model, enc_docs, gold, vocabs.label_names(),
-                                  ["bold"], TrainConfig(), 1,
-                                  np.random.default_rng(0))
+        permutation_importance(model, enc_docs, gold, vocabs.label_names(),
+                               ["bold"], TrainConfig(), 1,
+                               np.random.default_rng(0))
 
 
 def test_permutation_importance_scores_the_intact_corpus_once(monkeypatch):
@@ -266,10 +271,10 @@ def test_permutation_importance_scores_the_intact_corpus_once(monkeypatch):
     real = chunking.predict_tags
     monkeypatch.setattr(chunking, "predict_tags", counting)
     features, repeats = ["bold", "font", "color"], 2
-    results = ev.permutation_importance(model, enc_docs, gold,
-                                        vocabs.label_names(), features,
-                                        TrainConfig(), repeats,
-                                        np.random.default_rng(0))
+    results = permutation_importance(model, enc_docs, gold,
+                                     vocabs.label_names(), features,
+                                     TrainConfig(), repeats,
+                                     np.random.default_rng(0))
     assert [r["feature"] for r in results] == features
     assert len({r["intact_f1"] for r in results}) == 1
     assert all(len(r["permuted_f1"]) == repeats for r in results)

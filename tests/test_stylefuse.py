@@ -352,10 +352,9 @@ def test_image_fuse_zero_path_is_identity():
             t.data[:] = 0.0
     inp = tiny_input(T=4, seed=1)
     L = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-    boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(3).integers(0, 256, (1, 16, 16), np.uint8)]
-    out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
-                               model.fusion_params, spec.image))
+    out = add(L, sf.image_rows([inp], [rasters], model.fusion_params,
+                               spec.image))
     assert np.array_equal(out.data, L.data)
 
 
@@ -363,14 +362,11 @@ def test_image_fuse_linear_in_projection():
     spec = small_spec(sf.FusionMode.IMAGE)
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=4, seed=4)
-    boxes = inp.coord_ids[:4].T
     rasters = [np.random.default_rng(5).integers(0, 256, (1, 16, 16), np.uint8)]
-    v1 = sf.image_rows(boxes, inp.page_ids, rasters, model.fusion_params,
-                       spec.image).data
+    v1 = sf.image_rows([inp], [rasters], model.fusion_params, spec.image).data
     model.fusion_params["image.proj.weight"].data *= 2.0
     model.fusion_params["image.proj.bias"].data *= 2.0
-    v2 = sf.image_rows(boxes, inp.page_ids, rasters, model.fusion_params,
-                       spec.image).data
+    v2 = sf.image_rows([inp], [rasters], model.fusion_params, spec.image).data
     assert np.allclose(v2, 2.0 * v1, atol=1e-12)
 
 
@@ -438,11 +434,10 @@ def test_uint8_pages_give_the_bits_of_float_ink_maps(monkeypatch):
     rng = np.random.default_rng(6)
     for t in model.parameters().values():     # O(1) weights: low bits show
         t.data += rng.normal(0.0, 0.2, size=t.data.shape)
-    boxes = inp.coord_ids[:4].T.astype(np.float64)
 
     def outputs(rasters):
-        return (sf.image_rows(boxes, inp.page_ids, rasters,
-                              model.fusion_params, spec.image).data.tobytes(),
+        return (sf.image_rows([inp], [rasters], model.fusion_params,
+                              spec.image).data.tobytes(),
                 model.predict_probs([inp], [rasters]).tobytes())
 
     want = outputs(pages)
@@ -458,8 +453,8 @@ def test_image_fuse_composition_oracle():
     L = Tensor(rng.normal(size=(5, 8)))
     boxes = inp.coord_ids[:4].T.astype(float)
     rasters = [rng.integers(0, 256, (1, 16, 16), np.uint8)]
-    out = add(L, sf.image_rows(boxes, inp.page_ids, rasters,
-                               model.fusion_params, spec.image)).data
+    out = add(L, sf.image_rows([inp], [rasters], model.fusion_params,
+                               spec.image)).data
     fmap = sf.backbone_forward(rasters[0], model.fusion_params,
                                spec.image).data
     W = model.fusion_params["image.proj.weight"].data
@@ -476,10 +471,9 @@ def test_image_fuse_missing_page_raster():
     model = sf.TokenTagger.build(spec)
     inp = tiny_input(T=3, seed=8)
     inp.page_ids[:] = 2
-    boxes = inp.coord_ids[:4].T
     with pytest.raises(ConfigError, match="page 2"):
-        sf.image_rows(boxes, inp.page_ids, [np.zeros((1, 16, 16))],
-                      model.fusion_params, spec.image)
+        sf.image_rows([inp], [[np.zeros((1, 16, 16))]], model.fusion_params,
+                      spec.image)
 
 
 def test_baseline_ignores_styles_and_rasters():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_on_core
 
 from ielab import layoutcore, pgm, synthdocs
 from ielab.docstream import BucketingConfig, build_vocabularies, encode_document
@@ -145,47 +146,23 @@ def test_split_inference_has_the_bytes_of_a_whole_one_thread_forward(
         two_cpus, mode):
     want = _unsplit_one_thread_probs(mode)
     assert [p.tobytes() for p in _probs(mode)] == want
-    # per document, per layer: 6 linears, attention and gelu; IMAGE also
-    # hands over its image rows
-    assert two_cpus.calls == 4 * (8 + (mode is FusionMode.IMAGE))
-
-
-def _core_name() -> str:
-    """The CPU core whose kernels numpy's OpenBLAS runs, or ''."""
-    import ctypes
-    import glob
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    for path in libs:
-        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
-                      None)
-        if get is not None:
-            get.restype = ctypes.c_char_p
-            return get().decode()
-    return ""
+    # per document: the layer's 6 linears, attention and gelu, and the head
+    # linear; IMAGE also hands over its image rows, whose ops run whole on
+    # the worker
+    assert two_cpus.calls == 4 * (9 + (mode is FusionMode.IMAGE))
 
 
 # the bit-identity cases of this module that an unaligned row cut fails on
 # cores other than SkylakeX
 _BIT_IDENTITY = ("split_inference_has_the_bytes or image_rows_run_on_the_worker"
-                 " or busy_worker_leaves_the_image_rows or each_split_op")
+                 " or busy_worker_leaves_the_image_rows or each_split_op"
+                 " or head_linear")
 
 
 def test_split_bytes_hold_on_the_haswell_core():
     """The bit-identity cases, rerun in a child process whose OpenBLAS runs
     its AVX2 (Haswell) kernels instead of the ones it picks for this CPU."""
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
-    core = subprocess.run(
-        [sys.executable, "-c", "import test_threads as t; print(t._core_name())"],
-        capture_output=True, text=True, check=True, env=env).stdout.strip()
-    if core != "Haswell":
-        pytest.skip(f"OpenBLAS does not run Haswell kernels here ({core!r})")
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(Path(__file__)), "-k", _BIT_IDENTITY],
-        capture_output=True, text=True, env=env, cwd=tests.parent)
+    child = run_on_core("Haswell", __file__, _BIT_IDENTITY)
     assert child.returncode == 0, child.stdout[-3000:]
     assert " passed" in child.stdout and "skipped" not in child.stdout
 
@@ -253,7 +230,9 @@ def test_a_busy_worker_leaves_the_image_rows_to_the_caller(
     assert busy.result(timeout=60) is True
     assert still_busy and got == want
     assert image_rows_ran_on == [threading.current_thread().name] * 4
-    assert two_cpus.calls == 4 * 9
+    # per document 9 encoder and head ops and the image rows, and the image
+    # rows' projection; per page, 2 backbone GELUs (5 pages in all)
+    assert two_cpus.calls == 4 * 11 + 5 * 2
 
 
 def test_a_failing_image_task_fails_the_call_after_it_ends(
@@ -400,16 +379,8 @@ def test_documents_below_the_cut_off_run_as_they_are(two_cpus, monkeypatch):
     assert two_cpus.calls == 0 and not asked
 
 
-def _whole_and_split(fn, rows):
-    with threads.one_blas_thread(rows >= threads.SPLIT_MIN_ROWS):
-        whole = fn().data.tobytes()
-        with threads.split_rows():
-            split = fn().data.tobytes()
-    return whole, split
-
-
 @pytest.mark.parametrize("T", [128, 129, 300, 777])
-def test_each_split_op_has_the_bytes_of_one_call(two_cpus, T):
+def test_each_split_op_has_the_bytes_of_one_call(two_cpus, monkeypatch, T):
     rng = np.random.default_rng(T)
 
     def t(*shape):
@@ -430,10 +401,42 @@ def test_each_split_op_has_the_bytes_of_one_call(two_cpus, T):
         lambda: ops.attention(x, x2, x3, mask, 2),
         lambda: ops.attention(x, x2, x3, None, 2, [(0, T // 3), (T // 3, T)]),
     ]
-    for fn in cases:
-        whole, split = _whole_and_split(fn, T)
-        assert whole == split
+    with monkeypatch.context() as mp:
+        mp.setattr(threads, "_usable_cpus", lambda: 1)
+        with threads.one_blas_thread(True):
+            whole = [fn().data.tobytes() for fn in cases]
+    assert two_cpus.calls == 0
+    with threads.one_blas_thread(True):
+        assert [fn().data.tobytes() for fn in cases] == whole
     assert two_cpus.calls == len(cases) - 2     # add and layer_norm run whole
+
+
+def test_the_head_linear_of_a_pinned_call_runs_as_two_halves(
+        two_cpus, monkeypatch):
+    """The pinned call alone decides: the classifier head's linear splits
+    as the encoder's do, with the bytes of a one-CPU call."""
+    docs, _ = _corpus()
+    model, encs = _model(FusionMode.STYLE_CONCAT, docs)
+    inp = min(encs, key=lambda e: e.length)
+    assert threads.SPLIT_MIN_ROWS <= inp.length <= CFG.max_seq_len
+    head, real, parts = model.fusion_params["head.weight"].data, \
+        ops._linear_rows, []
+
+    def spy(out, xd, wd, bd, part):
+        if wd is head:
+            parts.append(part)
+        real(out, xd, wd, bd, part)
+
+    monkeypatch.setattr(ops, "_linear_rows", spy)
+    with monkeypatch.context() as mp:
+        mp.setattr(threads, "_usable_cpus", lambda: 1)
+        want = model.predict_probs([inp]).tobytes()
+    assert parts == [...] and two_cpus.calls == 0
+    parts.clear()
+    assert model.predict_probs([inp]).tobytes() == want
+    cut = inp.length // 16 * 8
+    assert sorted(parts, key=lambda p: p.start) == \
+        [slice(0, cut), slice(cut, inp.length)]
 
 
 def test_a_failing_half_fails_the_op_after_both_halves_end(two_cpus):
@@ -446,7 +449,7 @@ def test_a_failing_half_fails_the_op_after_both_halves_end(two_cpus):
         done.append(part)
 
     out = np.zeros(200)
-    with threads.one_blas_thread(True), threads.split_rows():
+    with threads.one_blas_thread(True):
         with pytest.raises(RuntimeError, match="second half failed"):
             threads.run_halves(kernel, 200, out)
     # the cut is 200 // 2 rounded down to a multiple of 8
@@ -464,7 +467,7 @@ def test_a_busy_worker_leaves_both_halves_to_the_caller(two_cpus):
 
     out = np.zeros(200)
     try:
-        with threads.one_blas_thread(True), threads.split_rows():
+        with threads.one_blas_thread(True):
             threads.run_halves(kernel, 200, out)
     finally:
         release.set()
@@ -495,7 +498,7 @@ def test_many_callers_share_the_worker(monkeypatch):
 
     def caller(i):
         x = np.arange(300.0) + 1000 * i
-        with threads.one_blas_thread(True), threads.split_rows():
+        with threads.one_blas_thread(True):
             for _ in range(50):
                 out = np.full(300, np.nan)
                 threads.run_halves(kernel, 300, out, x)

@@ -176,11 +176,11 @@ def spec_template(fusion=FusionMode.STYLE_CONCAT, hidden=16):
 
 def test_make_fold_plan_partitions():
     ids = [f"d{i}" for i in range(10)]
-    plan = make_fold_plan(ids, 5, 0.1, seed=3)
-    tests = [set(f["test"]) for f in plan.folds]
+    folds = make_fold_plan(ids, 5, 0.1, seed=3)
+    tests = [set(f["test"]) for f in folds]
     assert all(len(t) == 2 for t in tests)
     assert set().union(*tests) == set(ids)
-    for f in plan.folds:
+    for f in folds:
         assert not set(f["val"]) & set(f["test"])
         assert not set(f["train"]) & set(f["test"])
         assert set(f["train"]) | set(f["val"]) | set(f["test"]) == set(ids)
@@ -246,7 +246,7 @@ def test_cross_validate_deterministic_and_partition():
     assert r1.per_fold_f1 == r2.per_fold_f1
     assert r1.mean == pytest.approx(float(np.mean(r1.per_fold_f1)))
     assert r1.std == pytest.approx(float(np.std(r1.per_fold_f1)))
-    tests = [set(f["test"]) for f in r1.plan.folds]
+    tests = [set(f["test"]) for f in r1.folds]
     assert set().union(*tests) == {d.id for d in docs}
     with pytest.raises(ConfigError):
         cross_validate(docs[:3], spec_template(), cfg, BucketingConfig())
