@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +34,10 @@ from ielab.errors import (
     ContractError,
     DataValidationError,
 )
-from ielab.evalsuite import (
-    TABLE1_PARAMS_M,
-    count_parameters,
-    format_breakdowns,
-    table1_consistency,
-)
-from ielab.jsonconfig import decode
-from ielab.layoutcore import EncoderConfig
+from ielab.evalsuite import parameter_report
+from ielab.jsonconfig import decode, parse_json
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
+from ielab.stylefuse.model import check_page_fits_in_memory
 from ielab.tensorcore import NumericError
 from ielab.trainloop import (
     TrainConfig,
@@ -94,10 +89,7 @@ def parse_spec(raw: bytes, path: str | Path = "spec",
                out_override: str | None = None) -> ExperimentSpec:
     """The experiment spec that the JSON bytes `raw` (read from `path`)
     encode; DataValidationError or ConfigError if they encode none."""
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataValidationError(f"{path}: spec is not valid JSON: {exc}") from exc
+    obj = parse_json(raw, f"{path}: spec is not valid JSON")
     if not isinstance(obj, dict):
         raise DataValidationError(f"{path}: spec must be a JSON object")
     if "seed" not in obj:
@@ -188,6 +180,8 @@ def _load_rasters(spec: ExperimentSpec, model: TaggerSpec,
 def cmd_generate(spec: ExperimentSpec) -> int:
     if spec.generator is None:
         raise DataValidationError("spec has no generator section")
+    size = (spec.model.image or ImagePathConfig()).raster_size
+    check_page_fits_in_memory(size)
     out = spec.output_dir
     if not out.is_dir():
         raise FileNotFoundError(f"output directory {out} does not exist")
@@ -195,7 +189,6 @@ def cmd_generate(spec: ExperimentSpec) -> int:
     (out / "corpus.jsonl").write_bytes(serialize_documents(docs))
     raster_dir = out / "rasters"
     raster_dir.mkdir(exist_ok=True)
-    size = (spec.model.image or ImagePathConfig()).raster_size
     for doc in docs:
         for k, page in enumerate(synthdocs.render_pages(doc, size)):
             pgm.write_pgm(raster_dir / f"{doc.id}.page{k}.pgm", page.grid)
@@ -223,7 +216,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
                           "fold": f,
                           "best_epoch": fold_res.best_epoch,
                           "best_val_f1": fold_res.best_val_f1,
-                          "val_doc_ids": fold_res.val_doc_ids,
+                          "val_doc_ids": result.folds[f]["val"],
                           "train": spec.train.to_json(),
                           "bucketing": spec.bucketing.to_json(),
                           "manifest": _manifest(spec)})
@@ -345,40 +338,8 @@ def cmd_ablate(spec: ExperimentSpec, checkpoint: str, features: list[str],
 
 
 def cmd_params(spec: ExperimentSpec) -> int:
-    # every mode is accounted, so the style modes need features even when
-    # the spec's own (baseline or image) model lists none; train_fold sizes
-    # the position table by the training window
-    model = replace(spec.model,
-                    style_vocab_sizes=(2, spec.bucketing.font_top_k + 1, 3, 2, 2),
-                    encoder=replace(spec.model.encoder,
-                                    max_seq_len=spec.train.max_seq_len),
-                    style_features=spec.model.style_features or STYLE_FEATURES,
-                    image=spec.model.image or ImagePathConfig())
-    full = replace(model, encoder=EncoderConfig(word_vocab=30522, label_count=25,
-                                                hidden=768, layers=12, heads=12,
-                                                ff_dim=3072, seed=0))
-    desk = replace(model, encoder=replace(model.encoder, word_vocab=5000,
-                                          label_count=13))
-    for title, base in (("desk configuration", desk),
-                        ("full-scale accounting configuration", full)):
-        breakdowns = {m: count_parameters(replace(base, fusion=m))
-                      for m in (FusionMode.BASELINE, FusionMode.STYLE_CONCAT,
-                                FusionMode.STYLE_SUM, FusionMode.IMAGE)}
-        print(f"# {title} (hidden={base.encoder.hidden})")
-        print(format_breakdowns(list(breakdowns.values())))
-        print()
-    # sum mode adds only its tables to the full-scale model
-    delta = breakdowns[FusionMode.STYLE_SUM].components["style.tables"]
-    base_m = TABLE1_PARAMS_M["style_concat"]
-    print(f"full-scale style-sum delta: +{delta:,} params = "
-          f"+{100.0 * delta / (base_m * 1e6):.3f}% of the published "
-          f"{base_m:.2f}M base")
-    consistency = table1_consistency()
-    print(f"published image model vs base: +{consistency['image_more_than_base_pct']:.2f}% "
-          f"(prose: {consistency['prose_more_pct']}% more)")
-    print(f"published concat vs image: -{consistency['concat_less_than_image_pct']:.2f}% "
-          f"(prose: {consistency['prose_less_pct']}% less)")
-    print(f"published sum minus concat: {consistency['sum_minus_concat_m']:.2f}M")
+    print(parameter_report(spec.model, spec.bucketing.font_top_k,
+                           spec.train.max_seq_len))
     return EXIT_OK
 
 

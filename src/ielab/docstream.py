@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ielab.errors import ConfigError, DataValidationError
-from ielab.jsonconfig import JsonConfig
+from ielab.jsonconfig import JsonConfig, parse_json
 
 LABEL_RE = re.compile(r"^(O|[BI]-[A-Z0-9_]+)$")
 
@@ -73,6 +73,12 @@ class BucketingConfig(JsonConfig):
             raise ConfigError("font_top_k must be >= 1")
 
 
+def style_table_sizes(fonts: int) -> list[int]:
+    """Rows of each style feature's table, in STYLE_FEATURES order, for a
+    vocabulary that keeps `fonts` fonts (OTHER takes one more row)."""
+    return [2, fonts + 1, 3, 2, 2]
+
+
 @dataclass
 class StyleVocabulary:
     """Per-feature value maps, in STYLE_FEATURES order."""
@@ -80,12 +86,10 @@ class StyleVocabulary:
     font_index: dict[str, int]  # top-k fonts; OTHER takes the last index
 
     def sizes(self) -> dict[str, int]:
-        return {"bold": 2, "font": len(self.font_index) + 1,
-                "fontSize": 3, "inTable": 2, "color": 2}
+        return dict(zip(STYLE_FEATURES, self.size_list()))
 
     def size_list(self) -> list[int]:
-        s = self.sizes()
-        return [s[f] for f in STYLE_FEATURES]
+        return style_table_sizes(len(self.font_index))
 
     def to_json(self) -> dict:
         return {"feature_order": list(STYLE_FEATURES),
@@ -245,10 +249,7 @@ def parse_documents(data: bytes) -> list[DocumentRecord]:
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise DataValidationError(f"line {lineno}: malformed JSON: {exc}") from None
+        obj = parse_json(raw, f"line {lineno}: malformed JSON")
         if not isinstance(obj, dict):
             raise DataValidationError(f"line {lineno}: expected a JSON object")
         doc_id = obj.get("id")

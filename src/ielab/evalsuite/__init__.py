@@ -2,7 +2,9 @@
 
 The loop that tags a corpus and scores it is trainloop.score_documents,
 which validation, CV test scoring, `ielab eval` and the ablation
-(trainloop.permutation_importance) share.
+(trainloop.permutation_importance) share. `parameter_report` is the one
+text of the parameter tables and the published ratios, which `ielab params`
+and demo 06 print.
 """
 
 from ielab.evalsuite.iob import EntitySpan, decode_iob
@@ -11,12 +13,11 @@ from ielab.evalsuite.accounting import (
     ParamBreakdown,
     TABLE1_PARAMS_M,
     count_parameters,
-    format_breakdowns,
-    table1_consistency,
+    parameter_report,
 )
 
 __all__ = [
     "ClassReport", "ClassScores", "EntitySpan",
     "ParamBreakdown", "TABLE1_PARAMS_M", "count_parameters", "decode_iob",
-    "entity_scores", "format_breakdowns", "table1_consistency",
+    "entity_scores", "parameter_report",
 ]

@@ -3,12 +3,15 @@ their values, nested configs as objects. Decoding fills missing keys from the
 field defaults and rejects missing keys without one, unknown keys or enum
 values, naming allowed ones, and values whose JSON type does not fit the
 field's annotation (an int field takes no bool or float, a float field takes
-an int, a tuple field a list of fitting items)."""
+an int, a tuple field a list of fitting items).
+
+`parse_json` reads the JSON of specs, checkpoint headers and corpus lines."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import types
 import typing
 
@@ -23,6 +26,16 @@ def _plain(value):
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
+
+
+def parse_json(raw: bytes | str, what: str):
+    """The value that JSON `raw` (UTF-8 bytes or text) encodes; a
+    DataValidationError starting with `what` if `raw` is not UTF-8, not
+    JSON, or nested too deeply for the parser."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError too
+        raise DataValidationError(f"{what}: {exc}") from None
 
 
 _SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}

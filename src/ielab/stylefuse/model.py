@@ -222,13 +222,26 @@ def check_fits_in_memory(spec: TaggerSpec) -> None:
     fit. Training also keeps gradients, Adam's two moments and a best-model
     snapshot (about five times the parameters) plus activations, and a
     process's cgroup memory limit is not read, so a model that passes can
-    still fail to allocate."""
-    need = 8 * sum(parameter_counts(spec).values())
+    still fail to allocate. An IMAGE model's pages must fit too
+    (check_page_fits_in_memory)."""
+    _check_fits(8 * sum(parameter_counts(spec).values()),
+                "the model's parameters need", "shrink the model")
+    if spec.fusion is FusionMode.IMAGE:
+        check_page_fits_in_memory(spec.image.raster_size)
+
+
+def check_page_fits_in_memory(raster_size: int) -> None:
+    """ConfigError when the float64 ink map of one raster_size-square page,
+    which backbone_forward builds, exceeds this machine's physical memory."""
+    _check_fits(8 * raster_size ** 2, f"the ink map of a {raster_size}-pixel"
+                " page needs", "shrink image.raster_size")
+
+
+def _check_fits(need: int, what: str, remedy: str) -> None:
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(
-            f"the model's parameters need {need / 2**30:.3g} GiB but this "
-            f"machine has {have / 2**30:.3g} GiB of memory; shrink the model")
+        raise ConfigError(f"{what} {need / 2**30:.3g} GiB but this machine "
+                          f"has {have / 2**30:.3g} GiB of memory; {remedy}")
 
 
 def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict) -> None:

@@ -171,6 +171,9 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError(
                 f"token budget {self.tokens_per_doc} is too small for the "
                 "template (need at least 8 tokens per document)")
+        if hi - lo >= 2 ** 32:
+            raise ConfigError(f"tokens_per_doc {[lo, hi]} spans more than "
+                              "2**32 budgets, more than one draw picks from")
         for name in ("p_bold_entity", "p_table_amount", "p_largefont_name",
                      "p_color_total", "noise_rate", "keyword_rate",
                      "field_rate", "distractor_rate"):

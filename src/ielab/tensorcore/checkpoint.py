@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ielab.errors import CheckpointMismatchError
+from ielab.errors import CheckpointMismatchError, DataValidationError
+from ielab.jsonconfig import parse_json
 from ielab.tensorcore.engine import Tensor
 
 FORMAT_NAME = "ielab-checkpoint"
@@ -60,9 +61,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if nl < 0:
         raise CheckpointMismatchError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointMismatchError(f"{path}: unreadable header: {exc}") from exc
+        header = parse_json(blob[:nl], f"{path}: unreadable header")
+    except DataValidationError as exc:
+        raise CheckpointMismatchError(str(exc)) from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CheckpointMismatchError(f"{path}: not an {FORMAT_NAME} file")
     if header.get("format_version") != FORMAT_VERSION:

@@ -70,6 +70,8 @@ class TrainConfig(JsonConfig):
     folds: int = 5
 
     def __post_init__(self):
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 < self.chunk_overlap < self.max_seq_len:
             raise ConfigError(
                 f"chunk_overlap must lie in (0, {self.max_seq_len}), "
@@ -99,9 +101,9 @@ def make_fold_plan(doc_ids: list[str], k: int, val_fraction: float,
     shuffled = list(np.random.default_rng([seed, 1]).permutation(doc_ids))
     test_folds = [list(part) for part in np.array_split(shuffled, k)]
     folds = []
-    for f in range(k):
-        test = test_folds[f]
-        pool = [i for i in shuffled if i not in set(test)]
+    for f, test in enumerate(test_folds):
+        in_test = set(test)
+        pool = [i for i in shuffled if i not in in_test]
         n_val = max(1, int(round(val_fraction * len(pool))))
         pool_perm = list(np.random.default_rng([seed, 2, f]).permutation(pool))
         folds.append({"val": pool_perm[:n_val], "train": pool_perm[n_val:],
@@ -116,7 +118,6 @@ class FoldResult:
     best_epoch: int
     best_val_f1: float
     val_f1_trace: list[float]
-    val_doc_ids: list[str]
     train_loss_trace: list[float]
 
 
@@ -242,7 +243,6 @@ def train_fold(train_docs: list[DocumentRecord], val_docs: list[DocumentRecord],
     return FoldResult(model=model, vocabs=vocabs,
                       best_epoch=best_epoch, best_val_f1=best_f1,
                       val_f1_trace=trace,
-                      val_doc_ids=[d.id for d in val_docs],
                       train_loss_trace=loss_trace)
 
 
@@ -253,20 +253,30 @@ def fold_seed_for(seed: int, fold: int) -> int:
 
 @dataclass
 class CVResult:
-    per_fold_f1: list[float]
-    mean: float
-    std: float                      # population std, Table-1 style "m +/- s"
-    per_class: ClassReport
-    params: int
-    fold_details: list[dict]
     folds: list[dict]               # make_fold_plan's train/val/test ids
     fold_results: list[FoldResult]
+    per_fold_f1: list[float]        # each fold's test-split weighted F1
+    per_class: ClassReport          # pooled over every fold's test split
+    params: int
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.per_fold_f1))
+
+    @property
+    def std(self) -> float:
+        """Population std, Table-1 style "m +/- s"."""
+        return float(np.std(self.per_fold_f1))
 
     def to_metrics_json(self) -> dict:
+        folds = [{"fold": f, "f1": f1, "best_epoch": res.best_epoch,
+                  "best_val_f1": res.best_val_f1,
+                  "val_f1_trace": res.val_f1_trace, **plan}
+                 for f, (plan, res, f1) in enumerate(
+                     zip(self.folds, self.fold_results, self.per_fold_f1))]
         return {"per_fold": self.per_fold_f1, "mean": self.mean,
                 "std": self.std, "per_class": self.per_class.to_json(),
-                "params": self.params,
-                "folds": self.fold_details}
+                "params": self.params, "folds": folds}
 
 
 def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
@@ -278,7 +288,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
     folds = make_fold_plan([d.id for d in docs], cfg.folds, cfg.val_fraction,
                            cfg.seed)
 
-    results, per_fold, details, pooled_preds, pooled_gold = [], [], [], [], []
+    results, per_fold, pooled_preds, pooled_gold = [], [], [], []
     for f, fold in enumerate(folds):
         train, val, test = ([by_id[i] for i in fold[key]]
                             for key in ("train", "val", "test"))
@@ -295,17 +305,7 @@ def cross_validate(docs: list[DocumentRecord], spec_template: TaggerSpec,
         per_fold.append(report.weighted_f1)
         pooled_preds += preds
         pooled_gold += gold
-        details.append({"fold": f, "f1": report.weighted_f1,
-                        "best_epoch": res.best_epoch,
-                        "best_val_f1": res.best_val_f1,
-                        "val_f1_trace": res.val_f1_trace,
-                        **{key: fold[key] for key in ("train", "val", "test")}})
     return CVResult(
-        per_fold_f1=per_fold,
-        mean=float(np.mean(per_fold)),
-        std=float(np.std(per_fold)),
+        folds=folds, fold_results=results, per_fold_f1=per_fold,
         per_class=entity_scores(pooled_preds, pooled_gold),
-        params=count_parameters(results[0].model.spec).total,
-        fold_details=details,
-        folds=folds,
-        fold_results=results)
+        params=count_parameters(results[0].model.spec).total)

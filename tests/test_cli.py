@@ -20,13 +20,14 @@ from ielab.docstream import (
     ModelInput,
     parse_documents,
     serialize_documents,
+    style_table_sizes,
 )
 from ielab.errors import ConfigError, DataValidationError
 from ielab.layoutcore import EncoderConfig, init_parameters
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
 from ielab.stylefuse.model import check_fits_in_memory, with_resolved_sizes
 from ielab.synthdocs import GeneratorConfig, generate_corpus
-from ielab.tensorcore import NumericError
+from ielab.tensorcore import AdamState, NumericError, adam_step, parameter
 from ielab.trainloop import TrainConfig, augment_bboxes, make_fold_plan
 
 
@@ -76,6 +77,14 @@ def test_malformed_spec_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert cli.main(["train", "--spec", str(bad)]) == 3
+
+
+def test_deeply_nested_spec_exits_3(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    assert cli.main(["params", "--spec", str(spec)]) == 3
+    assert "spec is not valid JSON: maximum recursion depth" in \
+        capsys.readouterr().err
 
 
 def test_unknown_fusion_mode_exits_3(tmp_path, capsys):
@@ -294,6 +303,16 @@ def test_eval_reads_pages_at_the_checkpoint_raster_size(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["eval", "--spec", str(edited), "--checkpoint", ckpt]) == 3
     assert "image.raster_size is 32" in capsys.readouterr().err
+
+
+def test_deeply_nested_checkpoint_header_exits_4(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(b"[" * 200_000 + b"]" * 200_000 + b"\n")
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    assert "unreadable header: maximum recursion depth" in \
+        capsys.readouterr().err
 
 
 def test_checkpoint_without_its_bucketing_exits_4(tmp_path, capsys):
@@ -630,7 +649,15 @@ def test_train_duplicate_document_id_exits_3(tmp_path):
     ({"generator": {"seed": -1}}, "generator seed must be >= 0"),
     ({"generator": {"filler_vocab": 0}}, "filler_vocab must be >= 1"),
     ({"train": {"seed": -1}}, "train seed must be >= 0"),
-], ids=["seed", "generator-seed", "filler-vocab", "train-seed"])
+    # lr 0 would train nothing, -1 climb the loss, NaN fail at the first step
+    ({"train": {"lr": 0}}, "lr must be finite and > 0"),
+    ({"train": {"lr": -1}}, "lr must be finite and > 0"),
+    ({"train": {"lr": float("nan")}}, "lr must be finite and > 0"),
+    # a document's token budget is one draw of at most 2**32 values
+    ({"generator": {"tokens_per_doc": [8, 2 ** 33]}},
+     "tokens_per_doc [8, 8589934592] spans more than 2**32"),
+], ids=["seed", "generator-seed", "filler-vocab", "train-seed", "lr-zero",
+        "lr-negative", "lr-nan", "token-budget-span"])
 def test_bad_generator_and_train_seeds_exit_4(tmp_path, capsys, over,
                                               message):
     spec = write_spec(tmp_path, **over)
@@ -709,6 +736,19 @@ def test_model_larger_than_memory_exits_4(tmp_path, capsys, model):
     assert "GiB of memory" in out.stderr
 
 
+def test_page_larger_than_memory_exits_4(tmp_path):
+    """One page's float64 ink map must fit in memory: generate refuses
+    before it renders, and so does every IMAGE model's build. In a child
+    with capped memory, so a page allocated anyway fails the test."""
+    spec = write_spec(tmp_path, model={"fusion": "IMAGE",
+                                       "image": {"raster_size": 10 ** 6}})
+    out = _limited_main(["generate", "--spec", str(spec)])
+    assert out.returncode == 4, out.stderr[-2000:]
+    assert "ink map of a 1000000-pixel page needs 7.45e+03 GiB" in out.stderr
+    with pytest.raises(ConfigError, match="shrink image.raster_size"):
+        check_fits_in_memory(cli.load_spec(spec).model)
+
+
 def test_numeric_error_exits_4(tmp_path, capsys, monkeypatch):
     def non_finite(spec):
         raise NumericError("softmax_rows input contains non-finite values")
@@ -759,17 +799,21 @@ def _use(spec: cli.ExperimentSpec) -> None:
     """Run what each section's values feed, at sizes that do not grow with
     them: parameter counts for every width, the memory check of the
     unshrunk model, a tiny encoder for its seed and init_std, a fold plan
-    for the train seed, box augmentation of a two-token input, a
-    one-document corpus for the generator."""
+    for the train seed, one Adam step downhill at the learning rate, box
+    augmentation of a two-token input, a one-document corpus for the
+    generator."""
     with contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_params(spec)
-    model = with_resolved_sizes(spec.model, MAX_WORDS, 13, (
-        2, spec.bucketing.font_top_k + 1, 3, 2, 2))
+    model = with_resolved_sizes(spec.model, MAX_WORDS, 13,
+                                style_table_sizes(spec.bucketing.font_top_k))
     check_fits_in_memory(dataclasses.replace(model, encoder=dataclasses.replace(
         model.encoder, max_seq_len=spec.train.max_seq_len)))
     init_parameters(dataclasses.replace(spec.model.encoder, hidden=2, heads=1,
                                         layers=1, ff_dim=2, max_seq_len=2))
     make_fold_plan(["a", "b"], 2, spec.train.val_fraction, spec.train.seed)
+    w = {"w": parameter(np.zeros(1))}
+    adam_step(w, {"w": np.ones(1)}, AdamState(lr=spec.train.lr))
+    assert w["w"].data[0] < 0
     two_tokens = ModelInput(
         word_ids=np.array([2, 3]),
         coord_ids=np.array([[0, 500]] * 2 + [[1000, 500]] * 2
@@ -804,6 +848,9 @@ _MUTATIONS = st.sampled_from(sorted(_SECTION_KEYS)).flatmap(
 @example(("train", {"bbox_shift_max": -1}))
 @example(("train", {"bbox_scale_range": [0.95, float("nan")]}))
 @example(("train", {"bbox_scale_range": [0.95, 1e400]}))
+@example(("train", {"lr": float("nan")}))
+@example(("train", {"lr": 0}))
+@example(("bucketing", {"font_top_k": 10 ** 30}))
 def test_spec_fuzz_returns_or_rejects(mutation):
     """A mutated spec is rejected with an exit-coded error (3 or 4), or it
     loads and every value it sets can be used."""
