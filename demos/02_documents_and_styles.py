@@ -5,6 +5,7 @@ Run:  python demos/02_documents_and_styles.py
 
 from ielab import synthdocs
 from ielab.docstream import (
+    STYLE_FEATURES,
     BucketingConfig,
     build_vocabularies,
     encode_document,
@@ -44,7 +45,8 @@ print(f"\nmedian font size in {doc.id}: {median_font_size(doc)}")
 
 vocabs = build_vocabularies(docs, cfg)
 print(f"word vocabulary: {vocabs.word.size} ids (incl. PAD/UNK)")
-print(f"style vocab sizes: {vocabs.style.sizes()}")
+sizes = dict(zip(STYLE_FEATURES, vocabs.style.size_list()))
+print(f"style vocab sizes: {sizes}")
 print(f"label map: {vocabs.labels}")
 
 enc = encode_document(doc, vocabs, cfg)

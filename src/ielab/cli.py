@@ -6,6 +6,14 @@ package version) and are byte-deterministic for a fixed spec.
 
 Exit codes: 0 success, 2 I/O, 3 data validation, 4 config/checkpoint
 mismatch, 5 contract misuse.
+
+`train` writes one checkpoint per fold, `fold<k>.ckpt` (layout in
+tensorcore.checkpoint). Its config object holds `spec` (the model's
+TaggerSpec), `vocabularies`, `bucketing` and `train` (the encoding and
+chunking the fold was trained with, which eval and ablate reuse), `fold`,
+`best_epoch`, `best_val_f1`, `val_doc_ids` and `manifest`. Only this module
+writes and reads these keys; a checkpoint missing one of the first four, or
+holding one that does not decode, exits 4.
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ import numpy as np
 import ielab
 from ielab import pgm, synthdocs
 from ielab.docstream import (
+    STYLE_FEATURES,
     BucketingConfig,
     DocumentRecord,
+    Vocabularies,
     encode_document,
     parse_documents,
     serialize_documents,
@@ -35,17 +45,16 @@ from ielab.errors import (
     DataValidationError,
 )
 from ielab.evalsuite import parameter_report
-from ielab.jsonconfig import decode, parse_json
+from ielab.jsonconfig import JsonConfig, decode, parse_json
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec, TokenTagger
 from ielab.stylefuse.model import check_page_fits_in_memory
-from ielab.tensorcore import NumericError
+from ielab.tensorcore import NumericError, load_checkpoint, save_checkpoint
 from ielab.trainloop import (
     TrainConfig,
     cross_validate,
     permutation_importance,
     score_documents,
 )
-from ielab.docstream import Vocabularies, STYLE_FEATURES
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -210,51 +219,60 @@ def cmd_train(spec: ExperimentSpec) -> int:
     metrics["manifest"] = _manifest(spec)
     _write_json(out / "metrics.json", metrics)
     for f, fold_res in enumerate(result.fold_results):
-        fold_res.model.save(
-            out / f"fold{f}.ckpt",
-            extra_config={"vocabularies": fold_res.vocabs.to_json(),
-                          "fold": f,
-                          "best_epoch": fold_res.best_epoch,
-                          "best_val_f1": fold_res.best_val_f1,
-                          "val_doc_ids": result.folds[f]["val"],
-                          "train": spec.train.to_json(),
-                          "bucketing": spec.bucketing.to_json(),
-                          "manifest": _manifest(spec)})
-        _write_json(out / f"fold{f}.vocab.json", fold_res.vocabs.to_json())
+        vocabs = fold_res.vocabs.to_json()
+        save_checkpoint(out / f"fold{f}.ckpt", {
+            "spec": fold_res.model.spec.to_json(), "vocabularies": vocabs,
+            "bucketing": spec.bucketing.to_json(),
+            "train": spec.train.to_json(), "fold": f,
+            "best_epoch": fold_res.best_epoch,
+            "best_val_f1": fold_res.best_val_f1,
+            "val_doc_ids": result.folds[f]["val"],
+            "manifest": _manifest(spec)}, fold_res.model.parameters())
+        _write_json(out / f"fold{f}.vocab.json", vocabs)
     print(f"mean weighted F1 {result.mean:.4f} +/- {result.std:.4f} over "
           f"{spec.train.folds} folds; params {result.params}")
     return EXIT_OK
+
+
+def _stored(path, config: dict, key: str, kind: type[JsonConfig]):
+    """The checkpoint config's `key`, decoded as `kind`."""
+    if key not in config:
+        raise CheckpointMismatchError(
+            f"{path}: the checkpoint {key} is missing; retrain to store it")
+    try:
+        return kind.from_json(config[key])
+    except (ConfigError, DataValidationError) as exc:
+        raise CheckpointMismatchError(
+            f"{path}: unreadable checkpoint {key}: {exc}; retrain to "
+            "rewrite it") from None
 
 
 def _load_checkpoint_model(spec: ExperimentSpec, path) -> tuple[
         TokenTagger, Vocabularies, BucketingConfig, TrainConfig]:
     """The model with the vocabularies, bucketing and chunking (`train`) it
     was trained with; eval encodes with these, not with the spec's."""
-    model, config = TokenTagger.load(path)
-    missing = [k for k in ("vocabularies", "bucketing", "train")
-               if k not in config]
-    if missing:
+    config, arrays = load_checkpoint(path)
+    stored_spec, vocabs, bucketing, train = (
+        _stored(path, config, key, kind) for key, kind in (
+            ("spec", TaggerSpec), ("vocabularies", Vocabularies),
+            ("bucketing", BucketingConfig), ("train", TrainConfig)))
+    model = TokenTagger.from_arrays(stored_spec, arrays)
+    if stored_spec.fusion is not spec.model.fusion:
         raise CheckpointMismatchError(
-            f"{path}: checkpoint config lacks {missing}; retrain to store the "
-            "encoding it was trained with")
-    if model.spec.fusion is not spec.model.fusion:
-        raise CheckpointMismatchError(
-            f"checkpoint fusion {model.spec.fusion.value} does not match "
+            f"checkpoint fusion {stored_spec.fusion.value} does not match "
             f"spec fusion {spec.model.fusion.value}")
-    stored, wanted = model.spec.encoder, spec.model.encoder
+    stored, wanted = stored_spec.encoder, spec.model.encoder
     if (stored.hidden, stored.layers, stored.heads) \
             != (wanted.hidden, wanted.layers, wanted.heads):
         # heads shape no parameter, so only the spec can catch them
         raise CheckpointMismatchError(
             "checkpoint encoder dimensions do not match the spec")
-    try:
-        vocabs = Vocabularies.from_json(config["vocabularies"])
-        bucketing = BucketingConfig.from_json(config["bucketing"])
-        train = TrainConfig.from_json(config["train"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    if train.max_seq_len != stored.max_seq_len:
         raise CheckpointMismatchError(
-            f"{path}: unreadable checkpoint config: {exc}") from exc
-    _check_vocabularies(path, vocabs, model.spec)
+            f"{path}: checkpoint chunk window train.max_seq_len "
+            f"{train.max_seq_len} differs from its model's window "
+            f"{stored.max_seq_len}")
+    _check_vocabularies(path, vocabs, stored_spec)
     return model, vocabs, bucketing, train
 
 

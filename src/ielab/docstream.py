@@ -22,7 +22,7 @@ from ielab.jsonconfig import JsonConfig, parse_json
 
 LABEL_RE = re.compile(r"^(O|[BI]-[A-Z0-9_]+)$")
 
-# Fixed style-feature order; serialized with every vocabulary and checkpoint.
+# Fixed style-feature order of style_ids rows and of style tables.
 STYLE_FEATURES = ("bold", "font", "fontSize", "inTable", "color")
 
 PAD_ID = 0
@@ -79,32 +79,19 @@ def style_table_sizes(fonts: int) -> list[int]:
     return [2, fonts + 1, 3, 2, 2]
 
 
-@dataclass
-class StyleVocabulary:
-    """Per-feature value maps, in STYLE_FEATURES order."""
+@dataclass(frozen=True)
+class StyleVocabulary(JsonConfig):
+    """The fonts the font table numbers; the other style features bucket by
+    fixed rules (bucket_styles)."""
 
     font_index: dict[str, int]  # top-k fonts; OTHER takes the last index
-
-    def sizes(self) -> dict[str, int]:
-        return dict(zip(STYLE_FEATURES, self.size_list()))
 
     def size_list(self) -> list[int]:
         return style_table_sizes(len(self.font_index))
 
-    def to_json(self) -> dict:
-        return {"feature_order": list(STYLE_FEATURES),
-                "font_index": self.font_index,
-                "sizes": self.sizes()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "StyleVocabulary":
-        if tuple(obj["feature_order"]) != STYLE_FEATURES:
-            raise ConfigError(f"unexpected style feature order {obj['feature_order']}")
-        return cls(font_index={k: int(v) for k, v in obj["font_index"].items()})
-
-
-@dataclass
-class WordVocabulary:
+@dataclass(frozen=True)
+class WordVocabulary(JsonConfig):
     """Lowercased word->id map with PAD=0 and UNK=1 reserved."""
 
     index: dict[str, int]
@@ -116,32 +103,15 @@ class WordVocabulary:
     def id_of(self, word: str) -> int:
         return self.index.get(word.lower(), UNK_ID)
 
-    def to_json(self) -> dict:
-        return {"pad_id": PAD_ID, "unk_id": UNK_ID, "index": self.index}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "WordVocabulary":
-        return cls(index={k: int(v) for k, v in obj["index"].items()})
-
-
-@dataclass
-class Vocabularies:
+@dataclass(frozen=True)
+class Vocabularies(JsonConfig):
     word: WordVocabulary
     style: StyleVocabulary
     labels: dict[str, int]
 
     def label_names(self) -> list[str]:
         return [t for t, _ in sorted(self.labels.items(), key=lambda kv: kv[1])]
-
-    def to_json(self) -> dict:
-        return {"word": self.word.to_json(), "style": self.style.to_json(),
-                "labels": self.labels}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Vocabularies":
-        return cls(word=WordVocabulary.from_json(obj["word"]),
-                   style=StyleVocabulary.from_json(obj["style"]),
-                   labels={k: int(v) for k, v in obj["labels"].items()})
 
 
 @dataclass

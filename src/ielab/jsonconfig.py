@@ -1,9 +1,10 @@
 """One JSON form for the frozen config dataclasses: tuples as lists, enums as
-their values, nested configs as objects. Decoding fills missing keys from the
-field defaults and rejects missing keys without one, unknown keys or enum
-values, naming allowed ones, and values whose JSON type does not fit the
-field's annotation (an int field takes no bool or float, a float field takes
-an int, a tuple field a list of fitting items).
+their values, nested configs and `dict[str, T]` fields as objects. Decoding
+fills missing keys from the field defaults and rejects missing keys without
+one, unknown keys or enum values, naming allowed ones, and values whose JSON
+type does not fit the field's annotation (an int field takes no bool, float
+or string, a float field takes an int, a tuple field a list of fitting items,
+a dict field an object of fitting values).
 
 `parse_json` reads the JSON of specs, checkpoint headers and corpus lines."""
 
@@ -25,6 +26,8 @@ def _plain(value):
         return value.value
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
@@ -74,6 +77,11 @@ def decode(kind, value):
             raise DataValidationError(
                 f"expected a list of {len(items)} items, got {value!r}")
         return tuple(decode(k, v) for k, v in zip(items, value))
+    if typing.get_origin(option) is dict:
+        if not isinstance(value, dict):
+            raise DataValidationError(f"expected a JSON object, got {value!r}")
+        item = typing.get_args(option)[1]
+        return {k: decode(item, v) for k, v in value.items()}
     return value
 
 

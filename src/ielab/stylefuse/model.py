@@ -19,7 +19,7 @@ import numpy as np
 
 from ielab import layoutcore
 from ielab.docstream import STYLE_FEATURES, ModelInput, pack_inputs
-from ielab.errors import CheckpointMismatchError, ConfigError, DataValidationError
+from ielab.errors import CheckpointMismatchError, ConfigError
 from ielab.jsonconfig import JsonConfig
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse.fusion import (
@@ -29,7 +29,6 @@ from ielab.stylefuse.fusion import (
     head_logits,
 )
 from ielab.stylefuse.image import ImagePathConfig, image_rows
-from ielab.tensorcore import checkpoint as ckpt
 from ielab.tensorcore import engine, ops, threads
 from ielab.tensorcore.engine import Tensor
 
@@ -84,6 +83,20 @@ class TokenTagger:
                     name, shape, rng, spec.encoder.init_std)
         return cls(spec, layoutcore.init_parameters(spec.encoder),
                    fusion_params)
+
+    @classmethod
+    def from_arrays(cls, spec: TaggerSpec,
+                    arrays: dict[str, np.ndarray]) -> "TokenTagger":
+        """The model of `spec` holding `arrays` (name -> array, as a
+        checkpoint stores them): ConfigError if the spec does not fit in
+        memory, CheckpointMismatchError unless the arrays have exactly the
+        spec's parameter names and shapes."""
+        check_fits_in_memory(spec)      # before listing every layer
+        shapes = parameter_shapes(spec)
+        _check_shapes(arrays, shapes)   # before any array becomes a tensor
+        enc = {n: engine.parameter(arrays[n]) for n in shapes}
+        fus = {n: enc.pop(n) for n in shapes if n.split(".")[0] in _STREAMS}
+        return cls(spec, enc, fus)
 
     def parameters(self) -> dict[str, Tensor]:
         return {**self.encoder_params, **self.fusion_params}
@@ -141,30 +154,6 @@ class TokenTagger:
         _check_shapes(arrays, {n: t.data.shape for n, t in params.items()})
         for name, arr in arrays.items():
             params[name].data[...] = arr
-
-    def save(self, path, extra_config: dict | None = None) -> None:
-        config = {"spec": self.spec.to_json()}
-        if extra_config:
-            config.update(extra_config)
-        ckpt.save_checkpoint(path, config, self.parameters())
-
-    @classmethod
-    def load(cls, path) -> tuple["TokenTagger", dict]:
-        config, arrays = ckpt.load_checkpoint(path)
-        if "spec" not in config:
-            raise CheckpointMismatchError(
-                f"{path}: checkpoint config lacks the checkpoint spec")
-        try:
-            spec = TaggerSpec.from_json(config["spec"])
-        except (ConfigError, DataValidationError) as exc:
-            raise CheckpointMismatchError(
-                f"{path}: unreadable checkpoint spec: {exc}") from None
-        check_fits_in_memory(spec)      # before listing every layer
-        shapes = parameter_shapes(spec)
-        _check_shapes(arrays, shapes)   # before any array becomes a tensor
-        enc = {n: engine.parameter(arrays[n]) for n in shapes}
-        fus = {n: enc.pop(n) for n in shapes if n.split(".")[0] in _STREAMS}
-        return cls(spec, enc, fus), config
 
 
 # the random stream of each parameter group beside the encoder's stream 0

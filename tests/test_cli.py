@@ -381,6 +381,54 @@ def test_checkpoint_vocabularies_checked_against_its_model_exit_4(
     assert "vocabularies do not fit its model" in capsys.readouterr().err
 
 
+def _parent_format(v: dict) -> None:
+    """The older vocabulary form: derived feature order, sizes and PAD/UNK
+    ids beside the maps."""
+    v["style"].update(feature_order=list(STYLE_FEATURES), sizes=dict(zip(
+        STYLE_FEATURES, style_table_sizes(len(v["style"]["font_index"])))))
+    v["word"].update(pad_id=0, unk_id=1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda v: _renumber(v["word"]["index"], 3, "3"),
+     "WordVocabulary.index: expected int, got '3'"),
+    (_parent_format, "unknown StyleVocabulary keys: ['feature_order', "
+                     "'sizes']"),
+    (lambda v: v["word"].update(pad_id=0, unk_id=1),
+     "unknown WordVocabulary keys: ['pad_id', 'unk_id']")],
+    ids=["word-id-a-string", "parent-format", "parent-format-word"])
+def test_unreadable_checkpoint_vocabularies_exit_4(
+        trained_checkpoint, tmp_path, capsys, edit, message):
+    """Vocabulary ids decode as ints, not coerced from strings, and keys
+    outside the vocabulary form are named: a checkpoint written in the older
+    form with derived keys ends in exit 4, not in a traceback."""
+    spec, blob = trained_checkpoint
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_edited(blob, lambda c: edit(c["vocabularies"])))
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "unreadable checkpoint vocabularies" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [2, 0.5], ids=["doubled", "halved"])
+def test_checkpoint_chunk_window_must_match_its_model_exit_4(
+        trained_checkpoint, tmp_path, capsys, scale):
+    """Eval chunks at the stored train.max_seq_len. A window longer than the
+    model's position table would end in exit 5 on a long document, a
+    shorter one in silently moved probabilities; both exit 4."""
+    spec, blob = trained_checkpoint
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_edited(blob, lambda c: c["train"].update(
+        max_seq_len=int(c["train"]["max_seq_len"] * scale))))
+    capsys.readouterr()
+    assert cli.main(["eval", "--spec", str(spec),
+                     "--checkpoint", str(path)]) == 4
+    assert "differs from its model's window" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda s: s.update(style_dim=s["style_dim"] + 1), "does not match"),
     (lambda s: s["encoder"].update(ff_dim=8 * s["encoder"]["hidden"]),

@@ -190,7 +190,8 @@ def test_build_vocabulary_font_top_k_overflow():
     vocabs = ds.build_vocabularies(docs, ds.BucketingConfig(font_top_k=8))
     assert len(vocabs.style.font_index) == 8
     assert "Font8" not in vocabs.style.font_index  # rarest font -> OTHER
-    assert vocabs.style.sizes()["font"] == 9
+    sizes = dict(zip(ds.STYLE_FEATURES, vocabs.style.size_list()))
+    assert sizes["font"] == 9
 
 
 def test_build_vocabulary_deterministic():

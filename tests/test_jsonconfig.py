@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from ielab.docstream import BucketingConfig
+from ielab.docstream import (
+    BucketingConfig,
+    StyleVocabulary,
+    Vocabularies,
+    WordVocabulary,
+)
 from ielab.errors import DataValidationError
 from ielab.layoutcore import EncoderConfig
 from ielab.stylefuse import FusionMode, ImagePathConfig, TaggerSpec
@@ -26,6 +31,20 @@ def test_tagger_spec_json_is_pinned():
         '"font","fontSize","inTable","color"],"style_vocab_sizes":[]}')
 
 
+def _vocabularies():
+    return Vocabularies(word=WordVocabulary(index={"buy": 2, "sell": 3}),
+                        style=StyleVocabulary(font_index={"Arial": 0}),
+                        labels={"O": 0, "B-BROKER": 1})
+
+
+def test_vocabularies_json_is_pinned():
+    # checkpoint headers and fold<k>.vocab.json hold this form
+    assert json.dumps(_vocabularies().to_json(), sort_keys=True,
+                      separators=(",", ":")) == (
+        '{"labels":{"B-BROKER":1,"O":0},"style":{"font_index":{"Arial":0}},'
+        '"word":{"index":{"buy":2,"sell":3}}}')
+
+
 @pytest.mark.parametrize("config", [
     TaggerSpec(encoder=EncoderConfig(word_vocab=9, label_count=3),
                fusion=FusionMode.STYLE_CONCAT, style_vocab_sizes=(2, 4),
@@ -33,6 +52,7 @@ def test_tagger_spec_json_is_pinned():
     TrainConfig(lr=0.5, bbox_scale_range=(0.9, 1.1), folds=3),
     GeneratorConfig(tokens_per_doc=(100, 200), n_docs=5, seed=9),
     BucketingConfig(fontsize_cluster_bounds=(1.5, 3.0), font_top_k=4),
+    _vocabularies(),
 ], ids=lambda c: type(c).__name__)
 def test_config_json_roundtrip(config):
     back = type(config).from_json(json.loads(json.dumps(config.to_json())))
@@ -75,3 +95,16 @@ def test_from_json_checks_field_types():
         ImagePathConfig.from_json({"backbone_channels": [8, "16"]})
     with pytest.raises(DataValidationError, match=r"template: expected str"):
         GeneratorConfig.from_json({"template": 3})
+
+
+def test_dict_fields_take_an_object_of_fitting_values():
+    assert WordVocabulary.from_json({"index": {}}).index == {}
+    for ids in ({"buy": "3"}, {"buy": 3.5}, {"buy": True}, {"buy": [3]},
+                [["buy", 3]], "buy"):
+        with pytest.raises(DataValidationError, match=r"WordVocabulary\.index"):
+            WordVocabulary.from_json({"index": ids})
+    with pytest.raises(DataValidationError,
+                       match=r"Vocabularies\.style: StyleVocabulary\.font_index"
+                             r": expected int, got '0'"):
+        Vocabularies.from_json({**_vocabularies().to_json(),
+                                "style": {"font_index": {"Arial": "0"}}})

@@ -23,7 +23,9 @@ from ielab.tensorcore import (
     conv2d,
     cross_entropy_masked,
     gelu,
+    load_checkpoint,
     parameter,
+    save_checkpoint,
 )
 from test_layoutcore import tiny_input
 
@@ -541,9 +543,10 @@ def test_checkpoint_roundtrip_restores_predictions(tmp_path):
     inp = tiny_input(T=4, seed=13)
     before = model.predict_probs([inp])
     path = tmp_path / "tagger.ckpt"
-    model.save(path, extra_config={"note": "test"})
-    loaded, config = sf.TokenTagger.load(path)
-    assert config["note"] == "test"
+    save_checkpoint(path, {"spec": spec.to_json()}, model.parameters())
+    config, arrays = load_checkpoint(path)
+    loaded = sf.TokenTagger.from_arrays(
+        sf.TaggerSpec.from_json(config["spec"]), arrays)
     assert np.array_equal(loaded.predict_probs([inp]), before)
 
 
